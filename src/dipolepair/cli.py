@@ -1,16 +1,19 @@
 """Command-line front end: steady states, spectra, figure data, self checks.
 
-Exit codes: 0 success, 1 check failure, 2 usage error. CSV output uses a
-single header row, 12-significant-digit floats and the literal ``NaN``
-for failed points; JSON carries the same rounded values.
+Exit codes: 0 success, 1 check failure or every grid point failed, 2
+usage error. CSV output uses a single header row, 12-significant-digit
+floats and the literal ``NaN`` for failed points; JSON carries the same
+rounded values.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .dynamics import (
     propagate,
     restrict_triplet,
     solve_steady_state,
+    solve_steady_states,
     triplet_steady_state,
     vec,
 )
@@ -32,6 +36,7 @@ from .entanglement import (
     eof_from_concurrence,
     singlet_projector,
     wootters_concurrence,
+    wootters_concurrences,
 )
 from .errors import DipolePairError
 from .linalg import BasisTag, general_eig, hermitian_eig
@@ -50,6 +55,9 @@ TAU_PEAK = 2.0 + 2.0 * math.sqrt(13.0)
 C_PEAK = 2.0 / (math.sqrt(13.0) + 1.0)
 
 AXIS_NAMES = ("k0r", "efield", "omega", "delta", "tau")
+
+# grid points per solver stack: about 4 MB per (chunk, 16, 16) work array
+GRID_CHUNK = 1024
 
 
 class UsageError(Exception):
@@ -100,7 +108,9 @@ def _print_matrix(m: np.ndarray, labels, out) -> None:
 # ---------------------------------------------------------------- arguments
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--delta", type=float, default=None, help="detuning / gamma")
     common.add_argument("--efield", type=float, default=None, help="drive / gamma")
@@ -372,6 +382,46 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _check_mu(mu: float) -> None:
+    if not 0.0 <= mu <= 1.0:
+        raise UsageError("--mu-dot-rhat must lie in [0, 1]")
+
+
+def _solve_grid(delta, drive, omega, gamma12):
+    """Steady states and concurrence of every point of a parameter mesh.
+
+    The arguments broadcast to one length N. Points are solved in stacks
+    of GRID_CHUNK, so the (chunk, 16, 16) work arrays stay bounded on large
+    grids. Returns (coupled-basis populations (N, 4), concurrence, eof,
+    errors), NaN where a point failed and its typed error in the list.
+    """
+    args = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
+                                 for a in (delta, drive, omega, gamma12)))
+    n = len(args[0])
+    pops = np.empty((n, 4))
+    conc = np.empty(n)
+    eof = np.empty(n)
+    errors = []
+    for lo in range(0, n, GRID_CHUNK):
+        part = slice(lo, lo + GRID_CHUNK)
+        states, errs = solve_steady_states(*(a[part] for a in args))
+        pops[part] = states.diagonal(axis1=1, axis2=2).real
+        conc[part], eof[part], errs = wootters_concurrences(states, errs)
+        errors += errs
+    return pops, conc, eof, errors
+
+
+def _report_failures(errors) -> bool:
+    """Warn on stderr about failed points, by error class; True if all failed."""
+    failed = Counter(type(e).__name__ for e in errors if e is not None)
+    count = sum(failed.values())
+    if count:
+        kinds = ", ".join(f"{name}: {k}" for name, k in failed.most_common())
+        print(f"warning: {count} grid point(s) failed, recorded as NaN ({kinds})",
+              file=sys.stderr)
+    return count == len(errors)
+
+
 def _cmd_fig2(ns, config) -> int:
     k0r_lo, k0r_hi = _parse_range(
         str(_resolve(ns, config, "k0r_range", "0.05:2.0")), "--k0r-range"
@@ -388,28 +438,19 @@ def _cmd_fig2(ns, config) -> int:
         raise UsageError("--k0r-range must be positive")
     if e_lo < 0:
         raise UsageError("drive must be >= 0")
+    _check_mu(mu)
     k0rs = np.linspace(k0r_lo, k0r_hi, points)
     efields = np.linspace(e_lo, e_hi, points)
-    rows = []
-    failures = 0
-    for x in k0rs:
-        omega = dipole_coupling(float(x), mu)
-        gamma12 = cross_decay(float(x))
-        for e in efields:
-            try:
-                cfg = AtomPairConfig(delta=delta, drive=float(e), k0r=float(x),
-                                     mu_dot_rhat=mu)
-                state = solve_steady_state(cfg, Couplings(omega, gamma12))
-                conc = wootters_concurrence(state).concurrence
-            except (DipolePairError, np.linalg.LinAlgError):
-                conc = float("nan")
-                failures += 1
-            rows.append((float(x), float(e), omega, gamma12, conc))
-    if failures:
-        print(f"warning: {failures} grid point(s) failed, recorded as NaN",
-              file=sys.stderr)
-    if failures == len(rows):
+    # geometry once per distance row, by the scalar formulas
+    omegas = [dipole_coupling(float(x), mu) for x in k0rs]
+    gammas = [cross_decay(float(x)) for x in k0rs]
+    # row-major mesh: distance outer, drive inner
+    columns = [np.repeat(k0rs, points), np.tile(efields, points),
+               np.repeat(omegas, points), np.repeat(gammas, points)]
+    _, conc, _, errors = _solve_grid(delta, *columns[1:])
+    if _report_failures(errors):
         return 1
+    rows = zip(*columns, conc)
     fmt = _resolve(ns, config, "format", "csv")
     out, close = _open_out(_resolve(ns, config, "out", None))
     try:
@@ -444,40 +485,18 @@ def _parse_axis(text: str):
     return name, np.linspace(start, stop, count)
 
 
-def _sweep_point(params: dict, mode: str, mu: float):
-    """One sweep evaluation; returns (populations, singlet, concurrence, eof)."""
-    delta = params.get("delta", 0.0)
-    efield = params.get("efield")
-    if efield is None:
-        raise UsageError("sweep needs --efield or an efield axis")
-    if efield < 0:
-        raise UsageError("drive must be >= 0")
-    if "tau" in params:
-        if delta != 0.0:
-            raise UsageError("a tau axis requires delta = 0")
-        omega = params["tau"] * efield**2
-        state = analytic_steady_state(omega, efield).to_basis(BasisTag.COUPLED)
-        params["omega"] = omega
-        params["gamma12"] = 1.0
-    else:
-        if mode == "geometric":
-            x = params.get("k0r")
-            if x is None:
-                raise UsageError("geometric sweep needs --k0r or a k0r axis")
-            params["omega"] = dipole_coupling(x, mu)
-            params["gamma12"] = cross_decay(x)
-        else:
-            if params.get("omega") is None:
-                raise UsageError("direct sweep needs --omega or an omega axis")
-            params.setdefault("gamma12", 0.0)
-        cfg = AtomPairConfig(delta=delta, drive=efield,
-                             k0r=params.get("k0r", 1.0), mu_dot_rhat=mu)
-        state = solve_steady_state(
-            cfg, Couplings(params["omega"], params["gamma12"])
-        )
-    report = wootters_concurrence(state)
-    pops = state.matrix.diagonal().real
-    return pops, report.concurrence, report.eof
+def _closed_form_states(omega, efield):
+    """Coupled-basis closed-form triplet states per point, with errors."""
+    states = np.full((len(omega), 4, 4), np.nan, dtype=complex)
+    errors = []
+    for i, (w, e) in enumerate(zip(omega, efield)):
+        try:
+            states[i] = analytic_steady_state(float(w), float(e)).to_basis(
+                BasisTag.COUPLED).matrix
+            errors.append(None)
+        except DipolePairError as exc:
+            errors.append(exc)
+    return states, errors
 
 
 def _cmd_sweep(ns, config) -> int:
@@ -498,6 +517,7 @@ def _cmd_sweep(ns, config) -> int:
                 raise UsageError(f"{key} is an axis and cannot also be fixed")
             fixed[key] = float(val)
     mu = float(_resolve(ns, config, "mu_dot_rhat", 0.0))
+    _check_mu(mu)
     mode = _resolve(ns, config, "mode", None)
     if mode is None:
         mode = "geometric" if ("k0r" in names or "k0r" in fixed) else "direct"
@@ -505,21 +525,48 @@ def _cmd_sweep(ns, config) -> int:
         fixed["gamma12"] = 1.0
         fixed["delta"] = 0.0
 
-    grids = [list(values) for _, values in axes]
-    mesh = [(a,) for a in grids[0]] if len(axes) == 1 else [
-        (a, b) for a in grids[0] for b in grids[1]
-    ]
+    # the mesh, row-major over the axes, as one column per parameter
+    grids = np.meshgrid(*(values for _, values in axes), indexing="ij")
+    params = {name: grid.ravel() for name, grid in zip(names, grids)}
+    n = grids[0].size
+    params.update({key: np.full(n, val) for key, val in fixed.items()})
     input_cols = names + [k for k in ("k0r", "delta", "efield", "omega",
                                       "gamma12", "tau")
                           if k in fixed and k not in names]
+
+    # every usage error is raised before the first solve
+    delta = params.get("delta", np.zeros(n))
+    efield = params.get("efield")
+    if efield is None:
+        raise UsageError("sweep needs --efield or an efield axis")
+    if (efield < 0).any():
+        raise UsageError("drive must be >= 0")
+    if "k0r" in params and (params["k0r"] <= 0).any():
+        raise UsageError("k0r must be > 0")
+    if "tau" in params:
+        if (delta != 0.0).any():
+            raise UsageError("a tau axis requires delta = 0")
+        states, errors = _closed_form_states(params["tau"] * efield**2, efield)
+        pops = states.diagonal(axis1=1, axis2=2).real
+        conc, eof, errors = wootters_concurrences(states, errors)
+    else:
+        if mode == "geometric":
+            if "k0r" not in params:
+                raise UsageError("geometric sweep needs --k0r or a k0r axis")
+            geometry = {x: (dipole_coupling(x, mu), cross_decay(x))
+                        for x in map(float, np.unique(params["k0r"]))}
+            omega, gamma12 = np.array([geometry[x] for x in params["k0r"]]).T
+        else:
+            if "omega" not in params:
+                raise UsageError("direct sweep needs --omega or an omega axis")
+            omega = params["omega"]
+            gamma12 = params.get("gamma12", np.zeros(n))
+        pops, conc, eof, errors = _solve_grid(delta, efield, omega, gamma12)
+    if _report_failures(errors):
+        return 1
+    rows = np.column_stack([params[k] for k in input_cols] + [pops, conc, eof])
     out_cols = ("pop_plus1", "pop_zero", "pop_minus1", "singlet_weight",
                 "concurrence", "eof")
-    rows = []
-    for values in mesh:
-        params = dict(fixed)
-        params.update(dict(zip(names, (float(v) for v in values))))
-        pops, conc, eof = _sweep_point(dict(params), mode, mu)
-        rows.append([params[k] for k in input_cols] + list(pops) + [conc, eof])
     fmt = _resolve(ns, config, "format", "csv")
     out, close = _open_out(_resolve(ns, config, "out", None))
     try:

@@ -11,6 +11,7 @@ matrix sits at flat index i + n*j, and vec(A X B) = kron(B.T, A) vec(X).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,6 +47,9 @@ _I4 = np.eye(4, dtype=complex)
 # flat indices of the 3x3 triplet block inside a column-stacked 4x4
 _TRIPLET_IDX = np.array([i + 4 * j for j in range(3) for i in range(3)])
 
+# computational -> coupled basis change of column-stacked 4x4 matrices
+_TO_COUPLED_SUPER = kron(TO_COUPLED.conj(), TO_COUPLED)
+
 
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""
@@ -80,6 +84,14 @@ class DensityMatrix:
             raise InvalidState(f"trace {np.trace(m).real!r} is not 1")
         if np.linalg.eigvalsh(m).min() < tol.DENSITY_EVAL_FLOOR:
             raise InvalidState("negative eigenvalue beyond tolerance")
+
+    @classmethod
+    def _checked(cls, matrix: np.ndarray, basis: BasisTag) -> "DensityMatrix":
+        """Wrap a matrix that has just passed _density_errors, without checking again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", matrix)
+        object.__setattr__(state, "basis", basis)
+        return state
 
     def to_basis(self, basis: BasisTag) -> "DensityMatrix":
         """Convert between bases; the triplet tag embeds with zero singlet."""
@@ -117,7 +129,7 @@ class Liouvillian:
     def to_coupled(self) -> "Liouvillian":
         if self.basis is BasisTag.COUPLED:
             return self
-        u = kron(TO_COUPLED.conj(), TO_COUPLED)
+        u = _TO_COUPLED_SUPER
         return Liouvillian(u @ self.matrix @ u.conj().T, BasisTag.COUPLED)
 
 
@@ -147,14 +159,202 @@ def build_liouvillian(cfg: AtomPairConfig, c: Couplings) -> Liouvillian:
     return Liouvillian(lm, BasisTag.COMPUTATIONAL)
 
 
-def _state_from_kernel(v: np.ndarray, n: int, basis: BasisTag) -> DensityMatrix:
-    rho = unvec(v, n)
-    tr = np.trace(rho)
-    if abs(tr) < 1e-10:
-        raise DegenerateKernel("kernel vector is traceless, steady state not unique")
-    rho = rho * (tr.conjugate() / abs(tr))  # rotate the arbitrary global phase away
-    rho = hermitian_part(rho)
-    return DensityMatrix(rho / np.trace(rho).real, basis)
+@functools.cache
+def _affine_basis() -> tuple[np.ndarray, ...]:
+    """L0, L_delta, L_drive, L_omega, L_gamma12 of the affine generator.
+
+    build_liouvillian is affine in (delta, drive, omega, gamma12), so each
+    slope is its value at one unit input minus its value at zero. Built on
+    first use, so that importing the package for one-point work stays as
+    cheap as before.
+    """
+    def at(delta=0.0, drive=0.0, omega=0.0, gamma12=0.0):
+        cfg = AtomPairConfig(delta=delta, drive=drive)
+        return build_liouvillian(cfg, Couplings(omega, gamma12)).matrix
+
+    l0 = at()
+    return (l0, at(delta=1.0) - l0, at(drive=1.0) - l0, at(omega=1.0) - l0,
+            at(gamma12=1.0) - l0)
+
+
+def liouvillian_stack(delta, drive, omega, gamma12) -> np.ndarray:
+    """Generators of N parameter points as an (N, 16, 16) stack.
+
+    L = L0 + delta L_delta + drive L_drive + omega L_omega
+    + gamma12 L_gamma12, computational basis; the arguments broadcast to
+    one length. Every basis entry is a small dyadic rational, so this
+    agrees with build_liouvillian at each point to rounding (on all points
+    tested, to the last bit).
+    """
+    d, e, w, g = (a[:, None, None] for a in _broadcast(delta, drive, omega, gamma12))
+    l0, l_delta, l_drive, l_omega, l_gamma12 = _affine_basis()
+    return l0 + d * l_delta + e * l_drive + w * l_omega + g * l_gamma12
+
+
+def _broadcast(*args) -> list[np.ndarray]:
+    """Float arrays of one common length from scalars and 1-d arrays."""
+    return np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in args))
+
+
+# ------------------------------------------------------- steady-state engine
+#
+# Every stage works on a stack of matrices and returns, beside its output,
+# one entry per matrix: None, or the typed error that the one-point call
+# raises for it. A failed point never stops the others.
+
+
+def _density_errors(m: np.ndarray) -> list[InvalidState | None]:
+    """DensityMatrix's invariant checks, in its order, on an (N, d, d) stack."""
+    if not len(m):
+        return []
+    herm = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)) > tol.DENSITY_HERM_ATOL
+    tr = m.trace(axis1=1, axis2=2).real
+    off = np.abs(tr - 1.0) > tol.DENSITY_TRACE_ATOL
+    low = np.linalg.eigvalsh(m)[:, 0] < tol.DENSITY_EVAL_FLOOR  # ascending
+    errors: list[InvalidState | None] = [None] * len(m)
+    for i in np.flatnonzero(herm | off | low):
+        errors[i] = InvalidState(
+            "not Hermitian within tolerance" if herm[i]
+            else f"trace {tr[i]!r} is not 1" if off[i]
+            else "negative eigenvalue beyond tolerance"
+        )
+    return errors
+
+
+def _svd_stack(m: np.ndarray):
+    """(s, vh, errors) of every matrix of a stack.
+
+    LAPACK factors each matrix on its own either way. A matrix it cannot
+    factor (non-finite entries) gets its LinAlgError and NaN factors; the
+    rest of the stack still gets theirs.
+    """
+    try:
+        _, s, vh = np.linalg.svd(m)
+        return s, vh, [None] * len(m)
+    except np.linalg.LinAlgError:
+        pass
+    s = np.full(m.shape[:-1], np.nan)
+    vh = np.full(m.shape, np.nan, dtype=complex)
+    errors: list[Exception | None] = [None] * len(m)
+    for i, mi in enumerate(m):
+        try:
+            _, s[i], vh[i] = np.linalg.svd(mi)
+        except np.linalg.LinAlgError as exc:
+            errors[i] = exc
+    return s, vh, errors
+
+
+def _kernel_states(lm: np.ndarray, label: str, degenerate_rtol: float | None):
+    """States (K, n, n) spanning the kernels of K generators, with errors.
+
+    Checks in order: the SVD; a kernel, the smallest singular value below
+    NULLSPACE_RTOL of the largest (NoNullSpace, message prefix ``label``);
+    with ``degenerate_rtol``, a second singular value above that fraction
+    of the largest (DegenerateKernel); a kernel vector with a trace, which
+    rotates its global phase away (DegenerateKernel when traceless). The
+    Hermitian part, normalized to unit trace, then passes the
+    DensityMatrix checks.
+    """
+    s, vh, errors = _svd_stack(lm)
+    n = math.isqrt(lm.shape[-1])
+    rho = vh[:, -1].conj().reshape(-1, n, n).swapaxes(1, 2)  # unvec per row
+    tr = rho.trace(axis1=1, axis2=2)
+    mag = np.hypot(tr.real, tr.imag)  # rounds like abs() of a complex scalar
+    no_kernel = s[:, -1] > tol.NULLSPACE_RTOL * s[:, 0]
+    degenerate = (s[:, -2] <= degenerate_rtol * s[:, 0] if degenerate_rtol is not None
+                  else np.zeros(len(s), dtype=bool))
+    traceless = mag < 1e-10
+    for i in np.flatnonzero(no_kernel | degenerate | traceless):
+        if no_kernel[i]:
+            errors[i] = NoNullSpace(f"{label}: smallest singular value {s[i, -1]:.3e}")
+        elif degenerate[i]:
+            errors[i] = DegenerateKernel(
+                "steady state is not unique (singlet sector decoupled); "
+                "restrict to the triplet sector"
+            )
+        else:
+            errors[i] = DegenerateKernel(
+                "kernel vector is traceless, steady state not unique"
+            )
+    ok = np.array([e is None for e in errors], dtype=bool)
+    good = rho[ok] * (tr[ok].conj() / mag[ok])[:, None, None]
+    good = hermitian_part(good)
+    good = good / good.trace(axis1=1, axis2=2).real[:, None, None]
+    states = np.full(rho.shape, np.nan, dtype=complex)
+    states[ok] = good
+    for i, err in zip(np.flatnonzero(ok), _density_errors(good)):
+        if err is not None:
+            errors[i] = err
+            states[i] = np.nan
+    return states, errors
+
+
+def _restrict_triplet_stack(lc: np.ndarray) -> np.ndarray:
+    """9x9 triplet blocks of a stack of coupled-basis generators."""
+    return lc[:, _TRIPLET_IDX[:, None], _TRIPLET_IDX]
+
+
+def _steady_states(lm: np.ndarray, gamma12: np.ndarray):
+    """Coupled-basis steady states of a stack of computational-basis generators.
+
+    Per point the rules of the one-point solver: points with gamma12 =
+    gamma within COLLECTIVE_DECAY_TOL, and points whose full kernel is
+    degenerate, take the kernel of the triplet sector. Every state passes
+    the DensityMatrix checks in the basis it is solved in, then again in
+    the coupled basis. Returns (N, 4, 4) states, NaN where a point
+    failed, and the errors.
+    """
+    n = len(lm)
+    states = np.full((n, 4, 4), np.nan, dtype=complex)
+    errors: list[Exception | None] = [None] * n
+    triplet = np.abs(gamma12 - 1.0) <= tol.COLLECTIVE_DECAY_TOL  # gamma = 1
+    full = np.flatnonzero(~triplet)
+    rho, stage_errors = _kernel_states(lm[full], "no kernel", tol.KERNEL_EXACT_RTOL)
+    for i, err in zip(full, stage_errors):
+        if isinstance(err, DegenerateKernel):
+            triplet[i] = True
+        else:
+            errors[i] = err
+    ok = np.array([e is None for e in stage_errors], dtype=bool)
+    states[full[ok]] = TO_COUPLED @ rho[ok] @ TO_COUPLED.conj().T
+    tri = np.flatnonzero(triplet)
+    if len(tri):
+        u = _TO_COUPLED_SUPER
+        l9 = _restrict_triplet_stack(u @ lm[tri] @ u.conj().T)
+        rho, stage_errors = _kernel_states(l9, "no triplet kernel", None)
+        for i, rho_i, err in zip(tri, rho, stage_errors):
+            errors[i] = err
+            if err is None:
+                states[i] = 0.0
+                states[i, :3, :3] = rho_i
+    solved = np.flatnonzero([e is None for e in errors])
+    for i, err in zip(solved, _density_errors(states[solved])):
+        if err is not None:
+            errors[i] = err
+            states[i] = np.nan
+    return states, errors
+
+
+def solve_steady_states(delta, drive, omega, gamma12):
+    """Steady states of N parameter points in one batch, coupled basis.
+
+    The arguments broadcast to one length N; gamma = 1 is the rate unit.
+    Each point follows the rules of solve_steady_state and passes the
+    same checks; a point that fails does not stop the others. Returns
+    ``(states, errors)``: an (N, 4, 4) array, NaN where a point failed,
+    and a list holding per point None or the typed error that
+    solve_steady_state raises there.
+    """
+    delta, drive, omega, gamma12 = _broadcast(delta, drive, omega, gamma12)
+    return _steady_states(liouvillian_stack(delta, drive, omega, gamma12), gamma12)
+
+
+def _one(results):
+    """The single matrix of a one-point stage, or its error raised."""
+    states, errors = results
+    if errors[0] is not None:
+        raise errors[0]
+    return states[0]
 
 
 def steady_state_numeric(liouv: Liouvillian) -> DensityMatrix:
@@ -164,31 +364,19 @@ def steady_state_numeric(liouv: Liouvillian) -> DensityMatrix:
     at working precision, which happens exactly when gamma12 = gamma (the
     singlet decouples); restrict to the triplet sector in that case.
     """
-    _, s, vh = np.linalg.svd(liouv.matrix)
-    smax = s[0]
-    if s[-1] > tol.NULLSPACE_RTOL * smax:
-        raise NoNullSpace(f"no kernel: smallest singular value {s[-1]:.3e}")
-    if s[-2] <= tol.KERNEL_EXACT_RTOL * smax:
-        raise DegenerateKernel(
-            "steady state is not unique (singlet sector decoupled); "
-            "restrict to the triplet sector"
-        )
-    return _state_from_kernel(vh[-1].conj(), 4, liouv.basis)
+    rho = _one(_kernel_states(liouv.matrix[None], "no kernel", tol.KERNEL_EXACT_RTOL))
+    return DensityMatrix._checked(rho, liouv.basis)
 
 
 def restrict_triplet(liouv: Liouvillian) -> np.ndarray:
     """9x9 sub-superoperator acting on the triplet block, coupled basis."""
-    lc = liouv.to_coupled().matrix
-    return lc[np.ix_(_TRIPLET_IDX, _TRIPLET_IDX)]
+    return _restrict_triplet_stack(liouv.to_coupled().matrix[None])[0]
 
 
 def triplet_steady_state(liouv: Liouvillian) -> DensityMatrix:
     """Steady state of the triplet-restricted dynamics (singlet weight 0)."""
-    l9 = restrict_triplet(liouv)
-    _, s, vh = np.linalg.svd(l9)
-    if s[-1] > tol.NULLSPACE_RTOL * s[0]:
-        raise NoNullSpace(f"no triplet kernel: smallest singular value {s[-1]:.3e}")
-    return _state_from_kernel(vh[-1].conj(), 3, BasisTag.TRIPLET)
+    rho = _one(_kernel_states(restrict_triplet(liouv)[None], "no triplet kernel", None))
+    return DensityMatrix._checked(rho, BasisTag.TRIPLET)
 
 
 def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
@@ -198,14 +386,11 @@ def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
     the solver restricts to the triplet sector (symmetric initial
     conditions, singlet weight exactly zero). The same fallback handles
     parameter points whose kernel is degenerate at working precision.
+    The one-point case of solve_steady_states.
     """
-    liouv = build_liouvillian(cfg, c)
-    if abs(c.gamma12 - cfg.gamma) <= tol.COLLECTIVE_DECAY_TOL:
-        return triplet_steady_state(liouv).to_basis(BasisTag.COUPLED)
-    try:
-        return steady_state_numeric(liouv).to_basis(BasisTag.COUPLED)
-    except DegenerateKernel:
-        return triplet_steady_state(liouv).to_basis(BasisTag.COUPLED)
+    lm = build_liouvillian(cfg, c).matrix[None]
+    rho = _one(_steady_states(lm, np.array([c.gamma12])))
+    return DensityMatrix._checked(rho, BasisTag.COUPLED)
 
 
 def analytic_steady_state(omega: float, drive: float) -> DensityMatrix:

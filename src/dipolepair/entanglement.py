@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix
+from .dynamics import DensityMatrix, _density_errors
 from .errors import InvalidState, OutOfRange
-from .linalg import BasisTag, psd_sqrt
-from .model import SIGMA_Y, SINGLET_KET
+from .linalg import BasisTag, _psd_sqrt_stack, psd_sqrt
+from .model import SIGMA_Y, SINGLET_KET, TO_COUPLED
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y).real.astype(complex)  # real matrix
 
@@ -89,6 +89,43 @@ def wootters_concurrence(rho) -> ConcurrenceReport:
     lam = spin_flip_spectrum(rho)
     c = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
     return ConcurrenceReport(lambdas=lam, concurrence=c, eof=eof_from_concurrence(c))
+
+
+def wootters_concurrences(states, errors=None):
+    """Concurrence and entanglement of formation of N states in one batch.
+
+    ``states`` is an (N, 4, 4) stack in the coupled basis and ``errors``
+    its per-point errors, as solve_steady_states returns them; points
+    with an error are passed through. Every other point gets the checks
+    of the one-point path: the DensityMatrix checks in the computational
+    basis, psd_sqrt's Hermiticity and PSD-floor checks, and the range of
+    the concurrence. Returns ``(concurrence, eof, errors)``, NaN where a
+    point failed and its typed error in the list.
+    """
+    states = np.asarray(states, dtype=complex)
+    n = len(states)
+    errors = [None] * n if errors is None else list(errors)
+    conc = np.full(n, np.nan)
+    eof = np.full(n, np.nan)
+    idx = np.flatnonzero([e is None for e in errors])
+    comp = TO_COUPLED.conj().T @ states[idx] @ TO_COUPLED
+    for i, err in zip(idx, _density_errors(comp)):
+        errors[i] = err
+    keep = [errors[i] is None for i in idx]
+    idx, comp = idx[keep], comp[keep]
+    roots, root_errors = _psd_sqrt_stack(comp)
+    for i, err in zip(idx, root_errors):
+        errors[i] = err
+    keep = [err is None for err in root_errors]
+    idx, roots = idx[keep], roots[keep]
+    lam = np.linalg.svd(roots @ _YY @ roots.conj(), compute_uv=False)
+    for i, d in zip(idx, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]):
+        c = max(0.0, float(d))
+        if c > 1.0 + 1e-12:
+            errors[i] = OutOfRange(f"concurrence {c!r} outside [0, 1]")
+        else:
+            conc[i], eof[i] = c, eof_from_concurrence(c)
+    return conc, eof, errors
 
 
 def closed_form_concurrence(tau: float) -> float:

@@ -11,7 +11,7 @@ import enum
 import numpy as np
 
 from . import tolerances as tol
-from .errors import NoNullSpace, NotHermitian, NotPSD
+from .errors import DipolePairError, NoNullSpace, NotHermitian, NotPSD
 
 
 class BasisTag(enum.Enum):
@@ -27,13 +27,19 @@ class BasisTag(enum.Enum):
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two matrices; dimensions multiply.
+
+    The same products as np.kron, without its general-rank set-up.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dagger) / 2."""
-    return (m + m.conj().T) / 2.0
+    """(m + m^dagger) / 2, of one matrix or of each of a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
@@ -75,13 +81,32 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     Eigenvalues slightly below zero (floor -1e-10) are clamped; anything
     lower raises NotPSD.
     """
-    m = _require_hermitian(m)
+    roots, errors = _psd_sqrt_stack(np.asarray(m, dtype=complex)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return roots[0]
+
+
+def _psd_sqrt_stack(m: np.ndarray):
+    """psd_sqrt of every matrix of an (N, n, n) stack.
+
+    Returns (roots, errors): NaN roots where a matrix failed, and per
+    matrix None or the NotHermitian / NotPSD error psd_sqrt raises.
+    """
+    dev = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
     w, v = np.linalg.eigh(m)
-    if w.min() < tol.PSD_EVAL_FLOOR:
-        raise NotPSD(f"eigenvalue {w.min():.3e} below PSD floor")
+    low = w[:, 0]  # ascending
     w = np.clip(w, 0.0, None)
-    s = (v * np.sqrt(w)) @ v.conj().T
-    return hermitian_part(s)
+    roots = hermitian_part((v * np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(1, 2))
+    errors: list[DipolePairError | None] = [None] * len(m)
+    for i in np.flatnonzero((dev > tol.HERMITICITY_ATOL) | (low < tol.PSD_EVAL_FLOOR)):
+        errors[i] = (
+            NotHermitian(f"deviation from Hermiticity {dev[i]:.3e}")
+            if dev[i] > tol.HERMITICITY_ATOL
+            else NotPSD(f"eigenvalue {low[i]:.3e} below PSD floor")
+        )
+        roots[i] = np.nan
+    return roots, errors
 
 
 def null_vector(m: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -110,7 +110,8 @@ def dipole_coupling(k0r, mu_dot_rhat: float = 0.0):
                           + (1-3|mu.r|^2) (sin x / x^2 + cos x / x^3) ]
 
     Below x = 1e-3 the bracket is evaluated by series to avoid the 1/x^3
-    cancellations. Accepts scalars or arrays.
+    cancellations; the series is only summed when some x needs it.
+    Accepts scalars or arrays.
     """
     x = np.asarray(k0r, dtype=float)
     if np.any(x <= 0):
@@ -121,15 +122,17 @@ def dipole_coupling(k0r, mu_dot_rhat: float = 0.0):
         direct = 0.75 * (
             -a * np.cos(x) / x + b * (np.sin(x) / x**2 + np.cos(x) / x**3)
         )
-    series = np.zeros_like(x)
-    for k in range(9):
-        f2k = math.factorial(2 * k)
-        f2k1 = math.factorial(2 * k + 1)
-        series += (-1.0) ** k * (
-            b * x ** (2 * k - 3) / f2k + x ** (2 * k - 1) * (b / f2k1 - a / f2k)
-        )
-    series *= 0.75
-    out = np.where(x < tol.SMALL_X, series, direct)
+    out = direct
+    if np.any(x < tol.SMALL_X):
+        series = np.zeros_like(x)
+        for k in range(9):
+            f2k = math.factorial(2 * k)
+            f2k1 = math.factorial(2 * k + 1)
+            series += (-1.0) ** k * (
+                b * x ** (2 * k - 3) / f2k + x ** (2 * k - 1) * (b / f2k1 - a / f2k)
+            )
+        series *= 0.75
+        out = np.where(x < tol.SMALL_X, series, direct)
     return float(out) if np.isscalar(k0r) else out
 
 
@@ -145,11 +148,13 @@ def cross_decay(k0r):
         raise InvalidGeometry("k0r must be > 0")
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = -3.0 * (np.cos(x) / x**2 - np.sin(x) / x**3)
-    series = np.zeros_like(x)
-    for k in range(1, 8):
-        series += (-1.0) ** k * (2 * k) * x ** (2 * k - 2) / math.factorial(2 * k + 1)
-    series *= -3.0
-    out = np.where(x < tol.SMALL_X, series, direct)
+    out = direct
+    if np.any(x < tol.SMALL_X):
+        series = np.zeros_like(x)
+        for k in range(1, 8):
+            series += (-1.0) ** k * (2 * k) * x ** (2 * k - 2) / math.factorial(2 * k + 1)
+        series *= -3.0
+        out = np.where(x < tol.SMALL_X, series, direct)
     return float(out) if np.isscalar(k0r) else out
 
 

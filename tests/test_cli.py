@@ -149,6 +149,23 @@ def test_fig2_near_degenerate_distance_matches_closed_form(capsys):
         assert abs(conc - expected) < 1e-2
 
 
+def test_fig2_failure_warning_names_error_classes(capsys):
+    # the band where the kernel thresholds of the solver misfire
+    rc, out, err = run(capsys, "fig2", "--k0r-range", "0.0095:0.0125",
+                       "--efield-range", "1:5", "--points", "12")
+    assert rc == 0
+    _, rows = parse_csv(out)
+    failed = sum(math.isnan(r[4]) for r in rows)
+    assert failed > 0
+    line = [ln for ln in err.splitlines() if "failed" in ln][0]
+    assert line.startswith(f"warning: {failed} grid point(s) failed, recorded as NaN (")
+    breakdown = line.rsplit(" (", 1)[1].rstrip(")")
+    counts = dict(part.split(": ") for part in breakdown.split(", "))
+    assert set(counts) <= {"InvalidState", "NotPSD", "NotHermitian", "NoNullSpace"}
+    assert "InvalidState" in counts and "NotPSD" in counts
+    assert sum(map(int, counts.values())) == failed
+
+
 def test_fig2_rejects_bad_range(capsys):
     rc, _, err = run(capsys, "fig2", "--k0r-range", "1.0:0.1")
     assert rc == 2
@@ -203,6 +220,43 @@ def test_sweep_usage_errors(capsys):
     assert rc == 2  # axis also fixed
     rc, _, _ = run(capsys, "sweep", "--axis", "bogus=1:2:4")
     assert rc == 2
+
+
+def test_sweep_records_failed_point_as_nan_row(capsys):
+    # at k0r = 0.01 the kernel thresholds reject the state at efield = 2
+    rc, out, err = run(capsys, "sweep", "--axis", "efield=0.5:3:6", "--k0r", "0.01")
+    assert rc == 0
+    assert "1 grid point(s) failed, recorded as NaN (InvalidState: 1)" in err
+    header, rows = parse_csv(out)
+    assert [r[0] for r in rows] == [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    for row in rows:
+        assert row[1] == 0.01
+        outputs = row[header.index("pop_plus1"):]
+        assert len(outputs) == 6
+        assert all(map(math.isnan, outputs)) == (row[0] == 2.0)
+        assert any(map(math.isnan, outputs)) == (row[0] == 2.0)
+
+
+def test_sweep_exits_1_only_when_every_point_failed(capsys):
+    rc, out, err = run(capsys, "sweep", "--axis", "efield=1:2:2", "--omega", "1",
+                       "--delta", "nan")
+    assert rc == 1
+    assert out == ""
+    assert "2 grid point(s) failed, recorded as NaN (LinAlgError: 2)" in err
+
+
+def test_grid_commands_reject_dipole_projection_out_of_range(capsys):
+    rc, _, err = run(capsys, "fig2", "--mu-dot-rhat", "1.5", "--points", "3")
+    assert rc == 2 and "--mu-dot-rhat" in err
+    rc, _, err = run(capsys, "sweep", "--axis", "efield=1:2:2", "--omega", "1",
+                     "--mu-dot-rhat", "-0.1")
+    assert rc == 2 and "--mu-dot-rhat" in err
+
+
+def test_argument_parser_is_built_once():
+    from dipolepair import cli
+
+    assert cli._build_parser() is cli._build_parser()
 
 
 # ------------------------------------------------------- config file

@@ -1,0 +1,232 @@
+"""The batched steady-state engine against the per-point algorithm it replaced.
+
+The references below are test-local copies of the pre-batching code: the
+18-kron generator assembly, one SVD per point with the kernel thresholds
+and the triplet fallback, and Wootters' concurrence through a per-point
+PSD square root. The engine must reproduce them point for point: the
+same failed points, the same error class at each, the same concurrence.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dipolepair import (
+    BasisTag,
+    DensityMatrix,
+    cross_decay,
+    dipole_coupling,
+    liouvillian_stack,
+    solve_steady_states,
+    wootters_concurrences,
+)
+from dipolepair import cli
+from dipolepair import tolerances as tol
+from dipolepair.dynamics import _density_errors
+from dipolepair.errors import (
+    DegenerateKernel,
+    DipolePairError,
+    NoNullSpace,
+    NotHermitian,
+    NotPSD,
+)
+from dipolepair.model import SIGMA_X, SIGMA_Y, SIGMA_Z, SM1, SM2, SP1, SP2, TO_COUPLED
+
+RNG = np.random.default_rng(31)
+
+I2 = np.eye(2, dtype=complex)
+I4 = np.eye(4, dtype=complex)
+TRIPLET_IDX = np.array([i + 4 * j for j in range(3) for i in range(3)])
+YY = np.kron(SIGMA_Y, SIGMA_Y)
+
+
+# ------------------------------------------------------- per-point reference
+
+
+def kron_liouvillian(delta, drive, omega, gamma12, gamma=1.0):
+    """The superoperator as 18 Kronecker products, column stacking."""
+    h = 0.5 * delta * (np.kron(SIGMA_Z, I2) + np.kron(I2, SIGMA_Z))
+    h = h + drive * (np.kron(SIGMA_X, I2) + np.kron(I2, SIGMA_X))
+    h = h + omega * (SP1 @ SM2 + SM1 @ SP2)
+    rates = 0.5 * np.array([[gamma, gamma12], [gamma12, gamma]])
+    lm = -1j * (np.kron(I4, h) - np.kron(h.T, I4))
+    plus, minus = (SP1, SP2), (SM1, SM2)
+    for i in range(2):
+        for j in range(2):
+            a = plus[i] @ minus[j]
+            lm = lm + 0.5 * rates[i, j] * (
+                2.0 * np.kron(plus[j].T, minus[i]) - np.kron(I4, a) - np.kron(a.T, I4)
+            )
+    return lm
+
+
+def kernel_state(m, n, basis, degenerate_check):
+    _, s, vh = np.linalg.svd(m)
+    if s[-1] > tol.NULLSPACE_RTOL * s[0]:
+        raise NoNullSpace("no kernel")
+    if degenerate_check and s[-2] <= tol.KERNEL_EXACT_RTOL * s[0]:
+        raise DegenerateKernel("degenerate kernel")
+    rho = vh[-1].conj().reshape((n, n), order="F")
+    tr = np.trace(rho)
+    if abs(tr) < 1e-10:
+        raise DegenerateKernel("traceless kernel vector")
+    rho = rho * (tr.conjugate() / abs(tr))
+    rho = (rho + rho.conj().T) / 2.0
+    return DensityMatrix(rho / np.trace(rho).real, basis)
+
+
+def reference_point(delta, drive, omega, gamma12):
+    """Concurrence of one point by the per-point algorithm, or its error."""
+    lm = kron_liouvillian(delta, drive, omega, gamma12)
+    try:
+        if abs(gamma12 - 1.0) <= tol.COLLECTIVE_DECAY_TOL:
+            raise DegenerateKernel("singlet decoupled")
+        state = kernel_state(lm, 4, BasisTag.COMPUTATIONAL, True)
+    except DegenerateKernel:
+        u = np.kron(TO_COUPLED.conj(), TO_COUPLED)
+        l9 = (u @ lm @ u.conj().T)[np.ix_(TRIPLET_IDX, TRIPLET_IDX)]
+        state = kernel_state(l9, 3, BasisTag.TRIPLET, False)
+    m = state.to_basis(BasisTag.COUPLED).to_basis(BasisTag.COMPUTATIONAL).matrix
+    return reference_concurrence(m)
+
+
+def reference_concurrence(m):
+    """Wootters' concurrence of a computational-basis 4x4 matrix."""
+    if np.abs(m - m.conj().T).max() > tol.HERMITICITY_ATOL:
+        raise NotHermitian("not Hermitian")
+    w, v = np.linalg.eigh(m)
+    if w.min() < tol.PSD_EVAL_FLOOR:
+        raise NotPSD("below the PSD floor")
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    root = (root + root.conj().T) / 2.0
+    lam = np.linalg.svd(root @ YY @ root.conj(), compute_uv=False)
+    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def fig2_mesh(k0r_lo, k0r_hi, e_lo, e_hi, points):
+    k0rs = np.linspace(k0r_lo, k0r_hi, points)
+    efields = np.linspace(e_lo, e_hi, points)
+    omega = np.repeat([dipole_coupling(float(x)) for x in k0rs], points)
+    gamma12 = np.repeat([cross_decay(float(x)) for x in k0rs], points)
+    return 0.0, np.tile(efields, points), omega, gamma12
+
+
+# ------------------------------------------------------- assembly
+
+
+def test_affine_assembly_matches_kron_formula():
+    n = 300
+    delta = RNG.uniform(-3.0, 3.0, n)
+    drive = RNG.uniform(0.0, 20.0, n)
+    omega = RNG.choice([-1.0, 1.0], n) * 10.0 ** RNG.uniform(-3.0, 6.0, n)
+    omega[:3] = (1e6, -1e6, 0.0)
+    gamma12 = RNG.uniform(-0.5, 1.0, n)
+    gamma12[:2] = 1.0
+    stack = liouvillian_stack(delta, drive, omega, gamma12)
+    assert stack.shape == (n, 16, 16)
+    for k in range(n):
+        ref = kron_liouvillian(delta[k], drive[k], omega[k], gamma12[k])
+        assert np.abs(stack[k] - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+# ------------------------------------------------------- engine
+
+
+@pytest.mark.parametrize(
+    "mesh, some_fail",
+    [
+        ((0.05, 2.0, 0.0, 10.0, 12), False),      # default fig2 region
+        ((0.001, 0.002, 4.0, 5.0, 6), False),     # triplet branch: degenerate kernels
+        ((0.0095, 0.0125, 1.0, 5.0, 12), True),   # failure band of the kernel thresholds
+    ],
+    ids=["fig2_default", "triplet_branch", "failure_band"],
+)
+def test_engine_matches_per_point_algorithm(mesh, some_fail):
+    delta, drive, omega, gamma12 = fig2_mesh(*mesh)
+    states, errors = solve_steady_states(delta, drive, omega, gamma12)
+    conc, eof, errors = wootters_concurrences(states, errors)
+    failed = 0
+    for k in range(len(drive)):
+        try:
+            expected = reference_point(delta, drive[k], omega[k], gamma12[k])
+        except DipolePairError as exc:
+            failed += 1
+            assert type(errors[k]) is type(exc), (k, errors[k], exc)
+            assert math.isnan(conc[k]) and math.isnan(eof[k])
+            continue
+        assert errors[k] is None, (k, errors[k])
+        assert abs(conc[k] - expected) <= 1e-12
+    assert (failed > 0) == some_fail
+
+
+def test_triplet_branch_states_have_no_singlet_weight():
+    states, errors = solve_steady_states(0.0, [1.0, 4.0], 50.0, 1.0)
+    assert errors == [None, None]
+    assert np.all(states[:, 3, 3] == 0.0)
+    assert np.allclose(states.trace(axis1=1, axis2=2), 1.0)
+
+
+def test_result_does_not_depend_on_batch_position_or_chunks():
+    # more points than one chunk, so one chunk boundary falls inside
+    n = cli.GRID_CHUNK + 77
+    delta = RNG.uniform(-1.0, 1.0, n)
+    drive = RNG.uniform(0.0, 8.0, n)
+    k0r = 10.0 ** RNG.uniform(-2.05, 0.3, n)
+    omega = dipole_coupling(k0r)
+    gamma12 = cross_decay(k0r)
+    pops, conc, eof, errors = cli._solve_grid(delta, drive, omega, gamma12)
+    assert any(e is not None for e in errors)  # failures mixed in
+    perm = RNG.permutation(n)
+    pops_p, conc_p, eof_p, errors_p = cli._solve_grid(
+        delta[perm], drive[perm], omega[perm], gamma12[perm]
+    )
+    assert np.array_equal(pops_p, pops[perm], equal_nan=True)
+    assert np.array_equal(conc_p, conc[perm], equal_nan=True)
+    assert np.array_equal(eof_p, eof[perm], equal_nan=True)
+    assert [type(e) for e in errors_p] == [type(errors[i]) for i in perm]
+    for k in RNG.choice(n, 40, replace=False):
+        states, errs = solve_steady_states(delta[k], drive[k], omega[k], gamma12[k])
+        c, _, errs = wootters_concurrences(states, errs)
+        assert type(errs[0]) is type(errors[k])
+        assert np.array_equal(c[0], conc[k], equal_nan=True)
+
+
+def test_engine_keeps_going_past_a_non_finite_point():
+    states, errors = solve_steady_states(0.0, [1.0, math.nan, 2.0], 3.0, 0.2)
+    assert isinstance(errors[1], np.linalg.LinAlgError)
+    assert errors[0] is None and errors[2] is None
+    assert np.isnan(states[1]).all() and not np.isnan(states[[0, 2]]).any()
+
+
+def test_density_errors_agree_with_density_matrix_checks():
+    good = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+    not_herm = good.copy()
+    not_herm[0, 1] = 1e-3
+    indefinite = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
+    stack = np.array([good, not_herm, 2.0 * good, indefinite])
+    for m, err in zip(stack, _density_errors(stack)):
+        try:
+            DensityMatrix(m, BasisTag.COMPUTATIONAL)
+        except Exception as exc:
+            assert type(err) is type(exc) and str(err) == str(exc)
+        else:
+            assert err is None
+
+
+def test_wootters_concurrences_records_each_failure_and_keeps_the_rest():
+    good = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+    not_herm = good.copy()
+    not_herm[0, 1] = 1e-3
+    # -5e-10 passes the density-matrix floor (-1e-9), not psd_sqrt's (-1e-10)
+    slightly_negative = np.diag([0.5 + 5e-10, 0.25, 0.25, -5e-10]).astype(complex)
+    stack = np.array([good, not_herm, 2.0 * good, slightly_negative, good])
+    upstream = NoNullSpace("failed upstream")
+    conc, eof, errors = wootters_concurrences(stack, [None] * 4 + [upstream])
+    assert [type(e).__name__ for e in errors] == [
+        "NoneType", "InvalidState", "InvalidState", "NotPSD", "NoNullSpace"]
+    assert errors[4] is upstream
+    expected = reference_concurrence(TO_COUPLED.conj().T @ good @ TO_COUPLED)
+    assert abs(conc[0] - expected) <= 1e-15 and not math.isnan(eof[0])
+    assert np.isnan(conc[1:]).all() and np.isnan(eof[1:]).all()
+
