@@ -9,6 +9,7 @@ rounded values.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -19,6 +20,7 @@ import numpy as np
 
 from .dynamics import (
     DensityMatrix,
+    _broadcast,
     analytic_steady_state,
     build_liouvillian,
     lamb_dicke_limit_state,
@@ -91,10 +93,15 @@ def _write_rows(columns, rows, fmt: str, out) -> None:
             out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _open_out(path):
+def _output(ns, config):
+    """Context manager of the output: the --out file, closed on exit, or stdout."""
+    path = _resolve(ns, config, "out", None)
     if path is None:
-        return sys.stdout, False
-    return open(path, "w"), True
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _print_matrix(m: np.ndarray, labels, out) -> None:
@@ -262,8 +269,7 @@ def _cmd_steady(ns, config) -> int:
     report = wootters_concurrence(state)
     evals, _ = hermitian_eig(coupled.matrix)
     pops = coupled.matrix.diagonal().real
-    out, close = _open_out(_resolve(ns, config, "out", None))
-    try:
+    with _output(ns, config) as out:
         if fmt == "json":
             payload = dict(inputs)
             payload.update(
@@ -296,9 +302,6 @@ def _cmd_steady(ns, config) -> int:
             )
             out.write(f"concurrence = {_fmt(report.concurrence)}\n")
             out.write(f"entanglement of formation = {_fmt(report.eof)} ebit\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -316,8 +319,7 @@ def _cmd_spectrum(ns, config) -> int:
     heff = build_effective_hamiltonian(cfg, couplings)
     heff_evals = general_eig(heff)
     fmt = _resolve(ns, config, "format", "text")
-    out, close = _open_out(_resolve(ns, config, "out", None))
-    try:
+    with _output(ns, config) as out:
         rows = [("triplet", float(r), float("nan")) for r in roots]
         rows.append(("singlet", -couplings.omega, cfg.gamma - couplings.gamma12))
         rows += [("damped", v.real, -2.0 * v.imag) for v in heff_evals]
@@ -340,9 +342,6 @@ def _cmd_spectrum(ns, config) -> int:
             out.write("damped spectrum (energy, decay rate):\n")
             for v in heff_evals:
                 out.write(f"  {_fmt(v.real):>18}  {_fmt(-2.0 * v.imag):>18}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -363,12 +362,8 @@ def _cmd_fig1(ns, config) -> int:
     grid = np.logspace(math.log10(nbar_min), math.log10(nbar_max), points)
     rows = [(nv, k0r_for_tau(tau, q, nv)) for nv in grid]
     fmt = _resolve(ns, config, "format", "csv")
-    out, close = _open_out(_resolve(ns, config, "out", None))
-    try:
+    with _output(ns, config) as out:
         _write_rows(("nbar_v", "k0r"), rows, fmt, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -395,8 +390,7 @@ def _solve_grid(delta, drive, omega, gamma12):
     grids. Returns (coupled-basis populations (N, 4), concurrence, eof,
     errors), NaN where a point failed and its typed error in the list.
     """
-    args = np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float))
-                                 for a in (delta, drive, omega, gamma12)))
+    args = _broadcast(delta, drive, omega, gamma12)
     n = len(args[0])
     pops = np.empty((n, 4))
     conc = np.empty(n)
@@ -452,13 +446,9 @@ def _cmd_fig2(ns, config) -> int:
         return 1
     rows = zip(*columns, conc)
     fmt = _resolve(ns, config, "format", "csv")
-    out, close = _open_out(_resolve(ns, config, "out", None))
-    try:
+    with _output(ns, config) as out:
         _write_rows(("k0r", "efield", "omega", "gamma12", "concurrence"),
                     rows, fmt, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -541,7 +531,7 @@ def _cmd_sweep(ns, config) -> int:
         raise UsageError("sweep needs --efield or an efield axis")
     if (efield < 0).any():
         raise UsageError("drive must be >= 0")
-    if "k0r" in params and (params["k0r"] <= 0).any():
+    if "k0r" in params and not (params["k0r"] > 0).all():  # NaN fails too
         raise UsageError("k0r must be > 0")
     if "tau" in params:
         if (delta != 0.0).any():
@@ -568,12 +558,8 @@ def _cmd_sweep(ns, config) -> int:
     out_cols = ("pop_plus1", "pop_zero", "pop_minus1", "singlet_weight",
                 "concurrence", "eof")
     fmt = _resolve(ns, config, "format", "csv")
-    out, close = _open_out(_resolve(ns, config, "out", None))
-    try:
+    with _output(ns, config) as out:
         _write_rows(tuple(input_cols) + out_cols, rows, fmt, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -674,9 +660,8 @@ def _check_lines():
 
 
 def _cmd_check(ns, config) -> int:
-    out, close = _open_out(_resolve(ns, config, "out", None))
     failures = 0
-    try:
+    with _output(ns, config) as out:
         for name, computed, expected, tolerance in _check_lines():
             ok = abs(computed - expected) <= tolerance
             failures += 0 if ok else 1
@@ -686,9 +671,6 @@ def _cmd_check(ns, config) -> int:
             )
         out.write("all checks passed\n" if failures == 0
                   else f"{failures} check(s) failed\n")
-    finally:
-        if close:
-            out.close()
     return 0 if failures == 0 else 1
 
 
@@ -711,11 +693,11 @@ def main(argv=None) -> int:
     try:
         config = _load_config(ns.config) if ns.config else {}
         return _COMMANDS[ns.command](ns, config)
-    except UsageError as exc:
+    except (UsageError, DipolePairError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DipolePairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except np.linalg.LinAlgError as exc:
+        print(f"error: linear algebra failed: {exc}", file=sys.stderr)
         return 2
 
 

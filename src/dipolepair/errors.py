@@ -45,9 +45,5 @@ class InvalidRegime(DipolePairError):
     """Closed-form result requested outside its regime of validity."""
 
 
-class StepTooLarge(DipolePairError):
-    """Integrator trace drift exceeded its bound; halve the step."""
-
-
 class InvalidRegimeWarning(UserWarning):
     """Closed form evaluated at a degenerate boundary; limit value returned."""

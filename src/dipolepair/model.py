@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import InvalidGeometry
+from .errors import InvalidGeometry, OutOfRange
 from .linalg import kron
 
 FINE_STRUCTURE = 1.0 / 137.0
@@ -56,7 +56,7 @@ SINGLET_KET = TO_COUPLED.conj().T[:, 3].copy()
 
 @dataclass(frozen=True)
 class AtomPairConfig:
-    """Physical inputs, everything in units of gamma.
+    """Physical inputs, everything in units of gamma; all finite (OutOfRange).
 
     delta:       detuning of the atoms from the driving field
     drive:       classical drive amplitude, >= 0
@@ -72,6 +72,9 @@ class AtomPairConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
+        values = (self.delta, self.drive, self.k0r, self.mu_dot_rhat, self.gamma)
+        if not all(map(math.isfinite, values)):
+            raise OutOfRange(f"inputs must be finite, got {self}")
         if self.drive < 0:
             raise ValueError("drive must be >= 0")
         if self.k0r <= 0:

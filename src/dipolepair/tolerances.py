@@ -17,7 +17,7 @@ DENSITY_EVAL_FLOOR = -1e-9
 STATE_NORM_ATOL = 1e-10
 
 # dynamics
-TRACE_DRIFT_MAX = 1e-6        # propagate() aborts past this drift
+TRACE_DRIFT_MAX = 1e-6        # propagate(): trace drift of a generator that loses trace
 COLLECTIVE_DECAY_TOL = 1e-12  # |gamma12 - gamma| below this: singlet decoupled
 
 # geometry factors

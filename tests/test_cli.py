@@ -50,6 +50,17 @@ def test_steady_rejects_conflicting_flags(capsys):
     assert rc == 2
 
 
+def test_steady_rejects_non_finite_input(capsys):
+    for argv in (("--efield", "nan", "--k0r", "1"), ("--efield", "1", "--k0r", "inf")):
+        rc, out, err = run(capsys, "steady", *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: inputs must be finite") and err.count("\n") == 1
+    # a non-finite coupling reaches the solver, whose LinAlgError is caught
+    rc, out, err = run(capsys, "steady", "--efield", "1", "--omega", "nan")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: linear algebra failed") and err.count("\n") == 1
+
+
 def test_steady_json_format(capsys):
     rc, out, _ = run(capsys, "steady", "--efield", "1", "--k0r", "0.5",
                      "--format", "json")
@@ -166,6 +177,13 @@ def test_fig2_failure_warning_names_error_classes(capsys):
     assert sum(map(int, counts.values())) == failed
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "fig2.csv"
+    rc, out, err = run(capsys, "fig2", "--points", "3", "--out", str(path))
+    assert rc == 2 and out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
 def test_fig2_rejects_bad_range(capsys):
     rc, _, err = run(capsys, "fig2", "--k0r-range", "1.0:0.1")
     assert rc == 2
@@ -220,6 +238,12 @@ def test_sweep_usage_errors(capsys):
     assert rc == 2  # axis also fixed
     rc, _, _ = run(capsys, "sweep", "--axis", "bogus=1:2:4")
     assert rc == 2
+
+
+def test_sweep_rejects_nan_distance(capsys):
+    rc, out, err = run(capsys, "sweep", "--axis", "efield=0:1:3", "--k0r", "nan")
+    assert rc == 2 and out == ""
+    assert err == "error: k0r must be > 0\n"
 
 
 def test_sweep_records_failed_point_as_nan_row(capsys):

@@ -29,7 +29,6 @@ from dipolepair.errors import (
     DegenerateKernel,
     InvalidRegimeWarning,
     InvalidState,
-    StepTooLarge,
 )
 from dipolepair.model import SM1, SM2, SP1, SP2
 
@@ -287,12 +286,16 @@ def test_propagate_conserves_singlet_weight_at_full_cross_decay():
     assert np.abs(weights - weights[0]).max() < 1e-8
 
 
-def test_propagate_rejects_oversized_step():
+def test_propagate_oversized_step_is_exact():
+    expm = pytest.importorskip("scipy.linalg").expm
     cfg = AtomPairConfig(delta=0.0, drive=5.0)
     liouv = build_liouvillian(cfg, Couplings(omega=50.0, gamma12=1.0))
     rho0 = DensityMatrix(GROUND, BasisTag.COMPUTATIONAL)
-    with pytest.raises(StepTooLarge):
-        propagate(liouv, rho0, 10.0, 0.5)
+    times, states = propagate(liouv, rho0, 10.0, 0.5)
+    assert len(states) == len(times) == 21
+    for t, st in zip(times, states):
+        exact = unvec(expm(liouv.matrix * t) @ vec(GROUND), 4)
+        assert np.abs(st.matrix - exact).max() < 1e-10
 
 
 def test_propagate_rejects_cross_basis():

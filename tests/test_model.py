@@ -16,7 +16,7 @@ from dipolepair import (
     omega_dipole,
     tau_of_geometry,
 )
-from dipolepair.errors import InvalidGeometry
+from dipolepair.errors import InvalidGeometry, OutOfRange
 from dipolepair.model import TO_COUPLED
 
 # ------------------------------------------------------- dipole coupling
@@ -247,6 +247,15 @@ def test_config_validation():
         AtomPairConfig(mu_dot_rhat=1.5)
     with pytest.raises(ValueError):
         AtomPairConfig(gamma=2.0)
+
+
+def test_config_rejects_non_finite_fields():
+    for field in ("delta", "drive", "k0r", "mu_dot_rhat", "gamma"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(OutOfRange, match="finite"):
+                AtomPairConfig(**{field: bad})
+    with pytest.raises(OutOfRange):
+        AtomPairConfig(drive=math.nan, k0r=math.nan, delta=math.inf)
 
 
 def test_config_derived_couplings():

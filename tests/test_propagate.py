@@ -1,0 +1,131 @@
+"""Exact propagation: the Pade exponential and the checks on every state."""
+
+import math
+
+import numpy as np
+import pytest
+
+from dipolepair import (
+    AtomPairConfig,
+    BasisTag,
+    Couplings,
+    DensityMatrix,
+    Liouvillian,
+    build_liouvillian,
+    couplings_from_geometry,
+    cross_decay,
+    dipole_coupling,
+    liouvillian_stack,
+    propagate,
+    unvec,
+    vec,
+)
+from dipolepair.dynamics import _THETA13, _expm
+from dipolepair.errors import InvalidState
+
+GROUND = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
+EXCITED = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+
+
+def _rel_gap(a):
+    expm = pytest.importorskip("scipy.linalg").expm
+    ref = expm(a)
+    return np.abs(_expm(a) - ref).max() / np.abs(ref).max()
+
+
+# ------------------------------------------------------- the exponential
+
+
+def test_expm_matches_scipy_on_liouvillians():
+    rng = np.random.default_rng(4)
+    n = 400
+    k0r = np.exp(rng.uniform(math.log(0.05), math.log(2.0), n))
+    drive = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 1e3, n),
+                     np.exp(rng.uniform(math.log(1e-2), math.log(1e3), n)))
+    drive[:4] = 0.0
+    delta = rng.uniform(-2.0, 2.0, n)
+    dt = rng.choice([1e-3, 1e-2, 0.5], n)
+    stack = liouvillian_stack(delta, drive, dipole_coupling(k0r), cross_decay(k0r))
+    worst = max(_rel_gap(lm * h) for lm, h in zip(stack, dt))
+    assert worst <= 1e-11
+
+
+def test_expm_zero_generator_is_identity():
+    gap = _expm(np.zeros((16, 16), dtype=complex)) - np.eye(16)
+    assert np.abs(gap).max() <= 2 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("norm", [0.5 * _THETA13, 0.999 * _THETA13,
+                                  1.001 * _THETA13, 3.0 * _THETA13, 1e3 * _THETA13])
+def test_expm_on_both_sides_of_the_scaling_threshold(norm):
+    # below theta13 the approximant is used unscaled, above it is scaled
+    # by 2^-s and squared s times; an anti-Hermitian matrix keeps exp(a)
+    # unitary at any norm
+    rng = np.random.default_rng(int(norm * 1000))
+    g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    a = g - g.conj().T
+    a *= norm / np.abs(a).sum(axis=0).max()
+    assert _rel_gap(a) <= 1e-12
+    cfg = AtomPairConfig(delta=0.3, drive=2.0, k0r=0.5)
+    lm = build_liouvillian(cfg, couplings_from_geometry(cfg)).matrix
+    lm = lm * (norm / np.abs(lm).sum(axis=0).max())
+    assert _rel_gap(lm) <= 1e-12
+
+
+def test_expm_rejects_non_finite_matrix():
+    a = np.zeros((16, 16), dtype=complex)
+    a[3, 5] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _expm(a)
+
+
+# ------------------------------------------------------- propagation
+
+
+@pytest.mark.parametrize("k0r", [0.15, 0.5, 1.0])
+def test_drive_2_from_ground_at_coarse_step_succeeds(k0r):
+    # RK4 broke the PSD floor here at dt = 0.01 and needed dt <= 1e-3
+    expm = pytest.importorskip("scipy.linalg").expm
+    cfg = AtomPairConfig(delta=0.0, drive=2.0, k0r=k0r)
+    liouv = build_liouvillian(cfg, couplings_from_geometry(cfg))
+    rho0 = DensityMatrix(GROUND, BasisTag.COMPUTATIONAL)
+    times, states = propagate(liouv, rho0, 2.0, 0.01)
+    assert len(times) == len(states) == 201
+    lowest = min(np.linalg.eigvalsh(st.matrix)[0] for st in states)
+    assert lowest >= -1e-9
+    for k in (1, 50, 200):
+        exact = unvec(expm(liouv.matrix * times[k]) @ vec(GROUND), 4)
+        assert np.abs(states[k].matrix - exact).max() < 1e-10
+
+
+def test_states_are_hermitian_unit_trace_and_tagged():
+    cfg = AtomPairConfig(delta=0.4, drive=1.5, k0r=0.3)
+    liouv = build_liouvillian(cfg, couplings_from_geometry(cfg)).to_coupled()
+    rho0 = DensityMatrix(GROUND, BasisTag.COMPUTATIONAL).to_basis(BasisTag.COUPLED)
+    times, states = propagate(liouv, rho0, 1.0, 0.05)
+    assert states[0] is rho0
+    assert np.allclose(times, 0.05 * np.arange(21), rtol=0, atol=1e-15)
+    for st in states[1:]:
+        assert st.basis is BasisTag.COUPLED
+        assert np.array_equal(st.matrix, st.matrix.conj().T)
+        assert abs(np.trace(st.matrix).real - 1.0) < 1e-15
+
+
+def test_generator_losing_trace_raises_at_its_step():
+    # trace decays as exp(-1e-5 t): the drift first exceeds 1e-6 at step 11
+    liouv = Liouvillian(-1e-5 * np.eye(16, dtype=complex), BasisTag.COMPUTATIONAL)
+    rho0 = DensityMatrix(GROUND, BasisTag.COMPUTATIONAL)
+    with pytest.raises(InvalidState, match=r"^step 11: trace drift"):
+        propagate(liouv, rho0, 1.0, 0.01)
+    # a shorter run that stops before the bound is crossed succeeds
+    _, states = propagate(liouv, rho0, 0.1, 0.01)
+    assert len(states) == 11
+
+
+def test_generator_breaking_positivity_raises():
+    # decay run backwards keeps the trace but drives populations negative
+    decay = build_liouvillian(AtomPairConfig(), Couplings(0.0, 0.0))
+    liouv = Liouvillian(-decay.matrix, BasisTag.COMPUTATIONAL)
+    rho0 = DensityMatrix(EXCITED, BasisTag.COMPUTATIONAL)
+    with pytest.raises(InvalidState, match=r"^step 1: negative eigenvalue"):
+        propagate(liouv, rho0, 1.0, 0.01)
