@@ -198,6 +198,13 @@ def _resolve(ns, config: dict, key: str, fallback):
     return value
 
 
+def _require_finite(**values) -> None:
+    """Reject the first non-finite option (None means unset) as a usage error."""
+    for key, value in values.items():
+        if value is not None and not math.isfinite(float(value)):
+            raise UsageError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
+
+
 # ---------------------------------------------------------------- parameters
 
 
@@ -242,6 +249,8 @@ def _cmd_steady(ns, config) -> int:
         ns, config
     )
     fmt = _resolve(ns, config, "format", "text")
+    if lamb_dicke:  # the closed forms build no AtomPairConfig, which checks this
+        _require_finite(efield=efield, omega=omega, k0r=k0r, tau=tau)
     if lamb_dicke and tau is not None:
         state = lamb_dicke_limit_state(float(tau))
         inputs = {"tau": float(tau), "delta": 0.0, "gamma12": 1.0}
@@ -351,10 +360,8 @@ def _cmd_fig1(ns, config) -> int:
     nbar_min = float(_resolve(ns, config, "nbar_min", 1.0))
     nbar_max = float(_resolve(ns, config, "nbar_max", 1e4))
     points = int(_resolve(ns, config, "points", 50))
-    try:
-        DriveScaling(tau=tau, q_factor=q, nbar_v=nbar_min)
-    except DipolePairError as exc:
-        raise UsageError(str(exc)) from exc
+    _require_finite(q=q, tau=tau, nbar_min=nbar_min, nbar_max=nbar_max)
+    DriveScaling(tau=tau, q_factor=q, nbar_v=nbar_min)  # raises when one is <= 0
     if points < 2:
         raise UsageError("--points must be >= 2")
     if nbar_min >= nbar_max:
@@ -372,6 +379,8 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
         lo, hi = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise UsageError(f"{flag} expects START:STOP, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"{flag} must be finite, got {text!r}")
     if not lo < hi:
         raise UsageError(f"{flag}: start must be below stop")
     return lo, hi
@@ -468,6 +477,8 @@ def _parse_axis(text: str):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"bad axis numbers in {text!r}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"axis range must be finite, got {text!r}")
     if count < 2:
         raise UsageError("axis count must be >= 2")
     if not start < stop:

@@ -183,11 +183,13 @@ def liouvillian_stack(delta, drive, omega, gamma12) -> np.ndarray:
     + gamma12 L_gamma12, computational basis; the arguments broadcast to
     one length. Every basis entry is a small dyadic rational, so this
     agrees with build_liouvillian at each point to rounding (on all points
-    tested, to the last bit).
+    tested, to the last bit). A non-finite input gives a generator with NaN
+    entries (inf times a zero entry), which the solvers reject per point.
     """
     d, e, w, g = (a[:, None, None] for a in _broadcast(delta, drive, omega, gamma12))
     l0, l_delta, l_drive, l_omega, l_gamma12 = _affine_basis()
-    return l0 + d * l_delta + e * l_drive + w * l_omega + g * l_gamma12
+    with np.errstate(invalid="ignore"):
+        return l0 + d * l_delta + e * l_drive + w * l_omega + g * l_gamma12
 
 
 def _broadcast(*args) -> list[np.ndarray]:
@@ -220,117 +222,70 @@ def _density_errors(m: np.ndarray) -> list[InvalidState | None]:
     return errors
 
 
-def _svd_stack(m: np.ndarray):
-    """(s, vh, errors) of every matrix of a stack.
+def _solve_stack(a: np.ndarray, b: np.ndarray):
+    """(x, errors) with a[i] x[i] = b for every matrix of a stack.
 
-    LAPACK factors each matrix on its own either way. A matrix it cannot
-    factor (non-finite entries) gets its LinAlgError and NaN factors; the
-    rest of the stack still gets theirs.
+    One singular matrix makes a batched solve raise for the whole stack,
+    so that case is retried matrix by matrix; a singular or non-finite
+    matrix gets its LinAlgError and NaN entries.
     """
+    x = np.full(a.shape[:-1], np.nan, dtype=complex)
+    errors: list[Exception | None] = [
+        None if ok else np.linalg.LinAlgError("non-finite generator")
+        for ok in np.isfinite(a).all(axis=(1, 2))]
+    idx = np.flatnonzero([e is None for e in errors])
     try:
-        _, s, vh = np.linalg.svd(m)
-        return s, vh, [None] * len(m)
+        x[idx] = np.linalg.solve(a[idx], np.broadcast_to(b, (len(idx),) + b.shape))[..., 0]
     except np.linalg.LinAlgError:
-        pass
-    s = np.full(m.shape[:-1], np.nan)
-    vh = np.full(m.shape, np.nan, dtype=complex)
-    errors: list[Exception | None] = [None] * len(m)
-    for i, mi in enumerate(m):
-        try:
-            _, s[i], vh[i] = np.linalg.svd(mi)
-        except np.linalg.LinAlgError as exc:
-            errors[i] = exc
-    return s, vh, errors
+        for i in idx:
+            try:
+                x[i] = np.linalg.solve(a[i], b)[:, 0]
+            except np.linalg.LinAlgError as exc:
+                errors[i] = exc
+    return x, errors
 
 
-def _kernel_states(lm: np.ndarray, label: str, degenerate_rtol: float | None):
-    """States (K, n, n) spanning the kernels of K generators, with errors.
-
-    Checks in order: the SVD; a kernel, the smallest singular value below
-    NULLSPACE_RTOL of the largest (NoNullSpace, message prefix ``label``);
-    with ``degenerate_rtol``, a second singular value above that fraction
-    of the largest (DegenerateKernel); a kernel vector with a trace, which
-    rotates its global phase away (DegenerateKernel when traceless). The
-    Hermitian part, normalized to unit trace, then passes the
-    DensityMatrix checks.
-    """
-    s, vh, errors = _svd_stack(lm)
-    n = math.isqrt(lm.shape[-1])
-    rho = vh[:, -1].conj().reshape(-1, n, n).swapaxes(1, 2)  # unvec per row
-    tr = rho.trace(axis1=1, axis2=2)
-    mag = np.hypot(tr.real, tr.imag)  # rounds like abs() of a complex scalar
-    no_kernel = s[:, -1] > tol.NULLSPACE_RTOL * s[:, 0]
-    degenerate = (s[:, -2] <= degenerate_rtol * s[:, 0] if degenerate_rtol is not None
-                  else np.zeros(len(s), dtype=bool))
-    traceless = mag < 1e-10
-    for i in np.flatnonzero(no_kernel | degenerate | traceless):
-        if no_kernel[i]:
-            errors[i] = NoNullSpace(f"{label}: smallest singular value {s[i, -1]:.3e}")
-        elif degenerate[i]:
-            errors[i] = DegenerateKernel(
-                "steady state is not unique (singlet sector decoupled); "
-                "restrict to the triplet sector"
-            )
-        else:
-            errors[i] = DegenerateKernel(
-                "kernel vector is traceless, steady state not unique"
-            )
-    ok = np.array([e is None for e in errors], dtype=bool)
-    good = rho[ok] * (tr[ok].conj() / mag[ok])[:, None, None]
-    good = hermitian_part(good)
-    good = good / good.trace(axis1=1, axis2=2).real[:, None, None]
-    states = np.full(rho.shape, np.nan, dtype=complex)
-    states[ok] = good
-    for i, err in zip(np.flatnonzero(ok), _density_errors(good)):
-        if err is not None:
-            errors[i] = err
-            states[i] = np.nan
-    return states, errors
-
-
-def _restrict_triplet_stack(lc: np.ndarray) -> np.ndarray:
-    """9x9 triplet blocks of a stack of coupled-basis generators."""
-    return lc[:, _TRIPLET_IDX[:, None], _TRIPLET_IDX]
+# The coupled basis without its 1/sqrt(2) factors, |0'> = |eg> + |ge> and
+# |A'> = |eg> - |ge>: this change of basis and its inverse are dyadic, so a
+# rotated generator keeps its exact zeros. Rows and columns of the triplet
+# block of a generator in that basis:
+_UNNORMALISED = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [0, 1, -1, 0]])
+_INVERSE = _UNNORMALISED.T / np.array([[1], [2], [2], [1]])
+_TRIPLET_ROWS = kron(_UNNORMALISED, _UNNORMALISED)[_TRIPLET_IDX]
+_TRIPLET_COLS = kron(_INVERSE, _INVERSE)[:, _TRIPLET_IDX]
+_NORMALISE = np.outer([1.0, 1.0 / _SQ2, 1.0], [1.0, 1.0 / _SQ2, 1.0])
 
 
 def _steady_states(lm: np.ndarray, gamma12: np.ndarray):
     """Coupled-basis steady states of a stack of computational-basis generators.
 
-    Per point the rules of the one-point solver: points with gamma12 =
-    gamma within COLLECTIVE_DECAY_TOL, and points whose full kernel is
-    degenerate, take the kernel of the triplet sector. Every state passes
-    the DensityMatrix checks in the basis it is solved in, then again in
-    the coupled basis. Returns (N, 4, 4) states, NaN where a point
+    Exchange symmetry makes the unique steady state block-diagonal: a 3x3
+    triplet block rho_T and the singlet population p_A, with no coherence
+    between them. |A> is fed from |+1> and decays to |-1> alone, both at
+    (gamma - gamma12)/2, so its balance forces p_A = rho_{+1,+1}, and p_A
+    enters only the rho_{-1,-1} equation. That equation is redundant; the
+    trace condition tr rho_T + p_A = 1 replaces it, which leaves 9
+    equations in the 9 entries of rho_T. At gamma12 == gamma (= 1)
+    exactly the singlet decouples, its population is conserved, and the
+    branch takes the triplet-sector state, p_A = 0. One batched solve of
+    the 9x9 systems; the Hermitian part of each solution passes the
+    DensityMatrix checks. Returns (N, 4, 4) states, NaN where a point
     failed, and the errors.
     """
-    n = len(lm)
-    states = np.full((n, 4, 4), np.nan, dtype=complex)
-    errors: list[Exception | None] = [None] * n
-    triplet = np.abs(gamma12 - 1.0) <= tol.COLLECTIVE_DECAY_TOL  # gamma = 1
-    full = np.flatnonzero(~triplet)
-    rho, stage_errors = _kernel_states(lm[full], "no kernel", tol.KERNEL_EXACT_RTOL)
-    for i, err in zip(full, stage_errors):
-        if isinstance(err, DegenerateKernel):
-            triplet[i] = True
-        else:
-            errors[i] = err
-    ok = np.array([e is None for e in stage_errors], dtype=bool)
-    states[full[ok]] = TO_COUPLED @ rho[ok] @ TO_COUPLED.conj().T
-    tri = np.flatnonzero(triplet)
-    if len(tri):
-        u = _TO_COUPLED_SUPER
-        l9 = _restrict_triplet_stack(u @ lm[tri] @ u.conj().T)
-        rho, stage_errors = _kernel_states(l9, "no triplet kernel", None)
-        for i, rho_i, err in zip(tri, rho, stage_errors):
-            errors[i] = err
-            if err is None:
-                states[i] = 0.0
-                states[i, :3, :3] = rho_i
+    a = _TRIPLET_ROWS @ lm @ _TRIPLET_COLS  # (N, 9, 9)
+    coupled = gamma12 != 1.0
+    a[:, 8] = (1.0, 0, 0, 0, 0.5, 0, 0, 0, 1.0)  # tr rho_T in the unnormalised basis
+    a[:, 8, 0] += coupled  # plus p_A = rho_{+1,+1}
+    x, errors = _solve_stack(a, np.eye(9, 1, -8))  # trace 1, other rows 0
+    # unvec per row, then back to the normalised coupled basis
+    rho = hermitian_part(x.reshape(-1, 3, 3).swapaxes(1, 2) * _NORMALISE)
+    states = np.zeros((len(lm), 4, 4), dtype=complex)
+    states[:, :3, :3] = rho
+    states[:, 3, 3] = coupled * rho[:, 0, 0].real
     solved = np.flatnonzero([e is None for e in errors])
     for i, err in zip(solved, _density_errors(states[solved])):
-        if err is not None:
-            errors[i] = err
-            states[i] = np.nan
+        errors[i] = err
+    states[[e is not None for e in errors]] = np.nan
     return states, errors
 
 
@@ -338,8 +293,10 @@ def solve_steady_states(delta, drive, omega, gamma12):
     """Steady states of N parameter points in one batch, coupled basis.
 
     The arguments broadcast to one length N; gamma = 1 is the rate unit.
-    Each point follows the rules of solve_steady_state and passes the
-    same checks; a point that fails does not stop the others. Returns
+    Each point gets the exchange-symmetric block solve of
+    solve_steady_state and its checks; a point that fails (a singular or
+    non-finite system: LinAlgError; a state failing the DensityMatrix
+    checks: InvalidState) does not stop the others. Returns
     ``(states, errors)``: an (N, 4, 4) array, NaN where a point failed,
     and a list holding per point None or the typed error that
     solve_steady_state raises there.
@@ -348,12 +305,36 @@ def solve_steady_states(delta, drive, omega, gamma12):
     return _steady_states(liouvillian_stack(delta, drive, omega, gamma12), gamma12)
 
 
-def _one(results):
-    """The single matrix of a one-point stage, or its error raised."""
-    states, errors = results
-    if errors[0] is not None:
-        raise errors[0]
-    return states[0]
+# ------------------------------------------------------- SVD kernels, one point
+# at a time: independent references for the tests and the check command
+
+
+def _kernel_state(m: np.ndarray, label: str, degenerate_rtol: float | None):
+    """State spanning the kernel of one generator, by SVD.
+
+    Raises NoNullSpace (message prefix ``label``) when the smallest
+    singular value exceeds NULLSPACE_RTOL of the largest; DegenerateKernel
+    when, with ``degenerate_rtol``, the second is below that fraction of
+    the largest, or when the kernel vector is traceless. The kernel vector,
+    its phase fixed by its trace, Hermitized and normalized, must pass the
+    DensityMatrix checks.
+    """
+    _, s, vh = np.linalg.svd(m)
+    if s[-1] > tol.NULLSPACE_RTOL * s[0]:
+        raise NoNullSpace(f"{label}: smallest singular value {s[-1]:.3e}")
+    if degenerate_rtol is not None and s[-2] <= degenerate_rtol * s[0]:
+        raise DegenerateKernel("steady state is not unique (singlet sector decoupled); "
+                               "restrict to the triplet sector")
+    rho = vh[-1].conj().reshape((math.isqrt(len(m)),) * 2, order="F")
+    tr = np.trace(rho)
+    if abs(tr) < 1e-10:
+        raise DegenerateKernel("kernel vector is traceless, steady state not unique")
+    rho = hermitian_part(rho * (tr.conjugate() / abs(tr)))
+    rho = rho / np.trace(rho).real
+    err = _density_errors(rho[None])[0]
+    if err is not None:
+        raise err
+    return rho
 
 
 def steady_state_numeric(liouv: Liouvillian) -> DensityMatrix:
@@ -363,33 +344,38 @@ def steady_state_numeric(liouv: Liouvillian) -> DensityMatrix:
     at working precision, which happens exactly when gamma12 = gamma (the
     singlet decouples); restrict to the triplet sector in that case.
     """
-    rho = _one(_kernel_states(liouv.matrix[None], "no kernel", tol.KERNEL_EXACT_RTOL))
+    rho = _kernel_state(liouv.matrix, "no kernel", tol.KERNEL_EXACT_RTOL)
     return DensityMatrix._checked(rho, liouv.basis)
 
 
 def restrict_triplet(liouv: Liouvillian) -> np.ndarray:
     """9x9 sub-superoperator acting on the triplet block, coupled basis."""
-    return _restrict_triplet_stack(liouv.to_coupled().matrix[None])[0]
+    return liouv.to_coupled().matrix[np.ix_(_TRIPLET_IDX, _TRIPLET_IDX)]
 
 
 def triplet_steady_state(liouv: Liouvillian) -> DensityMatrix:
     """Steady state of the triplet-restricted dynamics (singlet weight 0)."""
-    rho = _one(_kernel_states(restrict_triplet(liouv)[None], "no triplet kernel", None))
+    rho = _kernel_state(restrict_triplet(liouv), "no triplet kernel", None)
     return DensityMatrix._checked(rho, BasisTag.TRIPLET)
 
 
 def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
     """Steady state for a parameter point, coupled basis.
 
-    When gamma12 = gamma within 1e-12 the full kernel is degenerate and
-    the solver restricts to the triplet sector (symmetric initial
-    conditions, singlet weight exactly zero). The same fallback handles
-    parameter points whose kernel is degenerate at working precision.
-    The one-point case of solve_steady_states.
+    Solves the 9x9 exchange-symmetric block system of solve_steady_states:
+    the triplet block, the singlet population equal to rho_{+1,+1}, unit
+    trace, no triplet-singlet coherence. Its only branch is gamma12 ==
+    gamma exactly, where the singlet decouples and the solver returns the
+    triplet-sector state (symmetric initial conditions, singlet weight
+    exactly zero); any other gamma12, however close to gamma, keeps the
+    singlet weight. Raises LinAlgError for a singular or non-finite
+    system and InvalidState for a state failing the DensityMatrix checks.
     """
-    lm = build_liouvillian(cfg, c).matrix[None]
-    rho = _one(_steady_states(lm, np.array([c.gamma12])))
-    return DensityMatrix._checked(rho, BasisTag.COUPLED)
+    states, errors = _steady_states(build_liouvillian(cfg, c).matrix[None],
+                                    np.array([c.gamma12]))
+    if errors[0] is not None:
+        raise errors[0]
+    return DensityMatrix._checked(states[0], BasisTag.COUPLED)
 
 
 def analytic_steady_state(omega: float, drive: float) -> DensityMatrix:

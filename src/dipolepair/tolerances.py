@@ -6,6 +6,8 @@ EIGEN_RESIDUAL_ATOL = 1e-9    # ||m v - lam v|| for Hermitian eigenpairs
 GENERAL_EIG_ATOL = 1e-8       # characteristic-polynomial agreement
 PSD_EVAL_FLOOR = -1e-10       # eigenvalues below this fail the PSD check
 PSD_SQRT_ATOL = 1e-8          # ||s s - m||
+# SVD kernels of null_vector, steady_state_numeric and triplet_steady_state;
+# the steady-state solver itself solves a linear system and has no threshold
 NULLSPACE_RTOL = 1e-8         # smallest singular value relative to largest
 KERNEL_FLAG_RTOL = 1e-8       # second-smallest singular value: degeneracy flag
 KERNEL_EXACT_RTOL = 1e-12     # below this the kernel is genuinely multi-dimensional
@@ -18,7 +20,7 @@ STATE_NORM_ATOL = 1e-10
 
 # dynamics
 TRACE_DRIFT_MAX = 1e-6        # propagate(): trace drift of a generator that loses trace
-COLLECTIVE_DECAY_TOL = 1e-12  # |gamma12 - gamma| below this: singlet decoupled
+# (the singlet decouples only at gamma12 == gamma exactly: a branch, not a tolerance)
 
 # geometry factors
 SMALL_X = 1e-3                # switch to series evaluation below this k0r

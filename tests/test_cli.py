@@ -1,15 +1,33 @@
 import json
 import math
+import warnings
 
 import numpy as np
+import pytest
 
+from dipolepair import cli
 from dipolepair.cli import main
+from dipolepair.errors import InvalidState, NotPSD
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def inject_failures(monkeypatch, failures):
+    """Make the grid engine fail with failures[k] at point k of each stack."""
+    solve = cli.solve_steady_states
+
+    def failing(*args):
+        states, errors = solve(*args)
+        for k, exc in failures.items():
+            states[k] = np.nan
+            errors[k] = exc
+        return states, errors
+
+    monkeypatch.setattr(cli, "solve_steady_states", failing)
 
 
 def parse_csv(text):
@@ -160,21 +178,26 @@ def test_fig2_near_degenerate_distance_matches_closed_form(capsys):
         assert abs(conc - expected) < 1e-2
 
 
-def test_fig2_failure_warning_names_error_classes(capsys):
-    # the band where the kernel thresholds of the solver misfire
-    rc, out, err = run(capsys, "fig2", "--k0r-range", "0.0095:0.0125",
-                       "--efield-range", "1:5", "--points", "12")
-    assert rc == 0
+def test_fig2_failure_warning_names_error_classes(capsys, monkeypatch):
+    # a band where SVD kernel thresholds misfire (InvalidState, NotPSD);
+    # the block solve has none and solves every point
+    band = ("fig2", "--k0r-range", "0.0095:0.0125", "--efield-range", "1:5",
+            "--points", "12")
+    rc, out, err = run(capsys, *band)
+    assert rc == 0 and err == ""
     _, rows = parse_csv(out)
-    failed = sum(math.isnan(r[4]) for r in rows)
-    assert failed > 0
-    line = [ln for ln in err.splitlines() if "failed" in ln][0]
-    assert line.startswith(f"warning: {failed} grid point(s) failed, recorded as NaN (")
-    breakdown = line.rsplit(" (", 1)[1].rstrip(")")
-    counts = dict(part.split(": ") for part in breakdown.split(", "))
-    assert set(counts) <= {"InvalidState", "NotPSD", "NotHermitian", "NoNullSpace"}
-    assert "InvalidState" in counts and "NotPSD" in counts
-    assert sum(map(int, counts.values())) == failed
+    assert len(rows) == 144 and not any(math.isnan(r[4]) for r in rows)
+    # failures at known points: NaN concurrence there, a breakdown by class
+    inject_failures(monkeypatch, {3: InvalidState("x"), 7: NotPSD("y"),
+                                  8: InvalidState("z")})
+    rc, out, err = run(capsys, *band)
+    assert rc == 0
+    _, failed_rows = parse_csv(out)
+    assert [k for k, r in enumerate(failed_rows) if math.isnan(r[4])] == [3, 7, 8]
+    assert all(a == b for k, (a, b) in enumerate(zip(rows, failed_rows))
+               if k not in (3, 7, 8))
+    assert err == ("warning: 3 grid point(s) failed, recorded as NaN "
+                   "(InvalidState: 2, NotPSD: 1)\n")
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
@@ -246,9 +269,19 @@ def test_sweep_rejects_nan_distance(capsys):
     assert err == "error: k0r must be > 0\n"
 
 
-def test_sweep_records_failed_point_as_nan_row(capsys):
-    # at k0r = 0.01 the kernel thresholds reject the state at efield = 2
-    rc, out, err = run(capsys, "sweep", "--axis", "efield=0.5:3:6", "--k0r", "0.01")
+def test_sweep_records_failed_point_as_nan_row(capsys, monkeypatch):
+    # at k0r = 0.01, efield = 2 SVD kernel thresholds reject the state;
+    # the block solve takes it, with p_A = rho_{+1,+1}
+    sweep = ("sweep", "--axis", "efield=0.5:3:6", "--k0r", "0.01")
+    rc, out, err = run(capsys, *sweep)
+    assert rc == 0 and err == ""
+    header, rows = parse_csv(out)
+    i = header.index("pop_plus1")
+    assert not np.isnan(rows).any()
+    assert all(row[i + 3] == row[i] > 0.0 for row in rows)
+    # a failure at the efield = 2 point: a NaN row, named in the warning
+    inject_failures(monkeypatch, {3: InvalidState("x")})
+    rc, out, err = run(capsys, *sweep)
     assert rc == 0
     assert "1 grid point(s) failed, recorded as NaN (InvalidState: 1)" in err
     header, rows = parse_csv(out)
@@ -267,6 +300,31 @@ def test_sweep_exits_1_only_when_every_point_failed(capsys):
     assert rc == 1
     assert out == ""
     assert "2 grid point(s) failed, recorded as NaN (LinAlgError: 2)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("steady", "--efield", "inf", "--k0r", "1", "--lamb-dicke"),
+    ("steady", "--tau", "nan", "--lamb-dicke"),
+    ("fig1", "--tau", "nan", "--points", "3"),
+    ("fig2", "--k0r-range", "0.1:inf", "--points", "3"),
+    ("sweep", "--axis", "efield=1:inf:2", "--omega", "1"),
+], ids=["steady_lamb_dicke_efield", "steady_lamb_dicke_tau", "fig1_tau",
+        "fig2_range", "sweep_axis"])
+def test_non_finite_option_is_a_usage_error(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == "" and caught == []
+    assert err.startswith("error: ") and "must be finite" in err
+    assert err.count("\n") == 1
+
+
+def test_sweep_non_finite_fixed_value_fails_per_point_without_warning(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, "sweep", "--axis", "efield=1:2:2", "--omega", "inf")
+    assert rc == 1 and out == "" and caught == []
+    assert err == "warning: 2 grid point(s) failed, recorded as NaN (LinAlgError: 2)\n"
 
 
 def test_grid_commands_reject_dipole_projection_out_of_range(capsys):
