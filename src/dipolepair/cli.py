@@ -19,27 +19,13 @@ from collections import Counter
 import numpy as np
 
 from .dynamics import (
-    DensityMatrix,
     _broadcast,
     analytic_steady_state,
-    build_liouvillian,
     lamb_dicke_limit_state,
-    propagate,
-    restrict_triplet,
     solve_steady_state,
     solve_steady_states,
-    triplet_steady_state,
-    vec,
 )
-from .entanglement import (
-    admixture_concurrence,
-    argmax_concurrence,
-    closed_form_concurrence,
-    eof_from_concurrence,
-    singlet_projector,
-    wootters_concurrence,
-    wootters_concurrences,
-)
+from .entanglement import TAU_PEAK, wootters_concurrence, wootters_concurrences
 from .errors import DipolePairError
 from .linalg import BasisTag, general_eig, hermitian_eig
 from .model import (
@@ -51,10 +37,7 @@ from .model import (
     dipole_coupling,
     k0r_for_tau,
 )
-from .spectral import pure_concurrence, triplet_cubic_roots
-
-TAU_PEAK = 2.0 + 2.0 * math.sqrt(13.0)
-C_PEAK = 2.0 / (math.sqrt(13.0) + 1.0)
+from .spectral import triplet_cubic_roots
 
 AXIS_NAMES = ("k0r", "efield", "omega", "delta", "tau")
 
@@ -76,21 +59,20 @@ def _fmt(x: float) -> str:
 
 
 def _round12(x: float) -> float:
-    if isinstance(x, float) and math.isnan(x):
-        return x
-    return float(f"{x:.12g}")
+    return float(_fmt(x))
 
 
 def _write_rows(columns, rows, fmt: str, out) -> None:
-    rows = [[_round12(float(v)) for v in row] for row in rows]
     if fmt == "json":
-        payload = [dict(zip(columns, row)) for row in rows]
+        payload = [dict(zip(columns, (_round12(float(v)) for v in row)))
+                   for row in rows]
         out.write(json.dumps(payload, indent=1))
         out.write("\n")
     else:
+        # one rendering per value, the digits of the JSON's _round12 value
         out.write(",".join(columns) + "\n")
         for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+            out.write(",".join(_fmt(float(v)) for v in row) + "\n")
 
 
 def _output(ns, config):
@@ -386,11 +368,6 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _check_mu(mu: float) -> None:
-    if not 0.0 <= mu <= 1.0:
-        raise UsageError("--mu-dot-rhat must lie in [0, 1]")
-
-
 def _solve_grid(delta, drive, omega, gamma12):
     """Steady states and concurrence of every point of a parameter mesh.
 
@@ -423,42 +400,6 @@ def _report_failures(errors) -> bool:
         print(f"warning: {count} grid point(s) failed, recorded as NaN ({kinds})",
               file=sys.stderr)
     return count == len(errors)
-
-
-def _cmd_fig2(ns, config) -> int:
-    k0r_lo, k0r_hi = _parse_range(
-        str(_resolve(ns, config, "k0r_range", "0.05:2.0")), "--k0r-range"
-    )
-    e_lo, e_hi = _parse_range(
-        str(_resolve(ns, config, "efield_range", "0.0:10.0")), "--efield-range"
-    )
-    points = int(_resolve(ns, config, "points", 20))
-    delta = float(_resolve(ns, config, "delta", 0.0))
-    mu = float(_resolve(ns, config, "mu_dot_rhat", 0.0))
-    if points < 2:
-        raise UsageError("--points must be >= 2")
-    if k0r_lo <= 0:
-        raise UsageError("--k0r-range must be positive")
-    if e_lo < 0:
-        raise UsageError("drive must be >= 0")
-    _check_mu(mu)
-    k0rs = np.linspace(k0r_lo, k0r_hi, points)
-    efields = np.linspace(e_lo, e_hi, points)
-    # geometry once per distance row, by the scalar formulas
-    omegas = [dipole_coupling(float(x), mu) for x in k0rs]
-    gammas = [cross_decay(float(x)) for x in k0rs]
-    # row-major mesh: distance outer, drive inner
-    columns = [np.repeat(k0rs, points), np.tile(efields, points),
-               np.repeat(omegas, points), np.repeat(gammas, points)]
-    _, conc, _, errors = _solve_grid(delta, *columns[1:])
-    if _report_failures(errors):
-        return 1
-    rows = zip(*columns, conc)
-    fmt = _resolve(ns, config, "format", "csv")
-    with _output(ns, config) as out:
-        _write_rows(("k0r", "efield", "omega", "gamma12", "concurrence"),
-                    rows, fmt, out)
-    return 0
 
 
 def _parse_axis(text: str):
@@ -500,6 +441,86 @@ def _closed_form_states(omega, efield):
     return states, errors
 
 
+def _solve_mesh(axes, fixed: dict, mu: float, mode: str):
+    """Solve the row-major mesh over one or two axes with fixed values.
+
+    ``axes`` holds (name, values) pairs and ``fixed`` the scalar
+    parameters. Every usage error is raised before the first solve.
+    Returns the mesh columns by parameter name, the (omega, gamma12) of
+    every point as solved, and (populations, concurrence, eof, errors) as
+    _solve_grid returns them.
+    """
+    if not 0.0 <= mu <= 1.0:
+        raise UsageError("--mu-dot-rhat must lie in [0, 1]")
+    grids = np.meshgrid(*(values for _, values in axes), indexing="ij")
+    params = {name: grid.ravel() for (name, _), grid in zip(axes, grids)}
+    n = grids[0].size
+    params.update({key: np.full(n, val) for key, val in fixed.items()})
+    delta = params.get("delta", np.zeros(n))
+    efield = params.get("efield")
+    if efield is None:
+        raise UsageError("sweep needs --efield or an efield axis")
+    if (efield < 0).any():
+        raise UsageError("drive must be >= 0")
+    if "k0r" in params and not (params["k0r"] > 0).all():  # NaN fails too
+        raise UsageError("k0r must be > 0")
+    if "tau" in params:
+        if (delta != 0.0).any():
+            raise UsageError("a tau axis requires delta = 0")
+        omega = params["tau"] * efield**2
+        states, errors = _closed_form_states(omega, efield)
+        pops = states.diagonal(axis1=1, axis2=2).real
+        conc, eof, errors = wootters_concurrences(states, errors)
+        return params, (omega, np.ones(n)), (pops, conc, eof, errors)
+    if mode == "geometric":
+        if "k0r" not in params:
+            raise UsageError("geometric sweep needs --k0r or a k0r axis")
+        # once per distance, by the scalar formulas (np.unique imports numpy.ma)
+        k0r = params["k0r"].tolist()
+        geometry = {x: (dipole_coupling(x, mu), cross_decay(x))
+                    for x in dict.fromkeys(k0r)}
+        omega, gamma12 = np.array([geometry[x] for x in k0r]).T
+    else:
+        if "omega" not in params:
+            raise UsageError("direct sweep needs --omega or an omega axis")
+        omega = params["omega"]
+        gamma12 = params.get("gamma12", np.zeros(n))
+    return params, (omega, gamma12), _solve_grid(delta, efield, omega, gamma12)
+
+
+def _write_grid(ns, config, columns, rows, errors) -> int:
+    """Report failed points, then write the rows; exit 1 if every point failed."""
+    if _report_failures(errors):
+        return 1
+    with _output(ns, config) as out:
+        _write_rows(columns, rows, _resolve(ns, config, "format", "csv"), out)
+    return 0
+
+
+def _cmd_fig2(ns, config) -> int:
+    k0r_lo, k0r_hi = _parse_range(
+        str(_resolve(ns, config, "k0r_range", "0.05:2.0")), "--k0r-range"
+    )
+    e_lo, e_hi = _parse_range(
+        str(_resolve(ns, config, "efield_range", "0.0:10.0")), "--efield-range"
+    )
+    points = int(_resolve(ns, config, "points", 20))
+    delta = float(_resolve(ns, config, "delta", 0.0))
+    mu = float(_resolve(ns, config, "mu_dot_rhat", 0.0))
+    if points < 2:
+        raise UsageError("--points must be >= 2")
+    if k0r_lo <= 0:
+        raise UsageError("--k0r-range must be positive")
+    # the geometric sweep over a distance axis and a drive axis
+    axes = [("k0r", np.linspace(k0r_lo, k0r_hi, points)),
+            ("efield", np.linspace(e_lo, e_hi, points))]
+    params, couplings, (_, conc, _, errors) = _solve_mesh(
+        axes, {"delta": delta}, mu, "geometric")
+    rows = np.column_stack([params["k0r"], params["efield"], *couplings, conc])
+    columns = ("k0r", "efield", "omega", "gamma12", "concurrence")
+    return _write_grid(ns, config, columns, rows, errors)
+
+
 def _cmd_sweep(ns, config) -> int:
     axis_specs = ns.axis or config.get("axis") or []
     if isinstance(axis_specs, str):
@@ -518,168 +539,32 @@ def _cmd_sweep(ns, config) -> int:
                 raise UsageError(f"{key} is an axis and cannot also be fixed")
             fixed[key] = float(val)
     mu = float(_resolve(ns, config, "mu_dot_rhat", 0.0))
-    _check_mu(mu)
     mode = _resolve(ns, config, "mode", None)
     if mode is None:
         mode = "geometric" if ("k0r" in names or "k0r" in fixed) else "direct"
     if bool(_resolve(ns, config, "lamb_dicke", False)):
         fixed["gamma12"] = 1.0
         fixed["delta"] = 0.0
-
-    # the mesh, row-major over the axes, as one column per parameter
-    grids = np.meshgrid(*(values for _, values in axes), indexing="ij")
-    params = {name: grid.ravel() for name, grid in zip(names, grids)}
-    n = grids[0].size
-    params.update({key: np.full(n, val) for key, val in fixed.items()})
     input_cols = names + [k for k in ("k0r", "delta", "efield", "omega",
                                       "gamma12", "tau")
                           if k in fixed and k not in names]
-
-    # every usage error is raised before the first solve
-    delta = params.get("delta", np.zeros(n))
-    efield = params.get("efield")
-    if efield is None:
-        raise UsageError("sweep needs --efield or an efield axis")
-    if (efield < 0).any():
-        raise UsageError("drive must be >= 0")
-    if "k0r" in params and not (params["k0r"] > 0).all():  # NaN fails too
-        raise UsageError("k0r must be > 0")
-    if "tau" in params:
-        if (delta != 0.0).any():
-            raise UsageError("a tau axis requires delta = 0")
-        states, errors = _closed_form_states(params["tau"] * efield**2, efield)
-        pops = states.diagonal(axis1=1, axis2=2).real
-        conc, eof, errors = wootters_concurrences(states, errors)
-    else:
-        if mode == "geometric":
-            if "k0r" not in params:
-                raise UsageError("geometric sweep needs --k0r or a k0r axis")
-            geometry = {x: (dipole_coupling(x, mu), cross_decay(x))
-                        for x in map(float, np.unique(params["k0r"]))}
-            omega, gamma12 = np.array([geometry[x] for x in params["k0r"]]).T
-        else:
-            if "omega" not in params:
-                raise UsageError("direct sweep needs --omega or an omega axis")
-            omega = params["omega"]
-            gamma12 = params.get("gamma12", np.zeros(n))
-        pops, conc, eof, errors = _solve_grid(delta, efield, omega, gamma12)
-    if _report_failures(errors):
-        return 1
+    params, _, (pops, conc, eof, errors) = _solve_mesh(axes, fixed, mu, mode)
     rows = np.column_stack([params[k] for k in input_cols] + [pops, conc, eof])
     out_cols = ("pop_plus1", "pop_zero", "pop_minus1", "singlet_weight",
                 "concurrence", "eof")
-    fmt = _resolve(ns, config, "format", "csv")
-    with _output(ns, config) as out:
-        _write_rows(tuple(input_cols) + out_cols, rows, fmt, out)
-    return 0
+    return _write_grid(ns, config, tuple(input_cols) + out_cols, rows, errors)
 
 
 # ---------------------------------------------------------------- self check
 
 
-def _check_lines():
-    """Run the numeric self checks; yields (name, computed, expected, tol)."""
-    # exact steady state sits in the kernel of the triplet generator
-    worst_res = 0.0
-    worst_match = 0.0
-    for omega in np.linspace(0.1, 20.0, 20):
-        for efield in np.linspace(0.1, 10.0, 20):
-            cfg = AtomPairConfig(delta=0.0, drive=float(efield))
-            liouv = build_liouvillian(cfg, Couplings(float(omega), 1.0))
-            l9 = restrict_triplet(liouv)
-            exact = analytic_steady_state(float(omega), float(efield))
-            worst_res = max(worst_res, float(np.abs(l9 @ vec(exact.matrix)).max()))
-            numeric = triplet_steady_state(liouv)
-            worst_match = max(
-                worst_match, float(np.linalg.norm(numeric.matrix - exact.matrix))
-            )
-    yield ("kernel_residual_max", worst_res, 0.0, 1e-9)
-    yield ("steady_numeric_match", worst_match, 0.0, 1e-9)
-
-    worst = 0.0
-    for tau in (2.0, 3.0, 5.0, 9.21, 20.0, 50.0):
-        got = wootters_concurrence(lamb_dicke_limit_state(tau)).concurrence
-        worst = max(worst, abs(got - closed_form_concurrence(tau)))
-    yield ("concurrence_law_max_err", worst, 0.0, 1e-9)
-
-    tau_star, c_star = argmax_concurrence()
-    yield ("tau_at_max", tau_star, TAU_PEAK, 1e-6)
-    yield ("C_max", c_star, C_PEAK, 1e-6)
-    yield ("E_max", eof_from_concurrence(c_star), 0.2846, 1e-3)
-
-    worst = 0.0
-    for tau in (5.0, 9.21, 20.0):
-        cfg = AtomPairConfig(delta=0.0, drive=100.0)
-        liouv = build_liouvillian(cfg, Couplings(tau * 1e4, 1.0))
-        got = wootters_concurrence(triplet_steady_state(liouv)).concurrence
-        worst = max(worst, abs(got - closed_form_concurrence(tau)))
-    yield ("strong_drive_convergence", worst, 0.0, 1e-3)
-
-    worst = 0.0
-    ground = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
-    for omega in (0.1, 1.0, 10.0):
-        for x in (0.1, 1.0, 3.0):
-            cfg = AtomPairConfig(delta=0.0, drive=0.0, k0r=x)
-            state = solve_steady_state(cfg, Couplings(omega, cross_decay(x)))
-            comp = state.to_basis(BasisTag.COMPUTATIONAL)
-            worst = max(worst, float(np.abs(comp.matrix - ground).max()))
-    yield ("undriven_limit_state_err", worst, 0.0, 1e-8)
-
-    proj = singlet_projector()
-    cfg = AtomPairConfig(delta=0.2, drive=1.0)
-    liouv = build_liouvillian(cfg, Couplings(2.0, 1.0))
-    rho0 = DensityMatrix(
-        0.4 * proj + 0.6 * ground, BasisTag.COMPUTATIONAL
-    )
-    _, states = propagate(liouv, rho0, 50.0, 0.01)
-    weights = [s.singlet_weight() for s in states]
-    drift = max(abs(w - weights[0]) for w in weights)
-    yield ("singlet_conservation_drift", drift, 0.0, 1e-8)
-
-    worst = 0.0
-    for delta, omega, efield in ((0.5, 1.3, 0.8), (-1.0, 2.0, 0.1), (0.0, 5.0, 2.0)):
-        roots = triplet_cubic_roots(delta, omega, efield)
-        worst = max(
-            worst,
-            abs(roots.sum() - omega),
-            abs(roots.prod() - (-(delta**2) * omega)),
-            abs(
-                roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
-                - (-(delta**2) - 4 * efield**2)
-            ),
-        )
-    yield ("triplet_roots_vieta", worst, 0.0, 1e-9)
-
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(100):
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi /= np.linalg.norm(psi)
-        mixed = wootters_concurrence(np.outer(psi, psi.conj())).concurrence
-        worst = max(worst, abs(mixed - pure_concurrence(psi)))
-    yield ("pure_vs_mixed_oracle", worst, 0.0, 1e-9)
-
-    rho_s = lamb_dicke_limit_state(TAU_PEAK)
-    rho_s4 = rho_s.to_basis(BasisTag.COMPUTATIONAL).matrix
-    worst = 0.0
-    for p in (0.0, 0.05, 0.2, 0.8):
-        direct = wootters_concurrence(
-            p * proj + (1.0 - p) * rho_s4
-        ).concurrence
-        worst = max(worst, abs(direct - admixture_concurrence(p, rho_s)))
-    yield ("admixture_rule_max_err", worst, 0.0, 1e-9)
-
-
 def _cmd_check(ns, config) -> int:
+    from . import checks  # loaded here: no other command needs the criteria
     failures = 0
     with _output(ns, config) as out:
-        for name, computed, expected, tolerance in _check_lines():
-            ok = abs(computed - expected) <= tolerance
-            failures += 0 if ok else 1
-            out.write(
-                f"{name}: computed {computed:.4g} expected {expected:.4g} "
-                f"tol {tolerance:.0e} {'PASS' if ok else 'FAIL'}\n"
-            )
+        for line in checks.all_lines():
+            failures += not line.ok
+            out.write(f"{line}\n")
         out.write("all checks passed\n" if failures == 0
                   else f"{failures} check(s) failed\n")
     return 0 if failures == 0 else 1

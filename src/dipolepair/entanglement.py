@@ -128,10 +128,16 @@ def wootters_concurrences(states, errors=None):
     return conc, eof, errors
 
 
+# maximiser of closed_form_concurrence and its value, about 9.21 and 0.434
+TAU_PEAK = 2.0 + 2.0 * math.sqrt(13.0)
+C_PEAK = 2.0 / (math.sqrt(13.0) + 1.0)
+
+
 def closed_form_concurrence(tau: float) -> float:
     """Steady-state concurrence law in the strong-drive limit.
 
-    C(tau) = (8 tau - 16) / (tau^2 + 48) for tau >= 2, zero below.
+    C(tau) = (8 tau - 16) / (tau^2 + 48) for tau >= 2, zero below; its
+    maximum is C_PEAK at TAU_PEAK.
     """
     if tau <= 2.0:
         return 0.0

@@ -1,48 +1,29 @@
 """Acceptance suite: one test per numbered criterion, each printing a
 pass/fail line with the measured value.
 
-Criterion 8 is the distance trend at fixed drive, as the strong-drive law
-C(tau), tau = Omega(k0r)/E^2, predicts it: along the E = 5 cut the
-concurrence rises to an interior peak, bracketed by the distance where
-Omega = tau* E^2, and is exactly zero wherever tau <= 2 (8a); with no
-drive every distance is unentangled (8b). See the README, Tests.
+Criteria 1-7, 9 and 10 are defined once, in ``dipolepair.checks``, which
+``dipolepair check`` prints too; each test here runs one of them under its
+time gate. Criterion 8 is the distance trend at fixed drive, as the
+strong-drive law C(tau), tau = Omega(k0r)/E^2, predicts it: along the
+E = 5 cut the concurrence rises to an interior peak, bracketed by the
+distance where Omega = tau* E^2, and is exactly zero wherever tau <= 2
+(8a); with no drive every distance is unentangled (8b). See the README,
+Tests.
 """
 
 import math
 import time
 
-import numpy as np
-
 from dipolepair import (
     AtomPairConfig,
-    BasisTag,
     Couplings,
-    DensityMatrix,
-    admixture_concurrence,
-    analytic_steady_state,
-    argmax_concurrence,
-    build_liouvillian,
-    closed_form_concurrence,
     cross_decay,
     dipole_coupling,
-    eof_from_concurrence,
-    hermitian_eig,
-    lamb_dicke_limit_state,
-    propagate,
-    pure_concurrence,
-    restrict_triplet,
-    singlet_projector,
     solve_steady_state,
-    spin_flip_spectrum,
-    triplet_block,
-    triplet_cubic_roots,
-    triplet_steady_state,
-    vec,
     wootters_concurrence,
 )
-
-TAU_PEAK = 2.0 + 2.0 * math.sqrt(13.0)
-C_PEAK = 2.0 / (math.sqrt(13.0) + 1.0)
+from dipolepair.checks import CRITERIA
+from dipolepair.entanglement import TAU_PEAK
 
 
 def report(num, name, ok, detail):
@@ -50,156 +31,42 @@ def report(num, name, ok, detail):
     assert ok, f"criterion {num} {name}: {detail}"
 
 
-def test_criterion_01_exact_steady_state_reproduction():
+def run_criterion(num):
+    criterion = CRITERIA[num]
     t0 = time.perf_counter()
-    worst_residual = 0.0
-    worst_match = 0.0
-    for omega in np.linspace(0.1, 20.0, 20):
-        for drive in np.linspace(0.1, 10.0, 20):
-            cfg = AtomPairConfig(delta=0.0, drive=float(drive))
-            liouv = build_liouvillian(cfg, Couplings(float(omega), 1.0))
-            l9 = restrict_triplet(liouv)
-            exact = analytic_steady_state(float(omega), float(drive))
-            worst_residual = max(
-                worst_residual, float(np.abs(l9 @ vec(exact.matrix)).max())
-            )
-            numeric = triplet_steady_state(liouv)
-            worst_match = max(
-                worst_match,
-                float(np.linalg.norm(numeric.matrix - exact.matrix)),
-            )
+    lines = criterion.run()
     elapsed = time.perf_counter() - t0
-    ok = worst_residual <= 1e-9 and worst_match <= 1e-9 and elapsed < 5.0
-    report(1, "exact steady state on 20x20 grid", ok,
-           f"residual {worst_residual:.2e}, match {worst_match:.2e}, "
-           f"{elapsed:.2f}s")
+    ok = all(line.ok for line in lines) and elapsed < criterion.gate_s
+    report(num, criterion.title, ok,
+           "; ".join(map(str, lines)) + f"; {elapsed:.2f}s (gate {criterion.gate_s}s)")
+
+
+def test_criterion_01_exact_steady_state_reproduction():
+    run_criterion(1)
 
 
 def test_criterion_02_closed_form_concurrence():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for tau in (2.0, 3.0, 5.0, 9.21, 20.0, 50.0):
-        got = wootters_concurrence(lamb_dicke_limit_state(tau)).concurrence
-        worst = max(worst, abs(got - closed_form_concurrence(tau)))
-    below = wootters_concurrence(lamb_dicke_limit_state(1.4)).concurrence
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9 and below == 0.0 and closed_form_concurrence(2.0) == 0.0 \
-        and elapsed < 1.0
-    report(2, "concurrence law C(tau)", ok,
-           f"max err {worst:.2e}, C(tau<=2)={below}, {elapsed:.2f}s")
+    run_criterion(2)
 
 
 def test_criterion_03_headline_numbers():
-    t0 = time.perf_counter()
-    tau_star, c_star = argmax_concurrence(2.0, 50.0, tol=1e-8)
-    eof = eof_from_concurrence(c_star)
-    elapsed = time.perf_counter() - t0
-    ok = (
-        abs(tau_star - TAU_PEAK) <= 1e-6
-        and abs(c_star - C_PEAK) <= 1e-3
-        and abs(eof - 0.2846) <= 1e-3
-        and elapsed < 1.0
-    )
-    report(3, "peak entanglement numbers", ok,
-           f"tau* {tau_star:.6f} (vs {TAU_PEAK:.6f}), C {c_star:.6f}, "
-           f"EoF {eof:.6f}, {elapsed:.2f}s")
+    run_criterion(3)
 
 
 def test_criterion_04_strong_drive_convergence():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for tau in (5.0, 9.21, 20.0):
-        cfg = AtomPairConfig(delta=0.0, drive=100.0)
-        liouv = build_liouvillian(cfg, Couplings(tau * 100.0**2, 1.0))
-        got = wootters_concurrence(triplet_steady_state(liouv)).concurrence
-        worst = max(worst, abs(got - closed_form_concurrence(tau)))
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-3 and elapsed < 1.0
-    report(4, "strong-drive limit convergence", ok,
-           f"max err {worst:.2e}, {elapsed:.2f}s")
+    run_criterion(4)
 
 
 def test_criterion_05_undriven_limit():
-    t0 = time.perf_counter()
-    ground = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
-    worst_state = 0.0
-    worst_conc = 0.0
-    for omega in (0.1, 1.0, 10.0):
-        for k0r in (0.1, 1.0, 3.0):
-            cfg = AtomPairConfig(delta=0.0, drive=0.0, k0r=k0r)
-            state = solve_steady_state(cfg, Couplings(omega, cross_decay(k0r)))
-            comp = state.to_basis(BasisTag.COMPUTATIONAL)
-            worst_state = max(worst_state,
-                              float(np.abs(comp.matrix - ground).max()))
-            worst_conc = max(worst_conc,
-                             wootters_concurrence(state).concurrence)
-    elapsed = time.perf_counter() - t0
-    ok = worst_state <= 1e-8 and worst_conc == 0.0 and elapsed < 1.0
-    report(5, "undriven limit is the ground state", ok,
-           f"state err {worst_state:.2e}, C {worst_conc}, {elapsed:.2f}s")
+    run_criterion(5)
 
 
 def test_criterion_06_singlet_conservation():
-    t0 = time.perf_counter()
-    proj = singlet_projector()
-    ground = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
-    ket_zero = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
-    zero_proj = np.outer(ket_zero, ket_zero.conj())
-    ket_a = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
-    ket_mix = (ket_a + ket_zero) / math.sqrt(2)
-    initials = [
-        0.5 * proj + 0.5 * ground,
-        0.3 * proj + 0.7 * zero_proj,
-        np.outer(ket_mix, ket_mix.conj()),
-    ]
-    cfg = AtomPairConfig(delta=0.2, drive=1.0)
-    liouv = build_liouvillian(cfg, Couplings(2.0, 1.0))
-    worst = 0.0
-    for rho0 in initials:
-        state0 = DensityMatrix(rho0, BasisTag.COMPUTATIONAL)
-        _, states = propagate(liouv, state0, 50.0, 0.01)
-        weights = np.array([s.singlet_weight() for s in states])
-        worst = max(worst, float(np.abs(weights - weights[0]).max()))
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-8 and elapsed < 2.0
-    report(6, "singlet weight conserved in propagation", ok,
-           f"max drift {worst:.2e}, {elapsed:.2f}s")
+    run_criterion(6)
 
 
 def test_criterion_07_spectral_checks():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(17)
-    worst_vieta = 0.0
-    for _ in range(50):
-        delta = float(rng.normal() * 2)
-        omega = float(rng.normal() * 3)
-        drive = float(rng.uniform(0, 5))
-        r = triplet_cubic_roots(delta, omega, drive)
-        worst_vieta = max(
-            worst_vieta,
-            abs(r.sum() - omega),
-            abs(r[0] * r[1] + r[0] * r[2] + r[1] * r[2]
-                + delta**2 + 4 * drive**2),
-            abs(r.prod() + delta**2 * omega),
-        )
-    worst_match = 0.0
-    for delta, omega in ((0.5, 2.0), (1.5, -0.7), (2.0, 0.0)):
-        roots = triplet_cubic_roots(delta, omega, 0.0)
-        w, _ = hermitian_eig(triplet_block(delta, omega, 0.0))
-        worst_match = max(worst_match, float(np.abs(roots - w).max()))
-    for omega, drive in ((1.0, 0.5), (-2.0, 3.0)):
-        roots = triplet_cubic_roots(0.0, omega, drive)
-        w, _ = hermitian_eig(triplet_block(0.0, omega, drive))
-        worst_match = max(worst_match, float(np.abs(roots - w).max()))
-        gap = math.sqrt(omega**2 + 16 * drive**2)
-        explicit = sorted([omega / 2 + gap / 2, 0.0, omega / 2 - gap / 2],
-                          reverse=True)
-        worst_match = max(worst_match, float(np.abs(roots - explicit).max()))
-    elapsed = time.perf_counter() - t0
-    ok = worst_vieta <= 1e-9 and worst_match <= 1e-10 and elapsed < 1.0
-    report(7, "triplet spectrum", ok,
-           f"vieta {worst_vieta:.2e}, eig match {worst_match:.2e}, "
-           f"{elapsed:.2f}s")
+    run_criterion(7)
 
 
 CUT_K0R = (0.01, 0.1, 0.5, 1.0)
@@ -281,46 +148,8 @@ def test_criterion_08b_zero_drive_column():
 
 
 def test_criterion_09_admixture_rule():
-    t0 = time.perf_counter()
-    rho_s = lamb_dicke_limit_state(9.21)
-    rho4 = rho_s.to_basis(BasisTag.COMPUTATIONAL).matrix
-    proj = singlet_projector()
-    worst = 0.0
-    for p in (0.0, 0.05, 0.2, 0.8):
-        direct = wootters_concurrence(p * proj + (1 - p) * rho4).concurrence
-        worst = max(worst, abs(direct - admixture_concurrence(p, rho_s)))
-    lam = spin_flip_spectrum(rho_s)
-    p_star = lam[0] / (1.0 + lam[0])
-    grid = np.linspace(1e-4, p_star - 1e-4, 30)
-    values = np.array([admixture_concurrence(float(p), rho_s) for p in grid])
-    c0 = admixture_concurrence(0.0, rho_s)
-    # the clamped concurrence is identically zero on the tail of the
-    # window, so strictness is asserted where it is positive plus on the
-    # unclamped difference; the decrease itself holds everywhere
-    raw = np.array([(1 - p) * (lam[0] - lam[1] - lam[2]) - p for p in grid])
-    decreasing = (
-        np.all(values < c0)
-        and np.all(np.diff(values) <= 1e-12)
-        and np.all(np.diff(values[values > 0]) < 0)
-        and np.all(np.diff(raw) < 0)
-    )
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9 and bool(decreasing) and elapsed < 1.0
-    report(9, "singlet admixture rule", ok,
-           f"max err {worst:.2e}, decreasing below p*={p_star:.3f}, "
-           f"{elapsed:.2f}s")
+    run_criterion(9)
 
 
 def test_criterion_10_pure_state_cross_oracle():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(123)
-    worst = 0.0
-    for _ in range(100):
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi /= np.linalg.norm(psi)
-        mixed = wootters_concurrence(np.outer(psi, psi.conj())).concurrence
-        worst = max(worst, abs(mixed - pure_concurrence(psi)))
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9 and elapsed < 1.0
-    report(10, "pure vs mixed concurrence oracle", ok,
-           f"max err {worst:.2e}, {elapsed:.2f}s")
+    run_criterion(10)

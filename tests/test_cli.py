@@ -1,11 +1,13 @@
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dipolepair import cli
+from dipolepair import BasisTag, DensityMatrix, checks, cli
 from dipolepair.cli import main
 from dipolepair.errors import InvalidState, NotPSD
 
@@ -164,6 +166,10 @@ def test_fig2_byte_identical_and_formats_agree(tmp_path, capsys):
     for row, obj in zip(rows, payload):
         for name, value in zip(header, row):
             assert obj[name] == value  # identical after shared rounding
+    # fig2 is the geometric sweep over its two axes: same k0r, efield, C
+    rc, out, _ = run(capsys, "sweep", "--axis", "k0r=0.2:1:3", "--axis", "efield=0.5:3:3")
+    assert rc == 0
+    assert [r[:2] + r[4:] for r in rows] == [r[:2] + r[6:7] for r in parse_csv(out)[1]]
 
 
 def test_fig2_near_degenerate_distance_matches_closed_form(capsys):
@@ -368,30 +374,32 @@ def test_config_file_missing(capsys):
 def test_check_passes_and_reports(capsys):
     rc, out, _ = run(capsys, "check")
     assert rc == 0
-    assert "all checks passed" in out
+    # every line of every criterion in the table, then the verdict
+    assert out.splitlines() == [str(line) for line in checks.all_lines()] + [
+        "all checks passed"]
     cmax_lines = [ln for ln in out.splitlines() if ln.startswith("C_max")]
-    assert len(cmax_lines) == 1
-    assert cmax_lines[0] == "C_max: computed 0.4343 expected 0.4343 tol 1e-06 PASS"
+    assert cmax_lines == ["C_max: computed 0.4343 expected 0.4343 tol 1e-06 PASS"]
 
 
-def test_check_detects_perturbed_steady_state():
-    # mutation check: a 1e-3 perturbation of the hard-coded steady state
-    # must leave the kernel residual far above the acceptance tolerance
-    from dipolepair import (
-        AtomPairConfig,
-        Couplings,
-        analytic_steady_state,
-        build_liouvillian,
-        restrict_triplet,
-        vec,
-    )
+def test_every_criterion_has_an_acceptance_test():
+    acceptance = (Path(__file__).parent / "test_acceptance.py").read_text()
+    for num in checks.CRITERIA:
+        test = rf"^def test_criterion_{num:02d}_\w+\(\):\n    run_criterion\({num}\)$"
+        assert re.search(test, acceptance, re.M), num
 
-    omega, drive = 3.0, 1.5
-    cfg = AtomPairConfig(delta=0.0, drive=drive)
-    l9 = restrict_triplet(build_liouvillian(cfg, Couplings(omega, 1.0)))
-    good = analytic_steady_state(omega, drive).matrix
-    assert np.abs(l9 @ vec(good)).max() < 1e-9
-    bad = good.copy()
-    bad[0, 0] += 1e-3
-    bad[2, 2] -= 1e-3
-    assert np.abs(l9 @ vec(bad)).max() > 1e-9
+
+def test_check_detects_perturbed_steady_state(monkeypatch, capsys):
+    # mutation check: mix 1e-3 of |+1><+1| into every closed-form state;
+    # the full generator no longer annihilates it, so check must fail
+    exact = checks.analytic_steady_state
+
+    def perturbed(omega, drive):
+        m = 0.999 * exact(omega, drive).matrix + 1e-3 * np.diag([1.0, 0.0, 0.0])
+        return DensityMatrix(m, BasisTag.TRIPLET)
+
+    monkeypatch.setattr(checks, "analytic_steady_state", perturbed)
+    rc, out, _ = run(capsys, "check")
+    assert rc == 1
+    line = [ln for ln in out.splitlines() if ln.startswith("kernel_residual_max")][0]
+    assert line.endswith(" FAIL")
+    assert out.endswith("check(s) failed\n")

