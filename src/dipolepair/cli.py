@@ -41,7 +41,7 @@ from .spectral import triplet_cubic_roots
 
 AXIS_NAMES = ("k0r", "efield", "omega", "delta", "tau")
 
-# grid points per solver stack: about 4 MB per (chunk, 16, 16) work array
+# grid points per solver stack: about 1.3 MB per (chunk, 9, 9) work array
 GRID_CHUNK = 1024
 
 
@@ -69,10 +69,11 @@ def _write_rows(columns, rows, fmt: str, out) -> None:
         out.write(json.dumps(payload, indent=1))
         out.write("\n")
     else:
-        # one rendering per value, the digits of the JSON's _round12 value
+        # one %-format, the digits of _fmt and _round12; "%g" gives "nan" for NaN
+        rows = np.asarray(rows, dtype=float)
+        template = ",".join(["%.12g"] * rows.shape[1]) + "\n"
         out.write(",".join(columns) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(float(v)) for v in row) + "\n")
+        out.write(((template * len(rows)) % tuple(rows.ravel().tolist())).replace("nan", "NaN"))
 
 
 def _output(ns, config):
@@ -427,28 +428,16 @@ def _parse_axis(text: str):
     return name, np.linspace(start, stop, count)
 
 
-def _closed_form_states(omega, efield):
-    """Coupled-basis closed-form triplet states per point, with errors."""
-    states = np.full((len(omega), 4, 4), np.nan, dtype=complex)
-    errors = []
-    for i, (w, e) in enumerate(zip(omega, efield)):
-        try:
-            states[i] = analytic_steady_state(float(w), float(e)).to_basis(
-                BasisTag.COUPLED).matrix
-            errors.append(None)
-        except DipolePairError as exc:
-            errors.append(exc)
-    return states, errors
-
-
-def _solve_mesh(axes, fixed: dict, mu: float, mode: str):
+def _solve_mesh(axes, fixed: dict, mu: float, mode: str, lamb_dicke: bool):
     """Solve the row-major mesh over one or two axes with fixed values.
 
     ``axes`` holds (name, values) pairs and ``fixed`` the scalar
-    parameters. Every usage error is raised before the first solve.
-    Returns the mesh columns by parameter name, the (omega, gamma12) of
-    every point as solved, and (populations, concurrence, eof, errors) as
-    _solve_grid returns them.
+    parameters. ``lamb_dicke`` sets delta = 0 and gamma12 = 1, as steady
+    does; a tau axis sets omega = tau efield^2 and gamma12 = 1, the branch
+    whose state is the closed form's (triplet sector). Every usage error
+    is raised before the first solve. Returns the mesh columns by
+    parameter name, with delta, omega and gamma12 as solved, and
+    (populations, concurrence, eof, errors) as _solve_grid returns them.
     """
     if not 0.0 <= mu <= 1.0:
         raise UsageError("--mu-dot-rhat must lie in [0, 1]")
@@ -456,7 +445,9 @@ def _solve_mesh(axes, fixed: dict, mu: float, mode: str):
     params = {name: grid.ravel() for (name, _), grid in zip(axes, grids)}
     n = grids[0].size
     params.update({key: np.full(n, val) for key, val in fixed.items()})
-    delta = params.get("delta", np.zeros(n))
+    if lamb_dicke:
+        params["delta"] = np.zeros(n)
+    delta = params.setdefault("delta", np.zeros(n))
     efield = params.get("efield")
     if efield is None:
         raise UsageError("sweep needs --efield or an efield axis")
@@ -467,25 +458,22 @@ def _solve_mesh(axes, fixed: dict, mu: float, mode: str):
     if "tau" in params:
         if (delta != 0.0).any():
             raise UsageError("a tau axis requires delta = 0")
-        omega = params["tau"] * efield**2
-        states, errors = _closed_form_states(omega, efield)
-        pops = states.diagonal(axis1=1, axis2=2).real
-        conc, eof, errors = wootters_concurrences(states, errors)
-        return params, (omega, np.ones(n)), (pops, conc, eof, errors)
-    if mode == "geometric":
+        if {"k0r", "omega", "gamma12"} & params.keys():
+            raise UsageError("tau conflicts with --k0r/--omega/--gamma12")
+        params["omega"] = params["tau"] * efield**2
+        params["gamma12"] = np.ones(n)
+    elif mode == "geometric":
         if "k0r" not in params:
             raise UsageError("geometric sweep needs --k0r or a k0r axis")
-        # once per distance, by the scalar formulas (np.unique imports numpy.ma)
-        k0r = params["k0r"].tolist()
-        geometry = {x: (dipole_coupling(x, mu), cross_decay(x))
-                    for x in dict.fromkeys(k0r)}
-        omega, gamma12 = np.array([geometry[x] for x in k0r]).T
-    else:
-        if "omega" not in params:
-            raise UsageError("direct sweep needs --omega or an omega axis")
-        omega = params["omega"]
-        gamma12 = params.get("gamma12", np.zeros(n))
-    return params, (omega, gamma12), _solve_grid(delta, efield, omega, gamma12)
+        if "omega" in params or "gamma12" in params:
+            raise UsageError("--k0r conflicts with --omega/--gamma12")
+        # one call per mesh; the array formulas equal the scalar ones bit for bit
+        params["omega"] = dipole_coupling(params["k0r"], mu)
+        params["gamma12"] = cross_decay(params["k0r"])
+    elif "omega" not in params:
+        raise UsageError("direct sweep needs --omega or an omega axis")
+    params["gamma12"] = np.ones(n) if lamb_dicke else params.get("gamma12", np.zeros(n))
+    return params, _solve_grid(delta, efield, params["omega"], params["gamma12"])
 
 
 def _write_grid(ns, config, columns, rows, errors) -> int:
@@ -505,7 +493,8 @@ def _cmd_fig2(ns, config) -> int:
         str(_resolve(ns, config, "efield_range", "0.0:10.0")), "--efield-range"
     )
     points = int(_resolve(ns, config, "points", 20))
-    delta = float(_resolve(ns, config, "delta", 0.0))
+    fixed = {key: float(val) for key in ("delta", "omega", "gamma12")
+             if (val := _resolve(ns, config, key, None)) is not None}
     mu = float(_resolve(ns, config, "mu_dot_rhat", 0.0))
     if points < 2:
         raise UsageError("--points must be >= 2")
@@ -514,11 +503,11 @@ def _cmd_fig2(ns, config) -> int:
     # the geometric sweep over a distance axis and a drive axis
     axes = [("k0r", np.linspace(k0r_lo, k0r_hi, points)),
             ("efield", np.linspace(e_lo, e_hi, points))]
-    params, couplings, (_, conc, _, errors) = _solve_mesh(
-        axes, {"delta": delta}, mu, "geometric")
-    rows = np.column_stack([params["k0r"], params["efield"], *couplings, conc])
-    columns = ("k0r", "efield", "omega", "gamma12", "concurrence")
-    return _write_grid(ns, config, columns, rows, errors)
+    lamb_dicke = bool(_resolve(ns, config, "lamb_dicke", False))
+    params, (_, conc, _, errors) = _solve_mesh(axes, fixed, mu, "geometric", lamb_dicke)
+    columns = ("k0r", "efield", "omega", "gamma12")
+    rows = np.column_stack([params[k] for k in columns] + [conc])
+    return _write_grid(ns, config, columns + ("concurrence",), rows, errors)
 
 
 def _cmd_sweep(ns, config) -> int:
@@ -542,13 +531,12 @@ def _cmd_sweep(ns, config) -> int:
     mode = _resolve(ns, config, "mode", None)
     if mode is None:
         mode = "geometric" if ("k0r" in names or "k0r" in fixed) else "direct"
-    if bool(_resolve(ns, config, "lamb_dicke", False)):
-        fixed["gamma12"] = 1.0
-        fixed["delta"] = 0.0
+    lamb_dicke = bool(_resolve(ns, config, "lamb_dicke", False))
+    printed = fixed.keys() | ({"delta", "gamma12"} if lamb_dicke else set())
     input_cols = names + [k for k in ("k0r", "delta", "efield", "omega",
                                       "gamma12", "tau")
-                          if k in fixed and k not in names]
-    params, _, (pops, conc, eof, errors) = _solve_mesh(axes, fixed, mu, mode)
+                          if k in printed and k not in names]
+    params, (pops, conc, eof, errors) = _solve_mesh(axes, fixed, mu, mode, lamb_dicke)
     rows = np.column_stack([params[k] for k in input_cols] + [pops, conc, eof])
     out_cols = ("pop_plus1", "pop_zero", "pop_minus1", "singlet_weight",
                 "concurrence", "eof")

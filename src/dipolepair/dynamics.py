@@ -112,10 +112,11 @@ class DensityMatrix:
         raise InvalidState(f"cannot convert {self.basis} to {basis}")
 
     def singlet_weight(self) -> float:
-        """Population of the antisymmetric state."""
-        if self.basis is BasisTag.TRIPLET:
-            return 0.0
-        return float(self.to_basis(BasisTag.COUPLED).matrix[3, 3].real)
+        """Population <A|rho|A> of the antisymmetric state, read off the matrix."""
+        m = self.matrix
+        if self.basis is BasisTag.COMPUTATIONAL:  # |A> = (|eg> - |ge>) / sqrt(2)
+            return float((m[1, 1].real + m[2, 2].real) / 2.0 - m[1, 2].real)
+        return 0.0 if self.basis is BasisTag.TRIPLET else float(m[3, 3].real)
 
 
 @dataclass(frozen=True)
@@ -186,10 +187,15 @@ def liouvillian_stack(delta, drive, omega, gamma12) -> np.ndarray:
     tested, to the last bit). A non-finite input gives a generator with NaN
     entries (inf times a zero entry), which the solvers reject per point.
     """
-    d, e, w, g = (a[:, None, None] for a in _broadcast(delta, drive, omega, gamma12))
-    l0, l_delta, l_drive, l_omega, l_gamma12 = _affine_basis()
+    return _assemble(_affine_basis(), delta, drive, omega, gamma12)
+
+
+def _assemble(basis, *args) -> np.ndarray:
+    """B0 + delta B_delta + drive B_drive + omega B_omega + gamma12 B_gamma12 per point."""
+    d, e, w, g = (a[:, None, None] for a in _broadcast(*args))
+    b0, b_delta, b_drive, b_omega, b_gamma12 = basis
     with np.errstate(invalid="ignore"):
-        return l0 + d * l_delta + e * l_drive + w * l_omega + g * l_gamma12
+        return b0 + d * b_delta + e * b_drive + w * b_omega + g * b_gamma12
 
 
 def _broadcast(*args) -> list[np.ndarray]:
@@ -204,14 +210,15 @@ def _broadcast(*args) -> list[np.ndarray]:
 # raises for it. A failed point never stops the others.
 
 
-def _density_errors(m: np.ndarray) -> list[InvalidState | None]:
-    """DensityMatrix's invariant checks, in its order, on an (N, d, d) stack."""
+def _density_errors(m: np.ndarray, evals=None) -> list[InvalidState | None]:
+    """DensityMatrix's checks, in its order, on an (N, d, d) stack with ascending evals."""
     if not len(m):
         return []
     herm = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)) > tol.DENSITY_HERM_ATOL
     tr = m.trace(axis1=1, axis2=2).real
     off = np.abs(tr - 1.0) > tol.DENSITY_TRACE_ATOL
-    low = np.linalg.eigvalsh(m)[:, 0] < tol.DENSITY_EVAL_FLOOR  # ascending
+    evals = np.linalg.eigvalsh(m) if evals is None else evals
+    low = evals[:, 0] < tol.DENSITY_EVAL_FLOOR  # ascending
     errors: list[InvalidState | None] = [None] * len(m)
     for i in np.flatnonzero(herm | off | low):
         errors[i] = InvalidState(
@@ -256,8 +263,14 @@ _TRIPLET_COLS = kron(_INVERSE, _INVERSE)[:, _TRIPLET_IDX]
 _NORMALISE = np.outer([1.0, 1.0 / _SQ2, 1.0], [1.0, 1.0 / _SQ2, 1.0])
 
 
-def _steady_states(lm: np.ndarray, gamma12: np.ndarray):
-    """Coupled-basis steady states of a stack of computational-basis generators.
+@functools.cache
+def _block_basis() -> tuple[np.ndarray, ...]:
+    """The five generators of _affine_basis as 9x9 triplet blocks, built on first use."""
+    return tuple(_TRIPLET_ROWS @ b @ _TRIPLET_COLS for b in _affine_basis())
+
+
+def _steady_states(a: np.ndarray, gamma12: np.ndarray):
+    """Coupled-basis steady states from an (N, 9, 9) stack of triplet blocks.
 
     Exchange symmetry makes the unique steady state block-diagonal: a 3x3
     triplet block rho_T and the singlet population p_A, with no coherence
@@ -268,18 +281,18 @@ def _steady_states(lm: np.ndarray, gamma12: np.ndarray):
     equations in the 9 entries of rho_T. At gamma12 == gamma (= 1)
     exactly the singlet decouples, its population is conserved, and the
     branch takes the triplet-sector state, p_A = 0. One batched solve of
-    the 9x9 systems; the Hermitian part of each solution passes the
-    DensityMatrix checks. Returns (N, 4, 4) states, NaN where a point
-    failed, and the errors.
+    the 9x9 systems ``a`` (overwritten in place), the branch chosen per
+    point by ``gamma12``; each solution's Hermitian part must pass the
+    DensityMatrix checks.
+    Returns (N, 4, 4) states, NaN where a point failed, and the errors.
     """
-    a = _TRIPLET_ROWS @ lm @ _TRIPLET_COLS  # (N, 9, 9)
     coupled = gamma12 != 1.0
     a[:, 8] = (1.0, 0, 0, 0, 0.5, 0, 0, 0, 1.0)  # tr rho_T in the unnormalised basis
     a[:, 8, 0] += coupled  # plus p_A = rho_{+1,+1}
     x, errors = _solve_stack(a, np.eye(9, 1, -8))  # trace 1, other rows 0
     # unvec per row, then back to the normalised coupled basis
     rho = hermitian_part(x.reshape(-1, 3, 3).swapaxes(1, 2) * _NORMALISE)
-    states = np.zeros((len(lm), 4, 4), dtype=complex)
+    states = np.zeros((len(a), 4, 4), dtype=complex)
     states[:, :3, :3] = rho
     states[:, 3, 3] = coupled * rho[:, 0, 0].real
     solved = np.flatnonzero([e is None for e in errors])
@@ -301,8 +314,8 @@ def solve_steady_states(delta, drive, omega, gamma12):
     and a list holding per point None or the typed error that
     solve_steady_state raises there.
     """
-    delta, drive, omega, gamma12 = _broadcast(delta, drive, omega, gamma12)
-    return _steady_states(liouvillian_stack(delta, drive, omega, gamma12), gamma12)
+    blocks = _assemble(_block_basis(), delta, drive, omega, gamma12)
+    return _steady_states(blocks, np.asarray(gamma12, dtype=float))
 
 
 # ------------------------------------------------------- SVD kernels, one point
@@ -371,8 +384,8 @@ def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
     singlet weight. Raises LinAlgError for a singular or non-finite
     system and InvalidState for a state failing the DensityMatrix checks.
     """
-    states, errors = _steady_states(build_liouvillian(cfg, c).matrix[None],
-                                    np.array([c.gamma12]))
+    lm = build_liouvillian(cfg, c).matrix[None]
+    states, errors = _steady_states(_TRIPLET_ROWS @ lm @ _TRIPLET_COLS, np.array([c.gamma12]))
     if errors[0] is not None:
         raise errors[0]
     return DensityMatrix._checked(states[0], BasisTag.COUPLED)

@@ -98,9 +98,11 @@ def wootters_concurrences(states, errors=None):
     its per-point errors, as solve_steady_states returns them; points
     with an error are passed through. Every other point gets the checks
     of the one-point path: the DensityMatrix checks in the computational
-    basis, psd_sqrt's Hermiticity and PSD-floor checks, and the range of
-    the concurrence. Returns ``(concurrence, eof, errors)``, NaN where a
-    point failed and its typed error in the list.
+    basis, psd_sqrt's Hermiticity and PSD-floor checks (one eigh per
+    point serves both and the square root; the DensityMatrix error is
+    kept where both fail), and the range of the concurrence. Returns
+    ``(concurrence, eof, errors)``, NaN where a point failed and its
+    typed error in the list.
     """
     states = np.asarray(states, dtype=complex)
     n = len(states)
@@ -109,14 +111,11 @@ def wootters_concurrences(states, errors=None):
     eof = np.full(n, np.nan)
     idx = np.flatnonzero([e is None for e in errors])
     comp = TO_COUPLED.conj().T @ states[idx] @ TO_COUPLED
-    for i, err in zip(idx, _density_errors(comp)):
-        errors[i] = err
+    w, v = np.linalg.eigh(comp)  # serves both sets of checks and the root
+    roots, root_errors = _psd_sqrt_stack(comp, w, v)
+    for i, err, root_err in zip(idx, _density_errors(comp, w), root_errors):
+        errors[i] = err or root_err
     keep = [errors[i] is None for i in idx]
-    idx, comp = idx[keep], comp[keep]
-    roots, root_errors = _psd_sqrt_stack(comp)
-    for i, err in zip(idx, root_errors):
-        errors[i] = err
-    keep = [err is None for err in root_errors]
     idx, roots = idx[keep], roots[keep]
     lam = np.linalg.svd(roots @ _YY @ roots.conj(), compute_uv=False)
     for i, d in zip(idx, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]):

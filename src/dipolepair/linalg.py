@@ -81,20 +81,20 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     Eigenvalues slightly below zero (floor -1e-10) are clamped; anything
     lower raises NotPSD.
     """
-    roots, errors = _psd_sqrt_stack(np.asarray(m, dtype=complex)[None])
+    m = np.asarray(m, dtype=complex)[None]
+    roots, errors = _psd_sqrt_stack(m, *np.linalg.eigh(m))
     if errors[0] is not None:
         raise errors[0]
     return roots[0]
 
 
-def _psd_sqrt_stack(m: np.ndarray):
-    """psd_sqrt of every matrix of an (N, n, n) stack.
+def _psd_sqrt_stack(m: np.ndarray, w: np.ndarray, v: np.ndarray):
+    """psd_sqrt of every matrix of an (N, n, n) stack, given its eigh (w, v).
 
     Returns (roots, errors): NaN roots where a matrix failed, and per
     matrix None or the NotHermitian / NotPSD error psd_sqrt raises.
     """
     dev = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    w, v = np.linalg.eigh(m)
     low = w[:, 0]  # ascending
     w = np.clip(w, 0.0, None)
     roots = hermitian_part((v * np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(1, 2))

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -267,6 +268,71 @@ def test_sweep_usage_errors(capsys):
     assert rc == 2  # axis also fixed
     rc, _, _ = run(capsys, "sweep", "--axis", "bogus=1:2:4")
     assert rc == 2
+
+
+def test_csv_body_renders_like_the_per_value_format():
+    values = [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16,
+              -1e16, 0.1 + 0.2, 123456789012.5, 999999999999.5, 9.999999999995e-5,
+              1.0000000000005, 12345678901234567.0, 1.5e300]
+    rows = np.array(values).reshape(8, 2)
+    buf = io.StringIO()
+    cli._write_rows(("a", "b"), rows, "csv", buf)
+    expected = "a,b\n" + "".join(
+        ",".join(cli._fmt(float(v)) for v in row) + "\n" for row in rows)
+    assert buf.getvalue() == expected
+    buf = io.StringIO()
+    cli._write_rows(("x",), [(v,) for v in values], "csv", buf)
+    assert buf.getvalue() == "x\n" + "".join(cli._fmt(v) + "\n" for v in values)
+
+
+def test_sweep_lamb_dicke_at_a_distance_matches_steady(capsys):
+    rc, out, _ = run(capsys, "sweep", "--axis", "efield=1:2:2", "--k0r", "0.2",
+                     "--delta", "0.4", "--lamb-dicke")
+    assert rc == 0
+    header, rows = parse_csv(out)
+    assert header[:4] == ["efield", "k0r", "delta", "gamma12"]
+    rc, steady, _ = run(capsys, "steady", "--efield", "1", "--k0r", "0.2",
+                        "--lamb-dicke", "--format", "csv")
+    assert rc == 0
+    steady_header, (steady_row,) = parse_csv(steady)
+    expected = dict(zip(steady_header, steady_row))
+    got = dict(zip(header, rows[0]))
+    for key in ("delta", "gamma12", "pop_plus1", "singlet_weight", "concurrence", "eof"):
+        assert got[key] == expected[key]
+    assert got["singlet_weight"] == 0.0 and got["gamma12"] == 1.0
+
+
+def test_fig2_lamb_dicke_fixes_unit_cross_decay_and_zero_detuning(capsys):
+    args = ("fig2", "--k0r-range", "0.1:1", "--efield-range", "1:3", "--points", "3")
+    rc, out, _ = run(capsys, *args, "--lamb-dicke", "--delta", "0.5")
+    assert rc == 0
+    header, rows = parse_csv(out)
+    assert all(row[3] == 1.0 for row in rows)
+    rc, sweep, _ = run(capsys, "sweep", "--axis", "k0r=0.1:1:3", "--axis", "efield=1:3:3",
+                       "--lamb-dicke")
+    assert rc == 0
+    assert [row[4] for row in rows] == [row[-2] for row in parse_csv(sweep)[1]]
+    rc, plain, _ = run(capsys, *args)
+    assert [row[4] for row in rows] != [row[4] for row in parse_csv(plain)[1]]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("fig2", "--points", "3", "--omega", "1"), "--k0r conflicts with --omega/--gamma12"),
+    (("fig2", "--points", "3", "--gamma12", "0.5"), "--k0r conflicts with --omega/--gamma12"),
+    (("sweep", "--axis", "efield=1:2:2", "--k0r", "0.2", "--gamma12", "0.5"),
+     "--k0r conflicts with --omega/--gamma12"),
+    (("sweep", "--axis", "efield=1:2:2", "--k0r", "0.2", "--gamma12", "0.5", "--lamb-dicke"),
+     "--k0r conflicts with --omega/--gamma12"),
+    (("sweep", "--axis", "k0r=0.1:1:2", "--efield", "1", "--omega", "2",
+      "--mode", "geometric"), "--k0r conflicts with --omega/--gamma12"),
+    (("sweep", "--axis", "tau=2:9:2", "--efield", "1", "--k0r", "0.3"),
+     "tau conflicts with --k0r/--omega/--gamma12"),
+], ids=["fig2_omega", "fig2_gamma12", "sweep_gamma12", "sweep_gamma12_lamb_dicke",
+        "sweep_omega_geometric", "sweep_tau_k0r"])
+def test_grid_commands_reject_couplings_fixed_next_to_a_distance(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_sweep_rejects_nan_distance(capsys):

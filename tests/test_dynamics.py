@@ -30,7 +30,7 @@ from dipolepair.errors import (
     InvalidRegimeWarning,
     InvalidState,
 )
-from dipolepair.model import SM1, SM2, SP1, SP2
+from dipolepair.model import SM1, SM2, SP1, SP2, TO_COUPLED
 
 RNG = np.random.default_rng(23)
 
@@ -132,6 +132,24 @@ def test_steady_state_singlet_weight_equals_top_population():
     state = solve_steady_state(cfg, Couplings(omega=2.0, gamma12=0.6))
     pops = state.matrix.diagonal().real
     assert abs(pops[3] - pops[0]) < 1e-10
+
+
+def test_singlet_weight_matches_the_rotated_state():
+    rng = np.random.default_rng(5)
+
+    def random_state(dim):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        m = a @ a.conj().T
+        return m / np.trace(m).real
+
+    for _ in range(200):
+        comp = random_state(4)
+        rotated = (TO_COUPLED @ comp @ TO_COUPLED.conj().T)[3, 3].real
+        assert abs(DensityMatrix(comp, BasisTag.COMPUTATIONAL).singlet_weight()
+                   - rotated) <= 1e-15
+        coupled = random_state(4)
+        assert DensityMatrix(coupled, BasisTag.COUPLED).singlet_weight() == coupled[3, 3].real
+        assert DensityMatrix(random_state(3), BasisTag.TRIPLET).singlet_weight() == 0.0
 
 
 # ------------------------------------------------------- triplet restriction

@@ -12,18 +12,22 @@ import numpy as np
 import pytest
 
 from dipolepair import (
+    AtomPairConfig,
     BasisTag,
+    Couplings,
     DensityMatrix,
+    build_liouvillian,
     cross_decay,
     dipole_coupling,
     liouvillian_stack,
     solve_steady_states,
+    wootters_concurrence,
     wootters_concurrences,
 )
-from dipolepair import cli
+from dipolepair import cli, dynamics
 from dipolepair import tolerances as tol
 from dipolepair.dynamics import _density_errors
-from dipolepair.errors import NoNullSpace, NotHermitian, NotPSD
+from dipolepair.errors import InvalidState, NoNullSpace, NotHermitian, NotPSD
 from dipolepair.model import SIGMA_X, SIGMA_Y, SIGMA_Z, SM1, SM2, SP1, SP2, TO_COUPLED
 
 RNG = np.random.default_rng(31)
@@ -90,6 +94,22 @@ def test_affine_assembly_matches_kron_formula():
     for k in range(n):
         ref = kron_liouvillian(delta[k], drive[k], omega[k], gamma12[k])
         assert np.abs(stack[k] - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_block_assembly_matches_projected_generators():
+    n = 300
+    delta = RNG.uniform(-3.0, 3.0, n)
+    drive = RNG.uniform(0.0, 20.0, n)
+    omega = RNG.choice([-1.0, 1.0], n) * 10.0 ** RNG.uniform(-3.0, 6.0, n)
+    gamma12 = RNG.uniform(-0.5, 1.0, n)
+    gamma12[:2] = 1.0
+    blocks = dynamics._assemble(dynamics._block_basis(), delta, drive, omega, gamma12)
+    assert blocks.shape == (n, 9, 9)
+    for k in range(n):
+        cfg = AtomPairConfig(delta=delta[k], drive=drive[k])
+        lm = build_liouvillian(cfg, Couplings(omega[k], gamma12[k])).matrix
+        ref = dynamics._TRIPLET_ROWS @ lm @ dynamics._TRIPLET_COLS
+        assert np.abs(blocks[k] - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 # ------------------------------------------------------- engine
@@ -190,3 +210,31 @@ def test_wootters_concurrences_records_each_failure_and_keeps_the_rest():
     assert abs(conc[0] - expected) <= 1e-15 and not math.isnan(eof[0])
     assert np.isnan(conc[1:]).all() and np.isnan(eof[1:]).all()
 
+
+
+def test_batched_concurrence_matches_the_one_point_path():
+    delta, drive, omega, gamma12 = fig2_mesh(0.05, 2.0, 0.0, 10.0, 12)
+    states, errors = solve_steady_states(delta, drive, omega, gamma12)
+    conc, eof, errors = wootters_concurrences(states, errors)
+    assert errors == [None] * len(drive)
+    for k, state in enumerate(states):
+        report = wootters_concurrence(DensityMatrix(state, BasisTag.COUPLED))
+        assert abs(conc[k] - report.concurrence) <= 1e-15
+        assert abs(eof[k] - report.eof) <= 1e-15
+
+
+@pytest.mark.parametrize("lowest, herm_dev, expected", [
+    (-5e-10, 0.0, (NotPSD, "below PSD floor")),
+    (-2e-9, 0.0, (InvalidState, "negative eigenvalue beyond tolerance")),
+    (0.0, 2e-10, (InvalidState, "not Hermitian within tolerance")),
+    (-2e-9, 2e-10, (InvalidState, "not Hermitian within tolerance")),
+], ids=["psd_floor_only", "density_floor_first", "hermiticity", "hermiticity_first"])
+def test_wootters_concurrences_error_precedence_at_the_floors(lowest, herm_dev, expected):
+    # coupled basis; (|+1>, |-1>) is (|ee>, |gg>), so the deviation is not spread
+    m = np.diag([0.5 - lowest, 0.25, 0.25, lowest]).astype(complex)
+    m[0, 2] = herm_dev
+    conc, eof, errors = wootters_concurrences(np.array([m, np.diag([1.0, 0, 0, 0])]))
+    kind, message = expected
+    assert type(errors[0]) is kind and message in str(errors[0])
+    assert np.isnan(conc[0]) and np.isnan(eof[0])
+    assert errors[1] is None and conc[1] == 0.0

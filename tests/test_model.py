@@ -18,6 +18,7 @@ from dipolepair import (
 )
 from dipolepair.errors import InvalidGeometry, OutOfRange
 from dipolepair.model import TO_COUPLED
+from dipolepair.tolerances import SMALL_X
 
 # ------------------------------------------------------- dipole coupling
 
@@ -115,6 +116,22 @@ def test_coupling_branches_agree_at_series_switch():
         assert abs(cross_decay(x) - _gamma_taylor6(x)) <= 2e-10
         ref = _omega_taylor6(x, 0.0)
         assert abs(dipole_coupling(x, 0.0) - ref) <= 2e-10 * abs(ref)
+
+
+def test_array_geometry_equals_the_scalar_formulas():
+    # the grid commands evaluate a whole mesh column in one call
+    x = np.concatenate([
+        np.geomspace(1e-4, 50.0, 1001),
+        np.linspace(0.5 * SMALL_X, 2.0 * SMALL_X, 499),
+        np.nextafter(SMALL_X, [0.0, 1.0]), [SMALL_X],
+    ])
+    np.random.default_rng(41).shuffle(x)
+    parts = (slice(None), x < SMALL_X, x >= SMALL_X, slice(0, 7))
+    for f in (lambda v: dipole_coupling(v, 0.0), lambda v: dipole_coupling(v, 0.5),
+              lambda v: dipole_coupling(v, 1.0), cross_decay):
+        scalar = np.array([f(float(v)) for v in x])
+        for part in parts:
+            assert np.array_equal(f(x[part]), scalar[part])
 
 
 # ------------------------------------------------------- Hamiltonian
