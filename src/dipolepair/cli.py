@@ -1,5 +1,10 @@
 """Command-line front end: steady states, spectra, figure data, self checks.
 
+steady, spectrum, fig2 and sweep read the parameter-point flags through
+one resolver, so each flag means the same thing in all four, and a flag
+set they cannot honour is a usage error before any solve; fig1 and check
+take only the flags they read.
+
 Exit codes: 0 success, 1 check failure or every grid point failed, 2
 usage error. CSV output uses a single header row, 12-significant-digit
 floats and the literal ``NaN`` for failed points; JSON carries the same
@@ -20,7 +25,6 @@ import numpy as np
 
 from .dynamics import (
     _broadcast,
-    analytic_steady_state,
     lamb_dicke_limit_state,
     solve_steady_state,
     solve_steady_states,
@@ -101,52 +105,54 @@ def _print_matrix(m: np.ndarray, labels, out) -> None:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it unchanged)."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--delta", type=float, default=None, help="detuning / gamma")
-    common.add_argument("--efield", type=float, default=None, help="drive / gamma")
-    common.add_argument("--omega", type=float, default=None, help="dipole coupling / gamma")
-    common.add_argument("--gamma12", type=float, default=None, help="cross decay / gamma")
-    common.add_argument("--k0r", type=float, default=None, help="dimensionless distance")
-    common.add_argument(
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--out", default=None, help="output path (default stdout)")
+    files.add_argument("--config", default=None, help="key=value defaults file")
+    table = argparse.ArgumentParser(add_help=False, parents=[files])
+    table.add_argument("--format", choices=("text", "csv", "json"), default=None)
+    point = argparse.ArgumentParser(add_help=False, parents=[table])
+    point.add_argument("--delta", type=float, default=None, help="detuning / gamma")
+    point.add_argument("--efield", type=float, default=None, help="drive / gamma")
+    point.add_argument("--omega", type=float, default=None, help="dipole coupling / gamma")
+    point.add_argument("--gamma12", type=float, default=None, help="cross decay / gamma")
+    point.add_argument("--k0r", type=float, default=None, help="dimensionless distance")
+    point.add_argument(
         "--mu-dot-rhat", type=float, default=None, dest="mu_dot_rhat",
         help="dipole projection on the axis, in [0, 1]",
     )
-    common.add_argument("--tau", type=float, default=None, help="omega / efield^2")
-    common.add_argument(
+    point.add_argument("--tau", type=float, default=None, help="omega / efield^2")
+    point.add_argument(
         "--lamb-dicke", action="store_const", const=True, default=None,
         dest="lamb_dicke", help="force gamma12 = gamma and delta = 0",
     )
-    common.add_argument("--format", choices=("text", "csv", "json"), default=None)
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--config", default=None, help="key=value defaults file")
 
     parser = argparse.ArgumentParser(
         prog="dipolepair",
         description="Steady-state entanglement of two dipole-coupled driven atoms",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("steady", parents=[common],
+    sub.add_parser("steady", parents=[point],
                    help="steady state at one parameter point")
-    sub.add_parser("spectrum", parents=[common],
+    sub.add_parser("spectrum", parents=[point],
                    help="eigenvalues of the Hamiltonian and its damped counterpart")
-    fig1 = sub.add_parser("fig1", parents=[common],
+    fig1 = sub.add_parser("fig1", parents=[table],
                           help="distance giving maximal entanglement vs photon number")
+    fig1.add_argument("--tau", type=float, default=None, help="omega / efield^2")
     fig1.add_argument("--q", type=float, default=None, help="atomic quality factor")
     fig1.add_argument("--nbar-min", type=float, default=None, dest="nbar_min")
     fig1.add_argument("--nbar-max", type=float, default=None, dest="nbar_max")
     fig1.add_argument("--points", type=int, default=None)
-    fig2 = sub.add_parser("fig2", parents=[common],
+    fig2 = sub.add_parser("fig2", parents=[point],
                           help="concurrence over a distance x drive grid")
     fig2.add_argument("--k0r-range", default=None, dest="k0r_range", help="START:STOP")
     fig2.add_argument("--efield-range", default=None, dest="efield_range",
                       help="START:STOP")
     fig2.add_argument("--points", type=int, default=None, help="points per axis")
-    sweep = sub.add_parser("sweep", parents=[common],
+    sweep = sub.add_parser("sweep", parents=[point],
                            help="general one- or two-axis parameter sweep")
     sweep.add_argument("--axis", action="append", default=None,
                        help="NAME=START:STOP:COUNT (repeat for a second axis)")
-    sweep.add_argument("--mode", choices=("geometric", "direct"), default=None)
-    sub.add_parser("check", parents=[common], help="run the numeric self checks")
+    sub.add_parser("check", parents=[files], help="run the numeric self checks")
     return parser
 
 
@@ -191,72 +197,106 @@ def _require_finite(**values) -> None:
 # ---------------------------------------------------------------- parameters
 
 
-def _point_parameters(ns, config):
-    """Shared flag resolution for steady/spectrum: one parameter point."""
-    delta = float(_resolve(ns, config, "delta", 0.0))
+POINT_FLAGS = ("delta", "efield", "omega", "gamma12", "k0r", "tau")
+
+
+def _mesh(ns, config, axes=(), drive=None, limit=False):
+    """Parameter columns of the row-major mesh over ``axes``: the one reader
+    of the point flags, for steady and spectrum (no axes: one point), fig2
+    and sweep.
+
+    Each of POINT_FLAGS (flag over config) fixes one value on every point.
+    A distance k0r gives omega = dipole_coupling(k0r, mu) and gamma12 =
+    cross_decay(k0r); --omega takes --gamma12, default 0; tau with a drive
+    gives omega = tau efield^2 and gamma12 = 1 and needs delta = 0;
+    --lamb-dicke fixes gamma12 = 1 and delta = 0. ``drive`` is the drive
+    when none is given (None: one must be). With ``limit``, tau without a
+    drive stands for the strong-drive limit state, and only its tau, delta
+    and gamma12 are returned. Every usage error is raised here, before any
+    solve. Returns (columns, fixed): the flat columns by name, delta,
+    efield, omega and gamma12 as solved, then k0r or tau when given, and
+    the names fixed on every point.
+    """
+    names = [name for name, _ in axes]
+    fixed = {key: float(value) for key in POINT_FLAGS
+             if (value := _resolve(ns, config, key, None)) is not None}
     mu = float(_resolve(ns, config, "mu_dot_rhat", 0.0))
-    efield = _resolve(ns, config, "efield", None)
-    omega = _resolve(ns, config, "omega", None)
-    gamma12 = _resolve(ns, config, "gamma12", None)
-    k0r = _resolve(ns, config, "k0r", None)
-    tau = _resolve(ns, config, "tau", None)
-    lamb_dicke = bool(_resolve(ns, config, "lamb_dicke", False))
-    if efield is not None and efield < 0:
+    given = fixed.keys() | set(names)
+    if _resolve(ns, config, "lamb_dicke", False):
+        fixed.update(delta=0.0, gamma12=1.0)
+    for name in names:
+        if name in fixed:
+            raise UsageError(f"{name} is an axis and cannot also be fixed")
+    if "k0r" in given and given & {"omega", "gamma12"}:
+        raise UsageError("--k0r conflicts with --omega/--gamma12")
+    if "tau" in given and given & {"k0r", "omega", "gamma12"}:
+        raise UsageError("tau conflicts with --k0r/--omega/--gamma12")
+    if not given & {"k0r", "omega", "tau"}:
+        raise UsageError("supply one of --k0r, --omega or --tau")
+    if not 0.0 <= mu <= 1.0:
+        raise UsageError("--mu-dot-rhat must lie in [0, 1]")
+
+    grids = np.meshgrid(*(values for _, values in axes), indexing="ij")
+    n = grids[0].size if grids else 1
+    params = {name: grid.ravel() for name, grid in zip(names, grids)}
+    params.update((key, np.full(n, value)) for key, value in fixed.items())
+    delta = params.setdefault("delta", np.zeros(n))
+    if "tau" in params:
+        if (delta != 0.0).any():
+            raise UsageError("tau requires delta = 0")
+        params.setdefault("gamma12", np.ones(n))
+    if "efield" not in params:
+        if limit and "tau" in params:
+            _require_finite(tau=fixed["tau"])
+            return {key: params[key] for key in ("tau", "delta", "gamma12")}, fixed.keys()
+        if drive is None or "tau" in params:
+            raise UsageError("supply --efield or --tau" if limit
+                             else "supply --efield or an efield axis")
+        params["efield"] = np.full(n, drive)
+    efield = params["efield"]
+    if (efield < 0).any():
         raise UsageError("drive must be >= 0")
-    if lamb_dicke:
-        delta = 0.0
-    return delta, mu, efield, omega, gamma12, k0r, tau, lamb_dicke
+    if "tau" in params:
+        params["omega"] = params["tau"] * efield**2
+    elif "k0r" in params:
+        k0r = params["k0r"]
+        if not (k0r > 0).all():  # NaN fails too
+            raise UsageError("k0r must be > 0")
+        # one call per mesh; the array formulas equal the scalar ones bit for bit
+        params["omega"] = dipole_coupling(k0r, mu)
+        if "gamma12" not in params:
+            params["gamma12"] = cross_decay(k0r)
+    params.setdefault("gamma12", np.zeros(n))
+    order = ("delta", "efield", "omega", "gamma12", "k0r", "tau")
+    return {key: params[key] for key in order if key in params}, fixed.keys()
 
 
-def _derive_couplings(omega, gamma12, k0r, mu, lamb_dicke) -> Couplings:
-    if (omega is None) == (k0r is None):
-        raise UsageError("supply exactly one of --k0r or --omega")
-    if k0r is not None:
-        if omega is not None or gamma12 is not None:
-            raise UsageError("--k0r conflicts with --omega/--gamma12")
-        omega = dipole_coupling(k0r, mu)
-        gamma12 = 1.0 if lamb_dicke else cross_decay(k0r)
-    else:
-        if gamma12 is None:
-            gamma12 = 1.0 if lamb_dicke else 0.0
-    if lamb_dicke:
-        gamma12 = 1.0
-    return Couplings(omega=float(omega), gamma12=float(gamma12))
+def _axis(name: str, bounds: str, count: int, flag: str):
+    """(name, values): ``count`` points over START:STOP ``bounds``, given by ``flag``."""
+    try:
+        start, stop = (float(p) for p in bounds.split(":"))
+    except ValueError as exc:
+        raise UsageError(f"{flag} expects START:STOP, got {bounds!r}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"{flag} must be finite, got {bounds!r}")
+    if not start < stop:
+        raise UsageError(f"{flag}: start must be below stop")
+    return name, np.linspace(start, stop, count)
 
 
 # ---------------------------------------------------------------- commands
 
 
 def _cmd_steady(ns, config) -> int:
-    delta, mu, efield, omega, gamma12, k0r, tau, lamb_dicke = _point_parameters(
-        ns, config
-    )
+    columns, _ = _mesh(ns, config, limit=True)
+    inputs = {key: float(column[0]) for key, column in columns.items()}
     fmt = _resolve(ns, config, "format", "text")
-    if lamb_dicke:  # the closed forms build no AtomPairConfig, which checks this
-        _require_finite(efield=efield, omega=omega, k0r=k0r, tau=tau)
-    if lamb_dicke and tau is not None:
-        state = lamb_dicke_limit_state(float(tau))
-        inputs = {"tau": float(tau), "delta": 0.0, "gamma12": 1.0}
+    if "efield" in inputs:
+        cfg = AtomPairConfig(delta=inputs["delta"], drive=inputs["efield"],
+                             k0r=inputs.get("k0r", 1.0))
+        state = solve_steady_state(cfg, Couplings(inputs["omega"], inputs["gamma12"]))
     else:
-        if efield is None:
-            raise UsageError("supply --efield (or --tau with --lamb-dicke)")
-        couplings = _derive_couplings(omega, gamma12, k0r, mu, lamb_dicke)
-        inputs = {
-            "delta": delta,
-            "efield": float(efield),
-            "omega": couplings.omega,
-            "gamma12": couplings.gamma12,
-        }
-        if k0r is not None:
-            inputs["k0r"] = float(k0r)
-        if lamb_dicke:
-            state = analytic_steady_state(couplings.omega, float(efield))
-        else:
-            cfg = AtomPairConfig(
-                delta=delta, drive=float(efield),
-                k0r=float(k0r) if k0r is not None else 1.0, mu_dot_rhat=mu,
-            )
-            state = solve_steady_state(cfg, couplings)
+        state = lamb_dicke_limit_state(inputs["tau"])
     coupled = state.to_basis(BasisTag.COUPLED)
     report = wootters_concurrence(state)
     evals, _ = hermitian_eig(coupled.matrix)
@@ -298,16 +338,11 @@ def _cmd_steady(ns, config) -> int:
 
 
 def _cmd_spectrum(ns, config) -> int:
-    delta, mu, efield, omega, gamma12, k0r, _tau, lamb_dicke = _point_parameters(
-        ns, config
-    )
-    efield = 0.0 if efield is None else float(efield)
-    couplings = _derive_couplings(omega, gamma12, k0r, mu, lamb_dicke)
-    cfg = AtomPairConfig(
-        delta=delta, drive=efield,
-        k0r=float(k0r) if k0r is not None else 1.0, mu_dot_rhat=mu,
-    )
-    roots = triplet_cubic_roots(delta, couplings.omega, efield)
+    columns, _ = _mesh(ns, config, drive=0.0)
+    p = {key: float(column[0]) for key, column in columns.items()}
+    cfg = AtomPairConfig(delta=p["delta"], drive=p["efield"], k0r=p.get("k0r", 1.0))
+    couplings = Couplings(p["omega"], p["gamma12"])
+    roots = triplet_cubic_roots(cfg.delta, couplings.omega, cfg.drive)
     heff = build_effective_hamiltonian(cfg, couplings)
     heff_evals = general_eig(heff)
     fmt = _resolve(ns, config, "format", "text")
@@ -357,18 +392,6 @@ def _cmd_fig1(ns, config) -> int:
     return 0
 
 
-def _parse_range(text: str, flag: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(p) for p in text.split(":"))
-    except ValueError as exc:
-        raise UsageError(f"{flag} expects START:STOP, got {text!r}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"{flag} must be finite, got {text!r}")
-    if not lo < hi:
-        raise UsageError(f"{flag}: start must be below stop")
-    return lo, hi
-
-
 def _solve_grid(delta, drive, omega, gamma12):
     """Steady states and concurrence of every point of a parameter mesh.
 
@@ -404,76 +427,21 @@ def _report_failures(errors) -> bool:
 
 
 def _parse_axis(text: str):
-    if "=" not in text:
-        raise UsageError(f"--axis expects NAME=START:STOP:COUNT, got {text!r}")
-    name, rest = text.split("=", 1)
+    """(name, values) of a sweep axis NAME=START:STOP:COUNT."""
+    name, _, rest = text.partition("=")
+    bounds, _, count = rest.rpartition(":")
     name = name.strip().replace("-", "_")
     if name == "drive":
         name = "efield"
     if name not in AXIS_NAMES:
         raise UsageError(f"unknown axis {name!r}; choose from {AXIS_NAMES}")
-    parts = rest.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"--axis expects NAME=START:STOP:COUNT, got {text!r}")
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        count = int(count)
     except ValueError as exc:
-        raise UsageError(f"bad axis numbers in {text!r}") from exc
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise UsageError(f"axis range must be finite, got {text!r}")
+        raise UsageError(f"--axis expects NAME=START:STOP:COUNT, got {text!r}") from exc
     if count < 2:
         raise UsageError("axis count must be >= 2")
-    if not start < stop:
-        raise UsageError("axis start must be below stop")
-    return name, np.linspace(start, stop, count)
-
-
-def _solve_mesh(axes, fixed: dict, mu: float, mode: str, lamb_dicke: bool):
-    """Solve the row-major mesh over one or two axes with fixed values.
-
-    ``axes`` holds (name, values) pairs and ``fixed`` the scalar
-    parameters. ``lamb_dicke`` sets delta = 0 and gamma12 = 1, as steady
-    does; a tau axis sets omega = tau efield^2 and gamma12 = 1, the branch
-    whose state is the closed form's (triplet sector). Every usage error
-    is raised before the first solve. Returns the mesh columns by
-    parameter name, with delta, omega and gamma12 as solved, and
-    (populations, concurrence, eof, errors) as _solve_grid returns them.
-    """
-    if not 0.0 <= mu <= 1.0:
-        raise UsageError("--mu-dot-rhat must lie in [0, 1]")
-    grids = np.meshgrid(*(values for _, values in axes), indexing="ij")
-    params = {name: grid.ravel() for (name, _), grid in zip(axes, grids)}
-    n = grids[0].size
-    params.update({key: np.full(n, val) for key, val in fixed.items()})
-    if lamb_dicke:
-        params["delta"] = np.zeros(n)
-    delta = params.setdefault("delta", np.zeros(n))
-    efield = params.get("efield")
-    if efield is None:
-        raise UsageError("sweep needs --efield or an efield axis")
-    if (efield < 0).any():
-        raise UsageError("drive must be >= 0")
-    if "k0r" in params and not (params["k0r"] > 0).all():  # NaN fails too
-        raise UsageError("k0r must be > 0")
-    if "tau" in params:
-        if (delta != 0.0).any():
-            raise UsageError("a tau axis requires delta = 0")
-        if {"k0r", "omega", "gamma12"} & params.keys():
-            raise UsageError("tau conflicts with --k0r/--omega/--gamma12")
-        params["omega"] = params["tau"] * efield**2
-        params["gamma12"] = np.ones(n)
-    elif mode == "geometric":
-        if "k0r" not in params:
-            raise UsageError("geometric sweep needs --k0r or a k0r axis")
-        if "omega" in params or "gamma12" in params:
-            raise UsageError("--k0r conflicts with --omega/--gamma12")
-        # one call per mesh; the array formulas equal the scalar ones bit for bit
-        params["omega"] = dipole_coupling(params["k0r"], mu)
-        params["gamma12"] = cross_decay(params["k0r"])
-    elif "omega" not in params:
-        raise UsageError("direct sweep needs --omega or an omega axis")
-    params["gamma12"] = np.ones(n) if lamb_dicke else params.get("gamma12", np.zeros(n))
-    return params, _solve_grid(delta, efield, params["omega"], params["gamma12"])
+    return _axis(name, bounds, count, f"--axis {name}")
 
 
 def _write_grid(ns, config, columns, rows, errors) -> int:
@@ -486,27 +454,18 @@ def _write_grid(ns, config, columns, rows, errors) -> int:
 
 
 def _cmd_fig2(ns, config) -> int:
-    k0r_lo, k0r_hi = _parse_range(
-        str(_resolve(ns, config, "k0r_range", "0.05:2.0")), "--k0r-range"
-    )
-    e_lo, e_hi = _parse_range(
-        str(_resolve(ns, config, "efield_range", "0.0:10.0")), "--efield-range"
-    )
     points = int(_resolve(ns, config, "points", 20))
-    fixed = {key: float(val) for key in ("delta", "omega", "gamma12")
-             if (val := _resolve(ns, config, key, None)) is not None}
-    mu = float(_resolve(ns, config, "mu_dot_rhat", 0.0))
     if points < 2:
         raise UsageError("--points must be >= 2")
-    if k0r_lo <= 0:
-        raise UsageError("--k0r-range must be positive")
-    # the geometric sweep over a distance axis and a drive axis
-    axes = [("k0r", np.linspace(k0r_lo, k0r_hi, points)),
-            ("efield", np.linspace(e_lo, e_hi, points))]
-    lamb_dicke = bool(_resolve(ns, config, "lamb_dicke", False))
-    params, (_, conc, _, errors) = _solve_mesh(axes, fixed, mu, "geometric", lamb_dicke)
+    # the sweep over a distance axis and a drive axis
+    axes = [_axis("k0r", str(_resolve(ns, config, "k0r_range", "0.05:2.0")), points,
+                  "--k0r-range"),
+            _axis("efield", str(_resolve(ns, config, "efield_range", "0.0:10.0")), points,
+                  "--efield-range")]
+    p, _ = _mesh(ns, config, axes)
+    _, conc, _, errors = _solve_grid(p["delta"], p["efield"], p["omega"], p["gamma12"])
     columns = ("k0r", "efield", "omega", "gamma12")
-    rows = np.column_stack([params[k] for k in columns] + [conc])
+    rows = np.column_stack([p[k] for k in columns] + [conc])
     return _write_grid(ns, config, columns + ("concurrence",), rows, errors)
 
 
@@ -520,24 +479,11 @@ def _cmd_sweep(ns, config) -> int:
     names = [name for name, _ in axes]
     if len(set(names)) != len(names):
         raise UsageError("axis names must be distinct")
-    fixed = {}
-    for key in ("delta", "efield", "omega", "gamma12", "k0r", "tau"):
-        val = _resolve(ns, config, key, None)
-        if val is not None:
-            if key in names:
-                raise UsageError(f"{key} is an axis and cannot also be fixed")
-            fixed[key] = float(val)
-    mu = float(_resolve(ns, config, "mu_dot_rhat", 0.0))
-    mode = _resolve(ns, config, "mode", None)
-    if mode is None:
-        mode = "geometric" if ("k0r" in names or "k0r" in fixed) else "direct"
-    lamb_dicke = bool(_resolve(ns, config, "lamb_dicke", False))
-    printed = fixed.keys() | ({"delta", "gamma12"} if lamb_dicke else set())
-    input_cols = names + [k for k in ("k0r", "delta", "efield", "omega",
-                                      "gamma12", "tau")
-                          if k in printed and k not in names]
-    params, (pops, conc, eof, errors) = _solve_mesh(axes, fixed, mu, mode, lamb_dicke)
-    rows = np.column_stack([params[k] for k in input_cols] + [pops, conc, eof])
+    p, fixed = _mesh(ns, config, axes)
+    input_cols = names + [k for k in ("k0r", "delta", "efield", "omega", "gamma12", "tau")
+                          if k in fixed]
+    pops, conc, eof, errors = _solve_grid(p["delta"], p["efield"], p["omega"], p["gamma12"])
+    rows = np.column_stack([p[k] for k in input_cols] + [pops, conc, eof])
     out_cols = ("pop_plus1", "pop_zero", "pop_minus1", "singlet_weight",
                 "concurrence", "eof")
     return _write_grid(ns, config, tuple(input_cols) + out_cols, rows, errors)

@@ -37,8 +37,8 @@ class InvalidState(DipolePairError):
     """Density-matrix invariants (Hermitian, unit trace, PSD) violated."""
 
 
-class OutOfRange(DipolePairError):
-    """Scalar argument outside its documented domain."""
+class OutOfRange(DipolePairError, ValueError):
+    """Scalar argument outside its documented domain (also a ValueError)."""
 
 
 class InvalidRegime(DipolePairError):

@@ -37,6 +37,9 @@ SM2 = kron(I2, SIGMA_MINUS)
 
 _SQ2 = math.sqrt(2.0)
 
+# the largest double below 1, the cap of cross_decay
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
 # computational -> coupled basis change; rows are |+1>, |0>, |-1>, |A>
 TO_COUPLED = np.array(
     [
@@ -76,13 +79,13 @@ class AtomPairConfig:
         if not all(map(math.isfinite, values)):
             raise OutOfRange(f"inputs must be finite, got {self}")
         if self.drive < 0:
-            raise ValueError("drive must be >= 0")
+            raise OutOfRange("drive must be >= 0")
         if self.k0r <= 0:
             raise InvalidGeometry("k0r must be > 0")
         if not 0.0 <= self.mu_dot_rhat <= 1.0:
-            raise ValueError("mu_dot_rhat must lie in [0, 1]")
+            raise OutOfRange("mu_dot_rhat must lie in [0, 1]")
         if self.gamma != 1.0:
-            raise ValueError("gamma is the rate unit and is fixed to 1")
+            raise OutOfRange("gamma is the rate unit and is fixed to 1")
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,10 @@ def cross_decay(k0r):
 
     Gamma12/gamma = -3 [ cos x / x^2 - sin x / x^3 ], evaluated by series
     below x = 1e-3 (the two terms cancel to O(1) there). Tends to 1 as
-    x -> 0. Accepts scalars or arrays.
+    x -> 0 but stays below it: the value is capped at the largest double
+    below 1, since gamma12 == gamma exactly selects the decoupled-singlet
+    branch of the steady-state solver, which no distance reaches. Accepts
+    scalars or arrays.
     """
     x = np.asarray(k0r, dtype=float)
     if np.any(x <= 0):
@@ -158,6 +164,7 @@ def cross_decay(k0r):
             series += (-1.0) ** k * (2 * k) * x ** (2 * k - 2) / math.factorial(2 * k + 1)
         series *= -3.0
         out = np.where(x < tol.SMALL_X, series, direct)
+    out = np.minimum(out, _BELOW_ONE)
     return float(out) if np.isscalar(k0r) else out
 
 

@@ -126,6 +126,22 @@ def test_short_distance_limit_keeps_its_singlet_weight(k0r, tau):
     assert abs(conc - wootters_concurrence(expected).concurrence) <= 1e-10
 
 
+@pytest.mark.parametrize("k0r", [1e-8, 2e-8, 3e-8])
+def test_geometry_never_selects_the_decoupled_singlet_branch(k0r):
+    # cross_decay rounded to exactly 1 below k0r ~ 2e-8 before its cap, and
+    # the solver took the triplet-sector branch there (C = 0.434, p_A = 0)
+    cfg = AtomPairConfig(drive=(dipole_coupling(k0r) / TAU_STAR) ** 0.5, k0r=k0r)
+    one = solve_steady_state(cfg, couplings_from_geometry(cfg))
+    x = np.array([k0r])
+    states, errors = solve_steady_states(0.0, cfg.drive, dipole_coupling(x), cross_decay(x))
+    conc, _, errors = wootters_concurrences(states, errors)
+    assert errors == [None]
+    for weight, c in ((one.singlet_weight(), wootters_concurrence(one).concurrence),
+                      (states[0, 3, 3].real, conc[0])):
+        assert weight == pytest.approx(16.0 / (TAU_STAR**2 + 64.0), abs=1e-4)
+        assert c == pytest.approx((8.0 * TAU_STAR - 32.0) / (TAU_STAR**2 + 64.0), abs=1e-4)
+
+
 def test_short_distance_steady_command_exits_0(capsys):
     rc = main(["steady", "--efield", "2", "--k0r", "0.01", "--format", "json"])
     captured = capsys.readouterr()

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -226,7 +227,7 @@ def test_fig2_rejects_bad_range(capsys):
 
 def test_sweep_populations_normalized(capsys):
     rc, out, _ = run(capsys, "sweep", "--axis", "efield=0.5:4:6",
-                     "--k0r", "0.8", "--mode", "geometric")
+                     "--k0r", "0.8")
     assert rc == 0
     header, rows = parse_csv(out)
     i = header.index("pop_plus1")
@@ -323,16 +324,131 @@ def test_fig2_lamb_dicke_fixes_unit_cross_decay_and_zero_detuning(capsys):
      "--k0r conflicts with --omega/--gamma12"),
     (("sweep", "--axis", "efield=1:2:2", "--k0r", "0.2", "--gamma12", "0.5", "--lamb-dicke"),
      "--k0r conflicts with --omega/--gamma12"),
-    (("sweep", "--axis", "k0r=0.1:1:2", "--efield", "1", "--omega", "2",
-      "--mode", "geometric"), "--k0r conflicts with --omega/--gamma12"),
+    (("sweep", "--axis", "k0r=0.1:1:2", "--efield", "1", "--omega", "2"),
+     "--k0r conflicts with --omega/--gamma12"),
     (("sweep", "--axis", "tau=2:9:2", "--efield", "1", "--k0r", "0.3"),
      "tau conflicts with --k0r/--omega/--gamma12"),
+    (("sweep", "--axis", "efield=1:2:2", "--omega", "1", "--k0r", "0.2"),
+     "--k0r conflicts with --omega/--gamma12"),
+    (("steady", "--efield", "1", "--omega", "5", "--k0r", "0.5"),
+     "--k0r conflicts with --omega/--gamma12"),
+    (("fig2", "--points", "2", "--efield", "7", "--tau", "3"),
+     "efield is an axis and cannot also be fixed"),
+    (("fig2", "--points", "2", "--k0r", "0.3"), "k0r is an axis and cannot also be fixed"),
+    (("fig2", "--points", "2", "--tau", "3"), "tau conflicts with --k0r/--omega/--gamma12"),
+    (("sweep", "--axis", "delta=0:1:2", "--efield", "1", "--omega", "1", "--lamb-dicke"),
+     "delta is an axis and cannot also be fixed"),
+    (("steady", "--tau", "3", "--efield", "1", "--omega", "2"),
+     "tau conflicts with --k0r/--omega/--gamma12"),
+    (("steady", "--tau", "9.21", "--efield", "1", "--omega", "2", "--lamb-dicke"),
+     "tau conflicts with --k0r/--omega/--gamma12"),
+    (("spectrum", "--tau", "3", "--omega", "1", "--efield", "1"),
+     "tau conflicts with --k0r/--omega/--gamma12"),
+    (("steady", "--tau", "9.21", "--delta", "0.5"), "tau requires delta = 0"),
+    (("spectrum", "--tau", "3"), "supply --efield or an efield axis"),
+    (("steady", "--efield", "1", "--gamma12", "0.3"), "supply one of --k0r, --omega or --tau"),
+    (("steady", "--efield", "1", "--k0r", "1", "--mu-dot-rhat", "1.5"),
+     "--mu-dot-rhat must lie in [0, 1]"),
+    (("spectrum", "--efield", "1", "--k0r", "1", "--mu-dot-rhat", "1.5"),
+     "--mu-dot-rhat must lie in [0, 1]"),
+    (("fig2", "--k0r-range", "0:1", "--points", "2"), "k0r must be > 0"),
 ], ids=["fig2_omega", "fig2_gamma12", "sweep_gamma12", "sweep_gamma12_lamb_dicke",
-        "sweep_omega_geometric", "sweep_tau_k0r"])
+        "sweep_omega_geometric", "sweep_tau_k0r", "sweep_k0r_omega", "steady_k0r_omega",
+        "fig2_efield_tau", "fig2_k0r", "fig2_tau", "sweep_delta_axis_lamb_dicke",
+        "steady_tau_omega", "steady_tau_omega_lamb_dicke", "spectrum_tau_omega",
+        "steady_tau_delta", "spectrum_tau_without_drive", "steady_no_coupling",
+        "steady_mu", "spectrum_mu", "fig2_k0r_range"])
 def test_grid_commands_reject_couplings_fixed_next_to_a_distance(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--efield", "3", "--format", "json"),
+    ("fig1", "--k0r", "5", "--efield", "9"),
+    ("sweep", "--mode", "direct", "--axis", "efield=1:2:2", "--omega", "1"),
+], ids=["check", "fig1", "sweep_mode"])
+def test_commands_reject_flags_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "error: unrecognized arguments: " + " ".join(argv[1:3]) in captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--k0r", "0.2"),
+    ("--k0r", "0.2", "--lamb-dicke"),
+    ("--omega", "5", "--gamma12", "0.3", "--delta", "0.2"),
+    ("--omega", "5", "--lamb-dicke"),
+    ("--tau", "9.21"),
+], ids=["k0r", "k0r_lamb_dicke", "omega_gamma12_delta", "omega_lamb_dicke", "tau"])
+def test_point_flags_mean_the_same_in_steady_and_sweep(capsys, flags):
+    rc, out, err = run(capsys, "sweep", "--axis", "efield=1:2:2", *flags)
+    assert rc == 0 and err == ""
+    header, rows = parse_csv(out)
+    for row in rows:
+        point = dict(zip(header, row))
+        rc, out, err = run(capsys, "steady", "--efield", repr(point["efield"]), *flags,
+                           "--format", "csv")
+        assert rc == 0 and err == ""
+        steady_header, (steady_row,) = parse_csv(out)
+        steady = dict(zip(steady_header, steady_row))
+        assert point == {key: steady[key] for key in point}
+
+
+@pytest.mark.parametrize("flags", [(), ("--lamb-dicke",), ("--delta", "0.3"),
+                                   ("--mu-dot-rhat", "1")],
+                         ids=["plain", "lamb_dicke", "delta", "mu"])
+def test_fig2_is_the_two_axis_sweep(capsys, flags):
+    rc, fig2, _ = run(capsys, "fig2", "--k0r-range", "0.1:1", "--efield-range", "0.5:3",
+                      "--points", "3", *flags)
+    assert rc == 0
+    rc, sweep, _ = run(capsys, "sweep", "--axis", "k0r=0.1:1:3", "--axis", "efield=0.5:3:3",
+                       *flags)
+    assert rc == 0
+    (fig2_header, fig2_rows), (sweep_header, sweep_rows) = parse_csv(fig2), parse_csv(sweep)
+    shared = [k for k in fig2_header if k in sweep_header]
+    assert {"k0r", "efield", "concurrence"} <= set(shared)
+    for a, b in zip(fig2_rows, sweep_rows, strict=True):
+        a, b = dict(zip(fig2_header, a)), dict(zip(sweep_header, b))
+        assert [a[k] for k in shared] == [b[k] for k in shared]
+
+
+def test_steady_tau_alone_is_the_strong_drive_limit(capsys):
+    rc, alone, _ = run(capsys, "steady", "--tau", "9.21")
+    assert rc == 0
+    rc, lamb_dicke, _ = run(capsys, "steady", "--tau", "9.21", "--lamb-dicke")
+    assert rc == 0 and alone == lamb_dicke
+
+
+def test_steady_at_the_shortest_distance_follows_the_short_distance_law(capsys):
+    # k0r = 1e-8 rounds the cross decay within an ulp of gamma; the singlet
+    # still takes p_A = 16 / (tau^2 + 64) and C = (8 tau - 32) / (tau^2 + 64)
+    rc, out, err = run(capsys, "steady", "--efield", "2.85e11", "--k0r", "1e-8",
+                       "--format", "csv")
+    assert rc == 0 and err == ""
+    header, (row,) = parse_csv(out)
+    point = dict(zip(header, row))
+    tau = point["omega"] / point["efield"] ** 2
+    assert point["singlet_weight"] == pytest.approx(16.0 / (tau**2 + 64.0), abs=1e-4)
+    assert point["concurrence"] == pytest.approx((8.0 * tau - 32.0) / (tau**2 + 64.0),
+                                                 abs=1e-4)
+
+
+def test_readme_command_line_examples_run(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line.split("#", 1)[0])[1:] for line in block.splitlines()
+                if line.startswith("dipolepair ")]
+    assert len(commands) >= 7
+    for argv in commands:
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        rc, _, err = run(capsys, *argv)
+        assert (rc, err) == (0, ""), argv
 
 
 def test_sweep_rejects_nan_distance(capsys):

@@ -67,6 +67,15 @@ def test_cross_decay_bounded_by_one():
     assert np.abs(g).max() <= 1.0 + 1e-12
 
 
+def test_cross_decay_stays_below_one_at_every_distance():
+    # gamma12 == gamma exactly selects the decoupled-singlet branch of the
+    # solver; the cap keeps every distance off it, on both evaluation paths
+    x = np.array([5e-324, 1e-300, 1e-12, 1e-8, 2e-8, 3e-8, 1e-4])
+    g = cross_decay(x)
+    assert (g < 1.0).all() and g[:5].tolist() == [np.nextafter(1.0, 0.0)] * 5
+    assert g.tolist() == [cross_decay(float(v)) for v in x]
+
+
 # ------------------------------------------------------- small-x series guard
 
 
@@ -264,6 +273,14 @@ def test_config_validation():
         AtomPairConfig(mu_dot_rhat=1.5)
     with pytest.raises(ValueError):
         AtomPairConfig(gamma=2.0)
+
+
+@pytest.mark.parametrize("fields", [{"drive": -0.1}, {"mu_dot_rhat": 1.5},
+                                    {"mu_dot_rhat": -0.1}, {"gamma": 2.0}])
+def test_config_range_errors_are_typed(fields):
+    with pytest.raises(OutOfRange) as info:
+        AtomPairConfig(**fields)
+    assert isinstance(info.value, ValueError)
 
 
 def test_config_rejects_non_finite_fields():
