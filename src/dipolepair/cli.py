@@ -23,13 +23,8 @@ from collections import Counter
 
 import numpy as np
 
-from .dynamics import (
-    _broadcast,
-    lamb_dicke_limit_state,
-    solve_steady_state,
-    solve_steady_states,
-)
-from .entanglement import TAU_PEAK, wootters_concurrence, wootters_concurrences
+from .dynamics import DensityMatrix, _broadcast, lamb_dicke_limit_state
+from .entanglement import TAU_PEAK, steady_state_entanglement, wootters_concurrence
 from .errors import DipolePairError
 from .linalg import BasisTag, general_eig, hermitian_eig
 from .model import (
@@ -168,16 +163,27 @@ def _load_config(path: str) -> dict:
                     raise UsageError(f"bad config line: {raw.strip()!r}")
                 key, text = (part.strip() for part in line.split("=", 1))
                 key = key.replace("-", "_")
-                if text.lower() in ("true", "false"):
-                    values[key] = text.lower() == "true"
-                else:
-                    try:
-                        values[key] = float(text)
-                    except ValueError:
-                        values[key] = text
+                values[key] = _config_value(key, text)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return values
+
+
+def _config_value(key: str, text: str):
+    """A config value: a number, true/false or the text. A key whose flag
+    takes a number must hold one, and points an integer."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if key in NUMERIC_KEYS:
+        if value is None or key == "points" and not value.is_integer():
+            kind = "an integer" if key == "points" else "a number"
+            raise UsageError(f"config key {key} expects {kind}, got {text!r}")
+        return value
+    if value is not None:
+        return value
+    return text.lower() == "true" if text.lower() in ("true", "false") else text
 
 
 def _resolve(ns, config: dict, key: str, fallback):
@@ -198,6 +204,8 @@ def _require_finite(**values) -> None:
 
 
 POINT_FLAGS = ("delta", "efield", "omega", "gamma12", "k0r", "tau")
+# config keys whose flags take a number
+NUMERIC_KEYS = POINT_FLAGS + ("mu_dot_rhat", "q", "nbar_min", "nbar_max", "points")
 
 
 def _mesh(ns, config, axes=(), drive=None, limit=False):
@@ -220,7 +228,7 @@ def _mesh(ns, config, axes=(), drive=None, limit=False):
     names = [name for name, _ in axes]
     fixed = {key: float(value) for key in POINT_FLAGS
              if (value := _resolve(ns, config, key, None)) is not None}
-    mu = float(_resolve(ns, config, "mu_dot_rhat", 0.0))
+    mu = _resolve(ns, config, "mu_dot_rhat", None)
     given = fixed.keys() | set(names)
     if _resolve(ns, config, "lamb_dicke", False):
         fixed.update(delta=0.0, gamma12=1.0)
@@ -233,6 +241,9 @@ def _mesh(ns, config, axes=(), drive=None, limit=False):
         raise UsageError("tau conflicts with --k0r/--omega/--gamma12")
     if not given & {"k0r", "omega", "tau"}:
         raise UsageError("supply one of --k0r, --omega or --tau")
+    if mu is not None and "k0r" not in given:
+        raise UsageError("--mu-dot-rhat conflicts with --omega/tau")
+    mu = 0.0 if mu is None else float(mu)
     if not 0.0 <= mu <= 1.0:
         raise UsageError("--mu-dot-rhat must lie in [0, 1]")
 
@@ -292,13 +303,19 @@ def _cmd_steady(ns, config) -> int:
     inputs = {key: float(column[0]) for key, column in columns.items()}
     fmt = _resolve(ns, config, "format", "text")
     if "efield" in inputs:
-        cfg = AtomPairConfig(delta=inputs["delta"], drive=inputs["efield"],
-                             k0r=inputs.get("k0r", 1.0))
-        state = solve_steady_state(cfg, Couplings(inputs["omega"], inputs["gamma12"]))
+        AtomPairConfig(delta=inputs["delta"], drive=inputs["efield"],
+                       k0r=inputs.get("k0r", 1.0))  # raises on an invalid point
+        # the grid engine on one point, so steady and sweep print the same numbers
+        (state,), (conc,), (eof,), (err,) = steady_state_entanglement(
+            *(columns[key] for key in ("delta", "efield", "omega", "gamma12")))
+        if err is not None:
+            raise err
+        coupled = DensityMatrix._checked(state, BasisTag.COUPLED)
     else:
         state = lamb_dicke_limit_state(inputs["tau"])
-    coupled = state.to_basis(BasisTag.COUPLED)
-    report = wootters_concurrence(state)
+        coupled = state.to_basis(BasisTag.COUPLED)
+        report = wootters_concurrence(state)
+        conc, eof = report.concurrence, report.eof
     evals, _ = hermitian_eig(coupled.matrix)
     pops = coupled.matrix.diagonal().real
     with _output(ns, config) as out:
@@ -308,8 +325,8 @@ def _cmd_steady(ns, config) -> int:
                 {
                     "populations": [_round12(p) for p in pops],
                     "eigenvalues": [_round12(v) for v in evals],
-                    "concurrence": _round12(report.concurrence),
-                    "eof": _round12(report.eof),
+                    "concurrence": _round12(conc),
+                    "eof": _round12(eof),
                     "matrix_re": [[_round12(v.real) for v in row] for row in coupled.matrix],
                     "matrix_im": [[_round12(v.imag) for v in row] for row in coupled.matrix],
                 }
@@ -318,7 +335,7 @@ def _cmd_steady(ns, config) -> int:
         elif fmt == "csv":
             cols = list(inputs) + ["pop_plus1", "pop_zero", "pop_minus1",
                                    "singlet_weight", "concurrence", "eof"]
-            row = list(inputs.values()) + list(pops) + [report.concurrence, report.eof]
+            row = list(inputs.values()) + list(pops) + [conc, eof]
             _write_rows(cols, [row], "csv", out)
         else:
             for key, val in inputs.items():
@@ -332,8 +349,8 @@ def _cmd_steady(ns, config) -> int:
                             zip(("+1", "0", "-1", "A"), pops))
                 + "\n"
             )
-            out.write(f"concurrence = {_fmt(report.concurrence)}\n")
-            out.write(f"entanglement of formation = {_fmt(report.eof)} ebit\n")
+            out.write(f"concurrence = {_fmt(conc)}\n")
+            out.write(f"entanglement of formation = {_fmt(eof)} ebit\n")
     return 0
 
 
@@ -395,10 +412,11 @@ def _cmd_fig1(ns, config) -> int:
 def _solve_grid(delta, drive, omega, gamma12):
     """Steady states and concurrence of every point of a parameter mesh.
 
-    The arguments broadcast to one length N. Points are solved in stacks
-    of GRID_CHUNK, so the (chunk, 16, 16) work arrays stay bounded on large
-    grids. Returns (coupled-basis populations (N, 4), concurrence, eof,
-    errors), NaN where a point failed and its typed error in the list.
+    The arguments broadcast to one length N. Points go through
+    steady_state_entanglement in stacks of GRID_CHUNK, so the (chunk, 9, 9)
+    work arrays stay bounded on large grids. Returns (coupled-basis
+    populations (N, 4), concurrence, eof, errors), NaN where a point failed
+    and its typed error in the list.
     """
     args = _broadcast(delta, drive, omega, gamma12)
     n = len(args[0])
@@ -408,9 +426,9 @@ def _solve_grid(delta, drive, omega, gamma12):
     errors = []
     for lo in range(0, n, GRID_CHUNK):
         part = slice(lo, lo + GRID_CHUNK)
-        states, errs = solve_steady_states(*(a[part] for a in args))
+        states, conc[part], eof[part], errs = steady_state_entanglement(
+            *(a[part] for a in args))
         pops[part] = states.diagonal(axis1=1, axis2=2).real
-        conc[part], eof[part], errs = wootters_concurrences(states, errs)
         errors += errs
     return pops, conc, eof, errors
 

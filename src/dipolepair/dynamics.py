@@ -283,8 +283,10 @@ def _steady_states(a: np.ndarray, gamma12: np.ndarray):
     branch takes the triplet-sector state, p_A = 0. One batched solve of
     the 9x9 systems ``a`` (overwritten in place), the branch chosen per
     point by ``gamma12``; each solution's Hermitian part must pass the
-    DensityMatrix checks.
-    Returns (N, 4, 4) states, NaN where a point failed, and the errors.
+    DensityMatrix checks, whose eigvalsh is the only one per state.
+    Returns (N, 4, 4) states, NaN where a point failed, the lowest
+    eigenvalue of each solved state (NaN where the solve failed) and the
+    errors.
     """
     coupled = gamma12 != 1.0
     a[:, 8] = (1.0, 0, 0, 0, 0.5, 0, 0, 0, 1.0)  # tr rho_T in the unnormalised basis
@@ -296,10 +298,14 @@ def _steady_states(a: np.ndarray, gamma12: np.ndarray):
     states[:, :3, :3] = rho
     states[:, 3, 3] = coupled * rho[:, 0, 0].real
     solved = np.flatnonzero([e is None for e in errors])
-    for i, err in zip(solved, _density_errors(states[solved])):
+    checked = states[solved]
+    evals = np.linalg.eigvalsh(checked)
+    for i, err in zip(solved, _density_errors(checked, evals)):
         errors[i] = err
     states[[e is not None for e in errors]] = np.nan
-    return states, errors
+    lowest = np.full(len(a), np.nan)
+    lowest[solved] = evals[:, 0]
+    return states, lowest, errors
 
 
 def solve_steady_states(delta, drive, omega, gamma12):
@@ -314,6 +320,12 @@ def solve_steady_states(delta, drive, omega, gamma12):
     and a list holding per point None or the typed error that
     solve_steady_state raises there.
     """
+    states, _, errors = _solve_blocks(delta, drive, omega, gamma12)
+    return states, errors
+
+
+def _solve_blocks(delta, drive, omega, gamma12):
+    """solve_steady_states, plus the lowest eigenvalue of each state from its checks."""
     blocks = _assemble(_block_basis(), delta, drive, omega, gamma12)
     return _steady_states(blocks, np.asarray(gamma12, dtype=float))
 
@@ -385,7 +397,8 @@ def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
     system and InvalidState for a state failing the DensityMatrix checks.
     """
     lm = build_liouvillian(cfg, c).matrix[None]
-    states, errors = _steady_states(_TRIPLET_ROWS @ lm @ _TRIPLET_COLS, np.array([c.gamma12]))
+    states, _, errors = _steady_states(_TRIPLET_ROWS @ lm @ _TRIPLET_COLS,
+                                       np.array([c.gamma12]))
     if errors[0] is not None:
         raise errors[0]
     return DensityMatrix._checked(states[0], BasisTag.COUPLED)

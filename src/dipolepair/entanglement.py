@@ -3,7 +3,8 @@
 Concurrence follows Wootters, Phys. Rev. Lett. 80, 2245 (1998): the
 spin-flipped state is rho~ = (Y x Y) rho* (Y x Y) and the concurrence is
 max(0, lam1 - lam2 - lam3 - lam4) with lam_i the descending square roots
-of the eigenvalues of rho rho~.
+of the eigenvalues of rho rho~. The steady state's concurrence also has a
+closed form, steady_state_concurrences, which the grid commands use.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, _density_errors
-from .errors import InvalidState, OutOfRange
+from . import tolerances as tol
+from .dynamics import DensityMatrix, _broadcast, _density_errors, _solve_blocks
+from .errors import InvalidState, NotPSD, OutOfRange
 from .linalg import BasisTag, _psd_sqrt_stack, psd_sqrt
 from .model import SIGMA_Y, SINGLET_KET, TO_COUPLED
 
@@ -125,6 +127,81 @@ def wootters_concurrences(states, errors=None):
         else:
             conc[i], eof[i] = c, eof_from_concurrence(c)
     return conc, eof, errors
+
+
+def steady_state_concurrences(delta, drive, omega, gamma12) -> np.ndarray:
+    """Exact concurrence of the steady state at N parameter points.
+
+    The arguments broadcast to one length N; gamma = 1 is the rate unit.
+    With E = drive, s = 1 + 16 delta^2 and A = 256 E^4,
+
+        D = 1024 E^4 + s (64 E^2 + 16 (omega + delta)^2 + (1 + gamma12)^2)
+        T = 32 E^2 sqrt(s (16 omega^2 + gamma12^2))
+        C = max(0, T - 2 A) / D,  or max(0, T - A) / (D - A) at gamma12 == 1
+
+    the last on the decoupled-singlet branch of solve_steady_states. The
+    steady state times D is u u^+ + w w^+ + A |-1><-1|, plus A |A><A| when
+    the singlet is coupled, on (|+1>, |0>, |-1>) with
+    u = (16 E^2, -8 E (4 delta - i) / sqrt 2,
+    (4 delta - i) (4 omega + 4 delta - i (1 + gamma12))) and
+    w = (0, 16 E^2, -4 sqrt 2 E (4 delta - i)). Wootters' matrix
+    psi_i^T (Y x Y) psi_j of these vectors is
+    [[tau, 0, -A], [0, A, 0], [-A, 0, 0]] (+) (-A) with |tau| = T, so the
+    lam_i are A, A and (sqrt(T^2 + 4 A^2) +- T) / 2, over D. As E -> oo at
+    omega = tau E^2, delta = 0, C tends to closed_form_concurrence(tau) on
+    the branch and to (8 tau - 32) / (tau^2 + 64) off it.
+
+    Every term of D and T has degree 4 in (E, sqrt s, p, q), with p and q
+    the square roots in D and T, so the law is evaluated on those divided
+    by k = max(E, sqrt(sqrt s max(p, q))): E^4 is never formed, and no step
+    overflows unless an input comes within a factor 4 of the largest
+    double. A non-finite input gives NaN.
+    """
+    d, e, w, g = _broadcast(delta, drive, omega, gamma12)
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = np.hypot(4.0 * d, 1.0)  # sqrt s
+        p = np.hypot(4.0 * (w + d), 1.0 + g)
+        q = np.hypot(4.0 * w, g)
+        k = np.maximum(e, np.sqrt(r) * np.sqrt(np.maximum(p, q)))
+        e2 = (e / k) ** 2
+        r = r / k
+        a = 256.0 * e2 * e2
+        coupled = g != 1.0
+        den = (3.0 + coupled) * a + r * r * 64.0 * e2 + (r * (p / k)) ** 2
+        return np.maximum(32.0 * e2 * r * (q / k) - (1.0 + coupled) * a, 0.0) / den
+
+
+def _eofs(c: np.ndarray) -> np.ndarray:
+    """eof_from_concurrence of every entry of an array in [0, 1]; NaN stays NaN."""
+    x = (1.0 - np.sqrt(1.0 - np.minimum(c, 1.0) ** 2)) / 2.0
+    y = 1.0 - x
+    h = -(x * np.log2(np.where(x > 0.0, x, 1.0)) + y * np.log2(y))
+    return np.where(x == 0.0, 0.0, h)  # h(0) = +0
+
+
+def steady_state_entanglement(delta, drive, omega, gamma12):
+    """Steady states of N parameter points with their concurrence and EoF.
+
+    The arguments broadcast to one length N. States and their checks are
+    those of solve_steady_states; each state must also clear the PSD
+    floor of wootters_concurrence (NotPSD), judged on the eigenvalues that
+    the DensityMatrix checks computed (a basis change keeps them). The
+    concurrence is steady_state_concurrences and must lie in [0, 1]
+    (OutOfRange). A point that fails does not stop the others. Returns
+    ``(states, concurrence, eof, errors)``, NaN where a point failed and
+    its typed error in the list.
+    """
+    args = _broadcast(delta, drive, omega, gamma12)
+    states, lowest, errors = _solve_blocks(*args)
+    conc = steady_state_concurrences(*args)
+    psd = lowest >= tol.PSD_EVAL_FLOOR  # NaN where the solve failed
+    in_range = conc <= 1.0 + 1e-12
+    for i in np.flatnonzero(~(psd & in_range)):
+        if errors[i] is None:
+            errors[i] = (NotPSD(f"eigenvalue {lowest[i]:.3e} below PSD floor") if not psd[i]
+                         else OutOfRange(f"concurrence {float(conc[i])!r} outside [0, 1]"))
+    conc[[e is not None for e in errors]] = np.nan
+    return states, conc, _eofs(conc), errors
 
 
 # maximiser of closed_form_concurrence and its value, about 9.21 and 0.434

@@ -1,4 +1,4 @@
-"""50-digit steady states of the full 16x16 generator, for the solver tests.
+"""50-digit steady states and concurrences of the 16x16 generator, for the solver tests.
 
 Built from the master equation alone, without calling into dipolepair:
 
@@ -81,21 +81,48 @@ def steady_state(delta, drive, omega, gamma12, singlet_free=False) -> np.ndarray
     kernel two-dimensional.
     """
     with mp.workdps(DPS):
-        gen = mp.matrix(_DIM**2, _DIM**2)
-        params = [mp.mpf(float(p)) for p in (delta, drive, omega, 1.0, gamma12)]
-        for p, entries in zip(params, _components()):
-            for row, col, coef in entries:
-                gen[row, col] += p * coef
-        rhs = mp.matrix(_DIM**2, 1)
-        # the trace is a left null vector, so the |ee><ee| row is redundant
-        for col in range(_DIM**2):
-            gen[0, col] = 1 if col % (_DIM + 1) == 0 else 0
-        rhs[0] = 1
-        if singlet_free:
-            # at gamma12 = 1 the singlet population is conserved as well;
-            # <A|rho|A> = (rho_5 + rho_10 - rho_6 - rho_9) / 2 replaces row 9
-            for col in range(_DIM**2):
-                gen[9, col] = {5: 1, 10: 1, 6: -1, 9: -1}.get(col, 0)
-        v = mp.lu_solve(gen, rhs)
-        flat = np.array([complex(v[k]) for k in range(_DIM**2)])
+        rho = _state(delta, drive, omega, gamma12, singlet_free)
+        flat = np.array([complex(rho[a, b]) for b in range(_DIM) for a in range(_DIM)])
     return flat.reshape((_DIM, _DIM), order="F")
+
+
+def concurrence(delta, drive, omega, gamma12, singlet_free=False) -> float:
+    """Wootters concurrence of the steady state, at DPS digits throughout.
+
+    The spin-flip values are the square roots of the eigenvalues of
+    sqrt(rho) (Y x Y) rho* (Y x Y) sqrt(rho).
+    """
+    with mp.workdps(DPS):
+        rho = _state(delta, drive, omega, gamma12, singlet_free)
+        rho = (rho + rho.transpose_conj()) / 2
+        evals, vecs = mp.eighe(rho)
+        root = vecs * mp.diag([mp.sqrt(max(mp.re(w), 0)) for w in evals]) * vecs.transpose_conj()
+        yy = mp.matrix(_DIM, _DIM)
+        for a, b, v in ((0, 3, -1), (1, 2, 1), (2, 1, 1), (3, 0, -1)):
+            yy[a, b] = v
+        flipped = yy * rho.conjugate() * yy
+        herm = root * flipped * root
+        lam = sorted((mp.sqrt(max(mp.re(w), 0))
+                      for w in mp.eighe((herm + herm.transpose_conj()) / 2)[0]), reverse=True)
+        return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0))
+
+
+def _state(delta, drive, omega, gamma12, singlet_free):
+    """The steady state as an mpmath matrix, at the working precision of the caller."""
+    gen = mp.matrix(_DIM**2, _DIM**2)
+    params = [mp.mpf(float(p)) for p in (delta, drive, omega, 1.0, gamma12)]
+    for p, entries in zip(params, _components()):
+        for row, col, coef in entries:
+            gen[row, col] += p * coef
+    rhs = mp.matrix(_DIM**2, 1)
+    # the trace is a left null vector, so the |ee><ee| row is redundant
+    for col in range(_DIM**2):
+        gen[0, col] = 1 if col % (_DIM + 1) == 0 else 0
+    rhs[0] = 1
+    if singlet_free:
+        # at gamma12 = 1 the singlet population is conserved as well;
+        # <A|rho|A> = (rho_5 + rho_10 - rho_6 - rho_9) / 2 replaces row 9
+        for col in range(_DIM**2):
+            gen[9, col] = {5: 1, 10: 1, 6: -1, 9: -1}.get(col, 0)
+    v = mp.lu_solve(gen, rhs)
+    return mp.matrix([[v[a + _DIM * b] for b in range(_DIM)] for a in range(_DIM)])

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dipolepair import BasisTag, DensityMatrix, checks, cli
+from dipolepair import BasisTag, DensityMatrix, checks, cli, entanglement
 from dipolepair.cli import main
 from dipolepair.errors import InvalidState, NotPSD
 
@@ -22,16 +22,16 @@ def run(capsys, *argv):
 
 def inject_failures(monkeypatch, failures):
     """Make the grid engine fail with failures[k] at point k of each stack."""
-    solve = cli.solve_steady_states
+    solve = entanglement._solve_blocks
 
     def failing(*args):
-        states, errors = solve(*args)
+        states, lowest, errors = solve(*args)
         for k, exc in failures.items():
             states[k] = np.nan
             errors[k] = exc
-        return states, errors
+        return states, lowest, errors
 
-    monkeypatch.setattr(cli, "solve_steady_states", failing)
+    monkeypatch.setattr(entanglement, "_solve_blocks", failing)
 
 
 def parse_csv(text):
@@ -352,12 +352,16 @@ def test_fig2_lamb_dicke_fixes_unit_cross_decay_and_zero_detuning(capsys):
     (("spectrum", "--efield", "1", "--k0r", "1", "--mu-dot-rhat", "1.5"),
      "--mu-dot-rhat must lie in [0, 1]"),
     (("fig2", "--k0r-range", "0:1", "--points", "2"), "k0r must be > 0"),
+    (("steady", "--efield", "1", "--omega", "2", "--mu-dot-rhat", "0.7"),
+     "--mu-dot-rhat conflicts with --omega/tau"),
+    (("steady", "--tau", "9.21", "--mu-dot-rhat", "0.7"),
+     "--mu-dot-rhat conflicts with --omega/tau"),
 ], ids=["fig2_omega", "fig2_gamma12", "sweep_gamma12", "sweep_gamma12_lamb_dicke",
         "sweep_omega_geometric", "sweep_tau_k0r", "sweep_k0r_omega", "steady_k0r_omega",
         "fig2_efield_tau", "fig2_k0r", "fig2_tau", "sweep_delta_axis_lamb_dicke",
         "steady_tau_omega", "steady_tau_omega_lamb_dicke", "spectrum_tau_omega",
         "steady_tau_delta", "spectrum_tau_without_drive", "steady_no_coupling",
-        "steady_mu", "spectrum_mu", "fig2_k0r_range"])
+        "steady_mu", "spectrum_mu", "fig2_k0r_range", "steady_mu_omega", "steady_mu_tau"])
 def test_grid_commands_reject_couplings_fixed_next_to_a_distance(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
@@ -542,6 +546,19 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
                               "--omega", "7")
     assert rc == 0
     assert "omega = 7" in out_override
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("steady", "efield = abc", "config key efield expects a number, got 'abc'"),
+    ("fig2", "points = many", "config key points expects an integer, got 'many'"),
+], ids=["steady_efield", "fig2_points"])
+def test_config_value_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys, command, line,
+                                                         message):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"k0r_range = 0.1:1\n{line}\n")
+    rc, out, err = run(capsys, command, "--config", str(cfgfile))
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_config_file_missing(capsys):

@@ -1,0 +1,215 @@
+"""The closed-form steady-state concurrence and the grid path built on it.
+
+``steady_state_concurrences`` is checked against Wootters' concurrence of
+the 50-digit 16x16 steady state in ``mp_oracle``, against its strong-drive
+limits, and, with sympy, against the 9x9 block generators it is derived
+from. ``steady_state_entanglement`` must keep every check of the numeric
+path it replaced, once per state.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+pytest.importorskip("mpmath")
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mp_oracle import concurrence as oracle_concurrence
+from test_block_solver import corner_grid
+
+from dipolepair import (
+    closed_form_concurrence,
+    cross_decay,
+    dipole_coupling,
+    eof_from_concurrence,
+    solve_steady_states,
+    steady_state_concurrences,
+    steady_state_entanglement,
+)
+from dipolepair import cli, dynamics, entanglement
+from dipolepair.errors import InvalidState, NotPSD, OutOfRange
+from dipolepair.model import SIGMA_Y, TO_COUPLED
+
+
+def assert_matches_oracle(delta, drive, omega, gamma12):
+    (law,) = steady_state_concurrences(delta, drive, omega, gamma12)
+    exact = oracle_concurrence(delta, drive, omega, gamma12, singlet_free=gamma12 == 1.0)
+    # the absolute floor covers the cancellation in T - 2 A near threshold
+    assert abs(law - exact) <= max(1e-12 * exact, 1e-15), (law, exact)
+
+
+def test_law_matches_oracle_on_log_grid():
+    for point in zip(*corner_grid()):
+        assert_matches_oracle(*map(float, point))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    k0r=st.floats(-3.0, 0.5).map(lambda e: 10.0**e),
+    drive=st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e)),
+    delta=st.floats(-10.0, 10.0),
+    resonance=st.one_of(st.none(), st.floats(-0.2, 0.2)),
+    mu=st.floats(0.0, 1.0),
+    branch=st.booleans(),
+)
+def test_law_matches_oracle_on_the_domain(k0r, drive, delta, resonance, mu, branch):
+    omega = float(dipole_coupling(k0r, mu))
+    if resonance is not None:  # the detuned two-atom resonance delta = -omega
+        delta = -omega * (1.0 + resonance)
+    gamma12 = 1.0 if branch else float(cross_decay(k0r))
+    assert_matches_oracle(delta, drive, omega, gamma12)
+
+
+def test_undriven_pair_has_exactly_zero_concurrence():
+    conc = steady_state_concurrences([0.0, -3.0, 2.0], 0.0, [5.0, 3.0, -40.0], [0.3, 1.0, 0.9])
+    assert np.array_equal(conc, np.zeros(3))
+
+
+@pytest.mark.parametrize("tau", [1.5, 3.0, 4.0 + 4.0 * 5**0.5, 9.21, 50.0])
+def test_strong_drive_limits(tau):
+    drive = 1e8
+    omega = tau * drive**2
+    branch, coupled = steady_state_concurrences(0.0, drive, omega, [1.0, cross_decay(0.01)])
+    assert branch == pytest.approx(closed_form_concurrence(tau), abs=1e-12)
+    assert coupled == pytest.approx(max(0.0, (8 * tau - 32) / (tau**2 + 64)), abs=1e-12)
+
+
+def test_extreme_drive_is_unentangled_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        conc = steady_state_concurrences(0.0, [1e150, 1e160], dipole_coupling(0.5),
+                                         cross_decay(0.5))
+        _, grid_conc, eof, errors = steady_state_entanglement(
+            0.0, [1e150, 1e160], dipole_coupling(0.5), cross_decay(0.5))
+    assert np.array_equal(conc, [0.0, 0.0]) and np.array_equal(grid_conc, [0.0, 0.0])
+    assert np.array_equal(eof, [0.0, 0.0]) and errors == [None, None]
+
+
+def test_non_finite_input_gives_nan_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        conc = steady_state_concurrences([0.0, math.nan, 0.0], [1.0, 1.0, math.inf],
+                                         [20.0, 20.0, 20.0], 0.2)
+    assert conc[0] > 0.0 and np.isnan(conc[1:]).all()
+
+
+def test_law_rederived_from_the_block_generators():
+    sp = pytest.importorskip("sympy")
+    d, e, w, g = sp.symbols("delta E Omega gamma12", real=True)
+
+    def exact(m):  # every entry is a dyadic rational, so Rational is exact
+        return sp.Matrix(*m.shape, lambda i, j: sp.Rational(m[i, j].real)
+                         + sp.I * sp.Rational(m[i, j].imag))
+
+    b0, b_delta, b_drive, b_omega, b_gamma12 = map(exact, dynamics._block_basis())
+    gen = b0 + d * b_delta + e * b_drive + w * b_omega + g * b_gamma12
+    a = 256 * e**4
+    u = sp.Matrix([16 * e**2, -8 * e * (4 * d - sp.I) / sp.sqrt(2),
+                   (4 * d - sp.I) * (4 * w + 4 * d - sp.I * (1 + g))])
+    v = sp.Matrix([0, 16 * e**2, -4 * sp.sqrt(2) * e * (4 * d - sp.I)])
+    rho = u * u.H + v * v.H + sp.diag(0, 0, a)  # D times the triplet block
+    # the block acts on the unnormalised basis |0'> = sqrt 2 |0>, column-stacked
+    scale = [1, sp.sqrt(2), 1]
+    x = sp.Matrix([rho[i, j] * scale[i] * scale[j] for j in range(3) for i in range(3)])
+    # rows 0-7 are the generator's own equations (row 8, the one p_A enters,
+    # is redundant and replaced by the trace): the candidate is stationary
+    assert all(sp.expand(r) == 0 for r in gen[:8, :] * x)
+    # the trace row, tr rho_T plus p_A = rho_{+1,+1} when coupled, gives D
+    trace_row = sp.Matrix([[2, 0, 0, 0, sp.Rational(1, 2), 0, 0, 0, 1]])
+    big_d = 1024 * e**4 + (1 + 16 * d**2) * (64 * e**2 + 16 * (w + d)**2 + (1 + g)**2)
+    assert sp.expand((trace_row * x)[0] - big_d) == 0
+    # and the system with that row is nonsingular, so the state is unique
+    system = gen[:8, :].col_join(trace_row)
+    point = {d: sp.Rational(1, 3), e: sp.Rational(2, 7), w: sp.Rational(5, 3),
+             g: sp.Rational(1, 5)}
+    assert system.subs(point).det() != 0
+    # Wootters' matrix psi_i^T (Y x Y) psi_j of u, v, sqrt(A) |-1>, sqrt(A) |A>
+    flip = TO_COUPLED @ np.kron(SIGMA_Y, SIGMA_Y) @ TO_COUPLED.T
+    assert np.abs(flip - np.round(flip.real)).max() < 1e-15
+    psi = sp.zeros(4, 4)
+    psi[:3, 0], psi[:3, 1] = u, v
+    psi[2, 2] = psi[3, 3] = 16 * e**2
+    m = (psi.T * sp.Matrix(np.round(flip.real).astype(int)) * psi).applyfunc(sp.expand)
+    tau = m[0, 0]
+    expected = sp.Matrix([[tau, 0, -a, 0], [0, a, 0, 0], [-a, 0, 0, 0], [0, 0, 0, -a]])
+    assert (m - expected).applyfunc(sp.expand) == sp.zeros(4, 4)
+    big_t2 = (32 * e**2)**2 * (1 + 16 * d**2) * (16 * w**2 + g**2)
+    assert sp.expand(tau * sp.conjugate(tau) - big_t2) == 0
+    # its singular values: A, A and (sqrt(T^2 + 4 A^2) +- T) / 2
+    s = sp.Symbol("s")
+    charpoly = (m * m.H).charpoly(s).as_expr()
+    assert sp.expand(charpoly - (s - a**2)**2 * (s**2 - (big_t2 + 2 * a**2) * s + a**4)) == 0
+
+
+# ------------------------------------------------------- grid path checks
+
+
+def corrupt(monkeypatch, solutions):
+    """Replace the block solutions at given points by unit-trace vectors."""
+    solve = dynamics._solve_stack
+
+    def corrupted(a, b):
+        x, errors = solve(a, b)
+        for k, sol in solutions.items():
+            x[k] = sol
+        return x, errors
+
+    monkeypatch.setattr(dynamics, "_solve_stack", corrupted)
+
+
+def test_grid_checks_fail_only_their_own_point(monkeypatch):
+    drive = np.array([0.5, 1.0, 1.5, math.nan, 2.0])
+    clean_states, _ = solve_steady_states(0.0, drive, 20.0, 0.3)
+    # diag(0.25, 0.5 - low, low) in the unnormalised basis, p_A = 0.25: trace 1;
+    # -5e-10 passes the density-matrix floor (-1e-9), not the PSD floor (-1e-10)
+    corrupt(monkeypatch, {k: (0.25, 0, 0, 0, 1.0 - 2 * low, 0, 0, 0, low)
+                          for k, low in ((1, -5e-10), (2, -2e-9))})
+    states, conc, eof, errors = steady_state_entanglement(0.0, drive, 20.0, 0.3)
+    assert type(errors[1]) is NotPSD and "below PSD floor" in str(errors[1])
+    assert type(errors[2]) is InvalidState and "negative eigenvalue" in str(errors[2])
+    assert isinstance(errors[3], np.linalg.LinAlgError)
+    assert errors[0] is None and errors[4] is None
+    assert np.isnan(conc[1:4]).all() and np.isnan(eof[1:4]).all()
+    assert np.isnan(states[2:4]).all()
+    assert np.array_equal(states[[0, 4]], clean_states[[0, 4]])
+    law = steady_state_concurrences(0.0, drive[[0, 4]], 20.0, 0.3)
+    assert np.array_equal(conc[[0, 4]], law) and (law > 0).all()
+    assert list(eof[[0, 4]]) == pytest.approx([eof_from_concurrence(c) for c in law],
+                                              abs=1e-15)
+
+
+def test_grid_concurrence_outside_the_unit_interval_fails_its_point(monkeypatch):
+    # a valid state has C <= 1, so only a faulty law could reach this check
+    law = entanglement.steady_state_concurrences
+    monkeypatch.setattr(entanglement, "steady_state_concurrences",
+                        lambda *args: law(*args) + [0.0, 1.0, 0.0])
+    _, conc, eof, errors = steady_state_entanglement(0.0, [0.5, 1.0, 1.5], 20.0, 0.3)
+    assert type(errors[1]) is OutOfRange and "outside [0, 1]" in str(errors[1])
+    assert errors[0] is None and errors[2] is None
+    assert np.isnan(conc[1]) and np.isnan(eof[1]) and not np.isnan(conc[[0, 2]]).any()
+
+
+@pytest.mark.parametrize("argv, points", [
+    (("fig2", "--points", "7"), 49),
+    (("sweep", "--axis", "efield=0:5:30", "--k0r", "0.3", "--delta", "-26"), 30),
+], ids=["fig2", "sweep"])
+def test_grid_commands_take_one_eigvalsh_per_state(monkeypatch, capsys, argv, points):
+    counts = {"eigvalsh": 0, "eigh": 0, "svd": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def counted(m, *args, **kwargs):
+            counts[name] += math.prod(np.shape(m)[:-2])
+            return original(m, *args, **kwargs)
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    assert cli.main(list(argv)) == 0
+    assert len(capsys.readouterr().out.splitlines()) == points + 1
+    assert counts == {"eigvalsh": points, "eigh": 0, "svd": 0}

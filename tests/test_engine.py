@@ -21,6 +21,7 @@ from dipolepair import (
     dipole_coupling,
     liouvillian_stack,
     solve_steady_states,
+    steady_state_entanglement,
     wootters_concurrence,
     wootters_concurrences,
 )
@@ -166,8 +167,7 @@ def test_result_does_not_depend_on_batch_position_or_chunks():
     assert np.array_equal(eof_p, eof[perm], equal_nan=True)
     assert [type(e) for e in errors_p] == [type(errors[i]) for i in perm]
     for k in RNG.choice(n, 40, replace=False):
-        states, errs = solve_steady_states(delta[k], drive[k], omega[k], gamma12[k])
-        c, _, errs = wootters_concurrences(states, errs)
+        _, c, _, errs = steady_state_entanglement(delta[k], drive[k], omega[k], gamma12[k])
         assert type(errs[0]) is type(errors[k])
         assert np.array_equal(c[0], conc[k], equal_nan=True)
 
