@@ -3,7 +3,7 @@
 Each criterion returns its check lines (computed, expected, tolerance).
 ``dipolepair check`` prints the lines of every criterion in CRITERIA and
 ``tests/test_acceptance.py`` runs each one under its time gate. Steady
-states come from the block solver that users run. Criterion 8, the
+states come from the batch engine that users run. Criterion 8, the
 distance trend at fixed drive, is a test only.
 """
 
@@ -68,8 +68,9 @@ def _worst(errors) -> float:
 
 
 def exact_steady_state() -> list[Line]:
-    """1. The block solver gives the closed form, which the 16x16 generator
-    annihilates, on a 20x20 (omega, drive) grid at gamma12 = 1, delta = 0."""
+    """1. The batch engine gives the paper's closed form, which the 16x16
+    generator annihilates, on a 20x20 (omega, drive) grid at gamma12 = 1,
+    delta = 0."""
     omega, drive = (g.ravel() for g in np.meshgrid(
         np.linspace(0.1, 20.0, 20), np.linspace(0.1, 10.0, 20), indexing="ij"))
     solved, _ = solve_steady_states(0.0, drive, omega, 1.0)
@@ -85,7 +86,7 @@ def exact_steady_state() -> list[Line]:
 
 def concurrence_law() -> list[Line]:
     """2. Wootters on the strong-drive state follows C(tau), zero for tau <= 2.
-    The steady-state law equals Wootters on block-solved states on a grid
+    The steady-state law equals Wootters on the batch states on a grid
     through the detuned resonance delta = -omega, both branches, and tends
     to C(tau) on the decoupled-singlet branch and to (8 tau - 32) /
     (tau^2 + 64) off it as the drive grows at omega = tau E^2."""
@@ -107,8 +108,9 @@ def concurrence_law() -> list[Line]:
     branch = steady_state_concurrences(0.0, strong, tau * strong**2, 1.0)
     coupled = steady_state_concurrences(0.0, strong, tau * strong**2, cross_decay(0.01))
     short_distance = np.maximum(0.0, (8.0 * tau - 32.0) / (tau**2 + 64.0))
-    # the numeric side errs by up to ~1e-9 at the k0r = 0.1 resonance (the law
-    # agrees with the 50-digit oracle to ~1e-16 there), hence the tolerance
+    # Wootters' side errs by up to ~2e-10 at the k0r = 0.1 resonance: its
+    # smallest spin-flip value is the square root of eigenvalues near 1e-20
+    # (the law agrees with the 50-digit oracle to ~1e-16 there)
     return [Line("concurrence_law_max_err", err, 0.0, 1e-9),
             Line("concurrence_below_threshold", below, 0.0, 0.0),
             Line("law_at_threshold", closed_form_concurrence(2.0), 0.0, 0.0),

@@ -6,9 +6,10 @@ set they cannot honour is a usage error before any solve; fig1 and check
 take only the flags they read.
 
 Exit codes: 0 success, 1 check failure or every grid point failed, 2
-usage error. CSV output uses a single header row, 12-significant-digit
-floats and the literal ``NaN`` for failed points; JSON carries the same
-rounded values.
+usage error, 141 the reader closed standard output early (quietly). CSV
+output uses a single header row, 12-significant-digit floats and the
+literal ``NaN`` for failed points; JSON carries the same rounded values.
+``--out`` is written in place and then cut to length.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from collections import Counter
 
@@ -40,8 +43,12 @@ from .spectral import triplet_cubic_roots
 
 AXIS_NAMES = ("k0r", "efield", "omega", "delta", "tau")
 
-# grid points per solver stack: about 1.3 MB per (chunk, 9, 9) work array
+# grid points per solver stack: about 0.3 MB per (chunk, 4, 4) state stack
 GRID_CHUNK = 1024
+
+# exit code when the reader of the output closed it: 128 + SIGPIPE, as a
+# shell reports a program that the signal ended
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -81,9 +88,26 @@ def _output(ns, config):
     if path is None:
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return _written_in_place(os.fdopen(fd, "w"))
+
+
+@contextlib.contextmanager
+def _written_in_place(out):
+    """Yield ``out``, opened without truncation; on exit cut a regular file to length.
+
+    The bytes on disk end up those of open(path, "w"), without its
+    truncation of the old contents first, which costs far more than the
+    write on some file systems. Devices and FIFOs are never truncated.
+    """
+    with out:
+        try:
+            yield out
+        finally:
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate()  # flushes, then cuts at the written length
 
 
 def _print_matrix(m: np.ndarray, labels, out) -> None:
@@ -170,20 +194,23 @@ def _load_config(path: str) -> dict:
 
 
 def _config_value(key: str, text: str):
-    """A config value: a number, true/false or the text. A key whose flag
-    takes a number must hold one, and points an integer."""
+    """A config value: a number for a key whose flag takes one (points an
+    integer), a boolean for a switch, the text otherwise."""
+    if key in BOOLEAN_KEYS:
+        if text.lower() not in BOOLEAN_WORDS:
+            raise UsageError(f"config key {key} expects one of "
+                             f"{'/'.join(BOOLEAN_WORDS)}, got {text!r}")
+        return BOOLEAN_WORDS[text.lower()]
+    if key not in NUMERIC_KEYS:
+        return text
     try:
         value = float(text)
     except ValueError:
         value = None
-    if key in NUMERIC_KEYS:
-        if value is None or key == "points" and not value.is_integer():
-            kind = "an integer" if key == "points" else "a number"
-            raise UsageError(f"config key {key} expects {kind}, got {text!r}")
-        return value
-    if value is not None:
-        return value
-    return text.lower() == "true" if text.lower() in ("true", "false") else text
+    if value is None or key == "points" and not value.is_integer():
+        kind = "an integer" if key == "points" else "a number"
+        raise UsageError(f"config key {key} expects {kind}, got {text!r}")
+    return value
 
 
 def _resolve(ns, config: dict, key: str, fallback):
@@ -206,6 +233,10 @@ def _require_finite(**values) -> None:
 POINT_FLAGS = ("delta", "efield", "omega", "gamma12", "k0r", "tau")
 # config keys whose flags take a number
 NUMERIC_KEYS = POINT_FLAGS + ("mu_dot_rhat", "q", "nbar_min", "nbar_max", "points")
+# config keys of switches, and the words they take
+BOOLEAN_KEYS = ("lamb_dicke",)
+BOOLEAN_WORDS = {"true": True, "false": False, "yes": True, "no": False,
+                 "1": True, "0": False}
 
 
 def _mesh(ns, config, axes=(), drive=None, limit=False):
@@ -413,8 +444,8 @@ def _solve_grid(delta, drive, omega, gamma12):
     """Steady states and concurrence of every point of a parameter mesh.
 
     The arguments broadcast to one length N. Points go through
-    steady_state_entanglement in stacks of GRID_CHUNK, so the (chunk, 9, 9)
-    work arrays stay bounded on large grids. Returns (coupled-basis
+    steady_state_entanglement in stacks of GRID_CHUNK, so the work arrays
+    stay bounded on large grids. Returns (coupled-basis
     populations (N, 4), concurrence, eof, errors), NaN where a point failed
     and its typed error in the list.
     """
@@ -540,13 +571,23 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         config = _load_config(ns.config) if ns.config else {}
-        return _COMMANDS[ns.command](ns, config)
+        code = _COMMANDS[ns.command](ns, config)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except (UsageError, DipolePairError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except np.linalg.LinAlgError as exc:
         print(f"error: linear algebra failed: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left (say, `dipolepair check | head`): stop without a
+        # message, and point stdout at devnull so that its final flush is silent
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -185,22 +185,19 @@ def liouvillian_stack(delta, drive, omega, gamma12) -> np.ndarray:
     one length. Every basis entry is a small dyadic rational, so this
     agrees with build_liouvillian at each point to rounding (on all points
     tested, to the last bit). A non-finite input gives a generator with NaN
-    entries (inf times a zero entry), which the solvers reject per point.
+    entries (inf times a zero entry).
     """
-    return _assemble(_affine_basis(), delta, drive, omega, gamma12)
-
-
-def _assemble(basis, *args) -> np.ndarray:
-    """B0 + delta B_delta + drive B_drive + omega B_omega + gamma12 B_gamma12 per point."""
-    d, e, w, g = (a[:, None, None] for a in _broadcast(*args))
-    b0, b_delta, b_drive, b_omega, b_gamma12 = basis
+    d, e, w, g = (a[:, None, None] for a in _broadcast(delta, drive, omega, gamma12))
+    l0, l_delta, l_drive, l_omega, l_gamma12 = _affine_basis()
     with np.errstate(invalid="ignore"):
-        return b0 + d * b_delta + e * b_drive + w * b_omega + g * b_gamma12
+        return l0 + d * l_delta + e * l_drive + w * l_omega + g * l_gamma12
 
 
 def _broadcast(*args) -> list[np.ndarray]:
     """Float arrays of one common length from scalars and 1-d arrays."""
-    return np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in args))
+    arrays = [np.asarray(a, dtype=float).reshape(-1) for a in args]
+    n = max(map(len, arrays))
+    return [a if len(a) == n else np.broadcast_to(a, n) for a in arrays]
 
 
 # ------------------------------------------------------- steady-state engine
@@ -263,10 +260,23 @@ _TRIPLET_COLS = kron(_INVERSE, _INVERSE)[:, _TRIPLET_IDX]
 _NORMALISE = np.outer([1.0, 1.0 / _SQ2, 1.0], [1.0, 1.0 / _SQ2, 1.0])
 
 
-@functools.cache
-def _block_basis() -> tuple[np.ndarray, ...]:
-    """The five generators of _affine_basis as 9x9 triplet blocks, built on first use."""
-    return tuple(_TRIPLET_ROWS @ b @ _TRIPLET_COLS for b in _affine_basis())
+def _check_states(states: np.ndarray, errors: list):
+    """The DensityMatrix checks on each state of an (N, 4, 4) stack without an error.
+
+    One eigvalsh per checked state serves the checks and is returned: the
+    lowest eigenvalue of each state, NaN where a point had failed before.
+    A state that fails, then or now, becomes NaN. Returns (states, lowest,
+    errors).
+    """
+    solved = np.flatnonzero([e is None for e in errors])
+    checked = states[solved]
+    evals = np.linalg.eigvalsh(checked)
+    for i, err in zip(solved, _density_errors(checked, evals)):
+        errors[i] = err
+    states[[e is not None for e in errors]] = np.nan
+    lowest = np.full(len(states), np.nan)
+    lowest[solved] = evals[:, 0]
+    return states, lowest, errors
 
 
 def _steady_states(a: np.ndarray, gamma12: np.ndarray):
@@ -282,11 +292,8 @@ def _steady_states(a: np.ndarray, gamma12: np.ndarray):
     exactly the singlet decouples, its population is conserved, and the
     branch takes the triplet-sector state, p_A = 0. One batched solve of
     the 9x9 systems ``a`` (overwritten in place), the branch chosen per
-    point by ``gamma12``; each solution's Hermitian part must pass the
-    DensityMatrix checks, whose eigvalsh is the only one per state.
-    Returns (N, 4, 4) states, NaN where a point failed, the lowest
-    eigenvalue of each solved state (NaN where the solve failed) and the
-    errors.
+    point by ``gamma12``; each solution's Hermitian part goes through
+    _check_states. Returns its (states, lowest, errors).
     """
     coupled = gamma12 != 1.0
     a[:, 8] = (1.0, 0, 0, 0, 0.5, 0, 0, 0, 1.0)  # tr rho_T in the unnormalised basis
@@ -297,37 +304,103 @@ def _steady_states(a: np.ndarray, gamma12: np.ndarray):
     states = np.zeros((len(a), 4, 4), dtype=complex)
     states[:, :3, :3] = rho
     states[:, 3, 3] = coupled * rho[:, 0, 0].real
-    solved = np.flatnonzero([e is None for e in errors])
-    checked = states[solved]
-    evals = np.linalg.eigvalsh(checked)
-    for i, err in zip(solved, _density_errors(checked, evals)):
-        errors[i] = err
-    states[[e is not None for e in errors]] = np.nan
-    lowest = np.full(len(a), np.nan)
-    lowest[solved] = evals[:, 0]
-    return states, lowest, errors
+    return _check_states(states, errors)
+
+
+def _scaled_terms(delta, drive, omega, gamma12):
+    """Magnitudes of the closed-form steady state at N points, over a common scale.
+
+    With s = 1 + 16 delta^2, p = |4 (omega + delta) - i (1 + gamma12)| and
+    q = |4 omega - i gamma12|, every entry of D rho (see
+    solve_steady_states) and of the concurrence law has degree 4 in
+    (E, sqrt s, p, q). All four are divided by k = max(E, sqrt(sqrt s
+    max(p, q))), so E^4 is never formed, and no step overflows unless an
+    input comes within a factor 4 of the largest double. Returns the
+    broadcast (delta, omega, gamma12), k, and E, sqrt s, p, q over k.
+    """
+    d, e, w, g = _broadcast(delta, drive, omega, gamma12)
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = np.hypot(4.0 * d, 1.0)  # sqrt s
+        p = np.hypot(4.0 * (w + d), 1.0 + g)
+        q = np.hypot(4.0 * w, g)
+        k = np.maximum(e, np.sqrt(r) * np.sqrt(np.maximum(p, q)))
+        return d, w, g, k, e / k, r / k, p / k, q / k
+
+
+def _trace_terms(e, r, p, coupled):
+    """(A, D) over k^4, from the scaled E, sqrt s and p of _scaled_terms."""
+    e2 = e**2
+    a = 256.0 * e2 * e2
+    return a, (3.0 + coupled) * a + r * r * 64.0 * e2 + (r * p) ** 2
 
 
 def solve_steady_states(delta, drive, omega, gamma12):
     """Steady states of N parameter points in one batch, coupled basis.
 
     The arguments broadcast to one length N; gamma = 1 is the rate unit.
-    Each point gets the exchange-symmetric block solve of
-    solve_steady_state and its checks; a point that fails (a singular or
-    non-finite system: LinAlgError; a state failing the DensityMatrix
-    checks: InvalidState) does not stop the others. Returns
+    With x = 4 delta - i, A = 256 E^4 and, on (|+1>, |0>, |-1>),
+
+        u = (16 E^2, -4 sqrt 2 E x, x (4 omega + 4 delta - i (1 + gamma12)))
+        w = (0, 16 E^2, -4 sqrt 2 E x)
+
+    the steady state times its trace D is u u^+ + w w^+ + A |-1><-1|, plus
+    A |A><A| while the singlet is coupled (gamma12 != 1); at gamma12 == 1
+    exactly the singlet decouples and the state is the triplet-sector one,
+    as in solve_steady_state. D is the denominator of
+    steady_state_concurrences, and both are evaluated on the scaled terms
+    of _scaled_terms. A Gram sum is PSD by construction; each state still
+    gets the DensityMatrix checks. A point that fails (a non-finite state,
+    from non-finite input or an overflow: LinAlgError; a state failing the
+    DensityMatrix checks: InvalidState) does not stop the others. Returns
     ``(states, errors)``: an (N, 4, 4) array, NaN where a point failed,
-    and a list holding per point None or the typed error that
-    solve_steady_state raises there.
+    and a list holding per point None or its typed error.
     """
     states, _, errors = _solve_blocks(delta, drive, omega, gamma12)
     return states, errors
 
 
+def _closed_form_states(delta, drive, omega, gamma12) -> np.ndarray:
+    """The (N, 4, 4) states of solve_steady_states, unchecked; not finite where failed.
+
+    Entries of D rho over k^4, with c = 16 E^2 and b = -4 sqrt 2 E x the
+    shared entries of u and w, and z = x (4 omega + 4 delta - i (1 +
+    gamma12)) the last of u; the lower triangle is the conjugate of the
+    upper, so the state is exactly Hermitian.
+    """
+    d, om, g, k, e, r, p, _ = _scaled_terms(delta, drive, omega, gamma12)
+    coupled = g != 1.0
+    a, den = _trace_terms(e, r, p, coupled)
+    n = len(d)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        x = np.empty(n, dtype=complex)  # x / k
+        x.real, x.imag = 4.0 * d / k, -1.0 / k
+        y = np.empty(n, dtype=complex)  # (4 omega + 4 delta - i (1 + gamma12)) / k
+        y.real, y.imag = 4.0 * (om + d) / k, -(1.0 + g) / k
+        b = -4.0 * _SQ2 * e * x
+        z = x * y
+        c = 16.0 * e**2
+        bb = b.real**2 + b.imag**2 + a  # |b|^2 + c^2, as c^2 == a
+        rho = np.zeros((n, 4, 4), dtype=complex)
+        rho[:, 0, 0] = a
+        rho[:, 0, 1] = c * b.conj()
+        rho[:, 0, 2] = c * z.conj()
+        rho[:, 1, 1] = bb
+        rho[:, 1, 2] = b * z.conj() + c * b.conj()
+        rho[:, 2, 2] = z.real**2 + z.imag**2 + bb
+        rho[:, 1, 0], rho[:, 2, 0], rho[:, 2, 1] = (
+            rho[:, 0, 1].conj(), rho[:, 0, 2].conj(), rho[:, 1, 2].conj())
+        rho *= (1.0 / den)[:, None, None]
+    rho[:, 3, 3] = coupled * rho[:, 0, 0].real  # p_A = rho_{+1,+1} = A / D
+    return rho
+
+
 def _solve_blocks(delta, drive, omega, gamma12):
     """solve_steady_states, plus the lowest eigenvalue of each state from its checks."""
-    blocks = _assemble(_block_basis(), delta, drive, omega, gamma12)
-    return _steady_states(blocks, np.asarray(gamma12, dtype=float))
+    states = _closed_form_states(delta, drive, omega, gamma12)
+    errors: list[Exception | None] = [
+        None if ok else np.linalg.LinAlgError("non-finite steady state")
+        for ok in np.isfinite(states).all(axis=(1, 2))]
+    return _check_states(states, errors)
 
 
 # ------------------------------------------------------- SVD kernels, one point
@@ -387,9 +460,10 @@ def triplet_steady_state(liouv: Liouvillian) -> DensityMatrix:
 def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
     """Steady state for a parameter point, coupled basis.
 
-    Solves the 9x9 exchange-symmetric block system of solve_steady_states:
-    the triplet block, the singlet population equal to rho_{+1,+1}, unit
-    trace, no triplet-singlet coherence. Its only branch is gamma12 ==
+    Solves the 9x9 exchange-symmetric block system of _steady_states: the
+    triplet block, the singlet population equal to rho_{+1,+1}, unit
+    trace, no triplet-singlet coherence; solve_steady_states writes the
+    same state in closed form. Its only branch is gamma12 ==
     gamma exactly, where the singlet decouples and the solver returns the
     triplet-sector state (symmetric initial conditions, singlet weight
     exactly zero); any other gamma12, however close to gamma, keeps the

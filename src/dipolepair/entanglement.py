@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .dynamics import DensityMatrix, _broadcast, _density_errors, _solve_blocks
+from .dynamics import (
+    DensityMatrix,
+    _broadcast,
+    _density_errors,
+    _scaled_terms,
+    _solve_blocks,
+    _trace_terms,
+)
 from .errors import InvalidState, NotPSD, OutOfRange
 from .linalg import BasisTag, _psd_sqrt_stack, psd_sqrt
 from .model import SIGMA_Y, SINGLET_KET, TO_COUPLED
@@ -139,36 +146,24 @@ def steady_state_concurrences(delta, drive, omega, gamma12) -> np.ndarray:
         T = 32 E^2 sqrt(s (16 omega^2 + gamma12^2))
         C = max(0, T - 2 A) / D,  or max(0, T - A) / (D - A) at gamma12 == 1
 
-    the last on the decoupled-singlet branch of solve_steady_states. The
-    steady state times D is u u^+ + w w^+ + A |-1><-1|, plus A |A><A| when
-    the singlet is coupled, on (|+1>, |0>, |-1>) with
-    u = (16 E^2, -8 E (4 delta - i) / sqrt 2,
-    (4 delta - i) (4 omega + 4 delta - i (1 + gamma12))) and
-    w = (0, 16 E^2, -4 sqrt 2 E (4 delta - i)). Wootters' matrix
-    psi_i^T (Y x Y) psi_j of these vectors is
+    the last on the decoupled-singlet branch of solve_steady_states. D is
+    the trace of the state D rho = u u^+ + w w^+ + A |-1><-1| (+ A |A><A|)
+    that solve_steady_states builds. Wootters' matrix
+    psi_i^T (Y x Y) psi_j of u, w, sqrt(A) |-1> and sqrt(A) |A> is
     [[tau, 0, -A], [0, A, 0], [-A, 0, 0]] (+) (-A) with |tau| = T, so the
     lam_i are A, A and (sqrt(T^2 + 4 A^2) +- T) / 2, over D. As E -> oo at
     omega = tau E^2, delta = 0, C tends to closed_form_concurrence(tau) on
     the branch and to (8 tau - 32) / (tau^2 + 64) off it.
 
-    Every term of D and T has degree 4 in (E, sqrt s, p, q), with p and q
-    the square roots in D and T, so the law is evaluated on those divided
-    by k = max(E, sqrt(sqrt s max(p, q))): E^4 is never formed, and no step
-    overflows unless an input comes within a factor 4 of the largest
-    double. A non-finite input gives NaN.
+    D and T are evaluated on the scaled terms of dynamics._scaled_terms,
+    which solve_steady_states builds its states from: E^4 is never formed,
+    and no step overflows unless an input comes within a factor 4 of the
+    largest double. A non-finite input gives NaN.
     """
-    d, e, w, g = _broadcast(delta, drive, omega, gamma12)
-    with np.errstate(invalid="ignore", over="ignore"):
-        r = np.hypot(4.0 * d, 1.0)  # sqrt s
-        p = np.hypot(4.0 * (w + d), 1.0 + g)
-        q = np.hypot(4.0 * w, g)
-        k = np.maximum(e, np.sqrt(r) * np.sqrt(np.maximum(p, q)))
-        e2 = (e / k) ** 2
-        r = r / k
-        a = 256.0 * e2 * e2
-        coupled = g != 1.0
-        den = (3.0 + coupled) * a + r * r * 64.0 * e2 + (r * (p / k)) ** 2
-        return np.maximum(32.0 * e2 * r * (q / k) - (1.0 + coupled) * a, 0.0) / den
+    _, _, g, _, e, r, p, q = _scaled_terms(delta, drive, omega, gamma12)
+    coupled = g != 1.0
+    a, den = _trace_terms(e, r, p, coupled)
+    return np.maximum(32.0 * e**2 * r * q - (1.0 + coupled) * a, 0.0) / den
 
 
 def _eofs(c: np.ndarray) -> np.ndarray:
@@ -194,7 +189,7 @@ def steady_state_entanglement(delta, drive, omega, gamma12):
     args = _broadcast(delta, drive, omega, gamma12)
     states, lowest, errors = _solve_blocks(*args)
     conc = steady_state_concurrences(*args)
-    psd = lowest >= tol.PSD_EVAL_FLOOR  # NaN where the solve failed
+    psd = lowest >= tol.PSD_EVAL_FLOOR  # NaN where the state was not finite
     in_range = conc <= 1.0 + 1e-12
     for i in np.flatnonzero(~(psd & in_range)):
         if errors[i] is None:

@@ -86,6 +86,22 @@ def steady_state(delta, drive, omega, gamma12, singlet_free=False) -> np.ndarray
     return flat.reshape((_DIM, _DIM), order="F")
 
 
+def coupled_state(delta, drive, omega, gamma12, singlet_free=False, dps=DPS) -> np.ndarray:
+    """The steady state of steady_state on (|+1>, |0>, |-1>, |A>), rotated at dps digits.
+
+    |+1> = |ee>, |0> = (|eg> + |ge>) / sqrt 2, |-1> = |gg> and
+    |A> = (|eg> - |ge>) / sqrt 2; rotating before rounding keeps the
+    relative accuracy of every entry. The solve is accurate to about
+    10^-dps absolute, so an entry of size 10^-m has about dps - m digits.
+    """
+    with mp.workdps(dps):
+        rho = _state(delta, drive, omega, gamma12, singlet_free)
+        h = 1 / mp.sqrt(2)
+        u = mp.matrix([[1, 0, 0, 0], [0, h, h, 0], [0, 0, 0, 1], [0, h, -h, 0]])
+        rho = u * rho * u.T
+        return np.array([[complex(rho[a, b]) for b in range(_DIM)] for a in range(_DIM)])
+
+
 def concurrence(delta, drive, omega, gamma12, singlet_free=False) -> float:
     """Wootters concurrence of the steady state, at DPS digits throughout.
 

@@ -1,7 +1,8 @@
-"""The exchange-symmetric block solve against the 50-digit 16x16 oracle.
+"""The exchange-symmetric steady states against the 50-digit 16x16 oracle.
 
-The package solves a 9x9 system: the triplet block with the singlet
-population p_A = rho_{+1,+1} substituted and a trace row. The oracle in
+solve_steady_state solves a 9x9 system: the triplet block with the
+singlet population p_A = rho_{+1,+1} substituted and a trace row;
+solve_steady_states writes the same state in closed form. The oracle in
 ``mp_oracle`` solves the full 16x16 generator of the master equation.
 """
 
@@ -162,14 +163,14 @@ def test_one_singular_matrix_fails_alone():
 
 
 def test_a_solution_failing_the_density_checks_fails_its_point(monkeypatch):
-    solve = dynamics._solve_stack
+    build = dynamics._closed_form_states
 
-    def corrupted(a, b):
-        x, errors = solve(a, b)
-        x[1] = (0.6, 0, 0, 0, 0, 0, 0, 0, -0.2)  # unit trace with p_A, not PSD
-        return x, errors
+    def corrupted(*args):
+        states = build(*args)
+        states[1] = np.diag([0.6, 0, -0.2, 0.6])  # unit trace with p_A, not PSD
+        return states
 
-    monkeypatch.setattr(dynamics, "_solve_stack", corrupted)
+    monkeypatch.setattr(dynamics, "_closed_form_states", corrupted)
     states, errors = solve_steady_states(0.0, [1.0, 2.0, 3.0], 5.0, 0.3)
     assert errors[0] is None and errors[2] is None
     assert isinstance(errors[1], InvalidState) and "negative eigenvalue" in str(errors[1])

@@ -1,8 +1,11 @@
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -213,6 +216,55 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     rc, out, err = run(capsys, "fig2", "--points", "3", "--out", str(path))
     assert rc == 2 and out == ""
     assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_out_is_rewritten_in_place_without_a_stale_tail(tmp_path, capsys):
+    path = tmp_path / "fig2.csv"
+    assert main(["fig2", "--points", "20", "--out", str(path)]) == 0
+    longer = path.read_bytes()
+    rc, out, _ = run(capsys, "fig2", "--points", "3")
+    assert rc == 0
+    assert main(["fig2", "--points", "3", "--out", str(path)]) == 0
+    assert len(longer) > len(out) and path.read_bytes() == out.encode()
+    # and a longer output over a shorter file
+    assert main(["fig2", "--points", "20", "--out", str(path)]) == 0
+    assert path.read_bytes() == longer
+
+
+def test_out_to_a_device_exits_0(capsys):
+    rc, out, err = run(capsys, "fig2", "--points", "3", "--out", "/dev/null")
+    assert (rc, out, err) == (0, "", "")
+
+
+def test_new_out_file_gets_the_mode_of_open_for_writing(tmp_path, capsys):
+    reference = tmp_path / "reference"
+    with open(reference, "w"):
+        pass
+    path = tmp_path / "fig2.csv"
+    assert main(["fig2", "--points", "3", "--out", str(path)]) == 0
+    assert path.stat().st_mode == reference.stat().st_mode
+
+
+def test_out_to_a_directory_is_a_usage_error(tmp_path, capsys):
+    rc, out, err = run(capsys, "fig2", "--points", "3", "--out", str(tmp_path))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("check",), ("fig2", "--points", "40")],
+                         ids=["check", "fig2"])
+def test_closed_pipe_exits_quietly(argv):
+    # the reader closes standard output before anything is written, as
+    # `dipolepair check | head -2` does once it has its lines
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "dipolepair.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 def test_fig2_rejects_bad_range(capsys):
@@ -559,6 +611,39 @@ def test_config_value_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys, comma
     rc, out, err = run(capsys, command, "--config", str(cfgfile))
     assert rc == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("word, switch", [
+    ("true", True), ("yes", True), ("1", True), ("Yes", True),
+    ("false", False), ("no", False), ("0", False), ("NO", False),
+])
+def test_config_switch_takes_true_false_yes_no_1_0(tmp_path, capsys, word, switch):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"lamb_dicke = {word}\n")
+    point = ("steady", "--efield", "1", "--k0r", "0.3")
+    rc, out, err = run(capsys, *point, "--config", str(cfgfile))
+    assert (rc, err) == (0, "")
+    assert out == run(capsys, *point, *(("--lamb-dicke",) if switch else ()))[1]
+    assert ("gamma12 = 1\n" in out) == switch
+
+
+def test_config_switch_rejects_any_other_word(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("lamb_dicke = maybe\n")
+    rc, out, err = run(capsys, "steady", "--efield", "1", "--k0r", "0.3",
+                       "--config", str(cfgfile))
+    assert rc == 2 and out == ""
+    assert err == ("error: config key lamb_dicke expects one of "
+                   "true/false/yes/no/1/0, got 'maybe'\n")
+
+
+def test_config_value_of_a_text_key_stays_text(tmp_path, monkeypatch, capsys):
+    # a number-like value of a key that takes text, here the output path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("out = 5\n")
+    rc, out, err = run(capsys, "fig2", "--points", "3", "--config", "run.cfg")
+    assert (rc, out, err) == (0, "", "")
+    assert (tmp_path / "5").read_text() == run(capsys, "fig2", "--points", "3")[1]
 
 
 def test_config_file_missing(capsys):

@@ -22,6 +22,9 @@ from mp_oracle import concurrence as oracle_concurrence
 from test_block_solver import corner_grid
 
 from dipolepair import (
+    AtomPairConfig,
+    Couplings,
+    build_liouvillian,
     closed_form_concurrence,
     cross_decay,
     dipole_coupling,
@@ -101,12 +104,19 @@ def test_law_rederived_from_the_block_generators():
     sp = pytest.importorskip("sympy")
     d, e, w, g = sp.symbols("delta E Omega gamma12", real=True)
 
-    def exact(m):  # every entry is a dyadic rational, so Rational is exact
-        return sp.Matrix(*m.shape, lambda i, j: sp.Rational(m[i, j].real)
+    def block(delta=0.0, drive=0.0, omega=0.0, gamma12=0.0):
+        """The 9x9 triplet block of build_liouvillian, with exact entries."""
+        lm = build_liouvillian(AtomPairConfig(delta=delta, drive=drive),
+                               Couplings(omega, gamma12)).matrix
+        m = dynamics._TRIPLET_ROWS @ lm @ dynamics._TRIPLET_COLS
+        # every entry is a dyadic rational, so Rational is exact
+        return sp.Matrix(9, 9, lambda i, j: sp.Rational(m[i, j].real)
                          + sp.I * sp.Rational(m[i, j].imag))
 
-    b0, b_delta, b_drive, b_omega, b_gamma12 = map(exact, dynamics._block_basis())
-    gen = b0 + d * b_delta + e * b_drive + w * b_omega + g * b_gamma12
+    # the generator is affine in its parameters: slopes from unit inputs
+    b0 = block()
+    gen = (b0 + d * (block(delta=1.0) - b0) + e * (block(drive=1.0) - b0)
+           + w * (block(omega=1.0) - b0) + g * (block(gamma12=1.0) - b0))
     a = 256 * e**4
     u = sp.Matrix([16 * e**2, -8 * e * (4 * d - sp.I) / sp.sqrt(2),
                    (4 * d - sp.I) * (4 * w + 4 * d - sp.I * (1 + g))])
@@ -148,25 +158,25 @@ def test_law_rederived_from_the_block_generators():
 # ------------------------------------------------------- grid path checks
 
 
-def corrupt(monkeypatch, solutions):
-    """Replace the block solutions at given points by unit-trace vectors."""
-    solve = dynamics._solve_stack
+def corrupt(monkeypatch, diagonals):
+    """Replace the built states at given points by unit-trace diagonal states."""
+    build = dynamics._closed_form_states
 
-    def corrupted(a, b):
-        x, errors = solve(a, b)
-        for k, sol in solutions.items():
-            x[k] = sol
-        return x, errors
+    def corrupted(*args):
+        states = build(*args)
+        for k, diagonal in diagonals.items():
+            states[k] = np.diag(diagonal)
+        return states
 
-    monkeypatch.setattr(dynamics, "_solve_stack", corrupted)
+    monkeypatch.setattr(dynamics, "_closed_form_states", corrupted)
 
 
 def test_grid_checks_fail_only_their_own_point(monkeypatch):
     drive = np.array([0.5, 1.0, 1.5, math.nan, 2.0])
     clean_states, _ = solve_steady_states(0.0, drive, 20.0, 0.3)
-    # diag(0.25, 0.5 - low, low) in the unnormalised basis, p_A = 0.25: trace 1;
-    # -5e-10 passes the density-matrix floor (-1e-9), not the PSD floor (-1e-10)
-    corrupt(monkeypatch, {k: (0.25, 0, 0, 0, 1.0 - 2 * low, 0, 0, 0, low)
+    # diag(0.25, 0.5 - low, low) and p_A = 0.25: trace 1; -5e-10 passes the
+    # density-matrix floor (-1e-9), not the PSD floor (-1e-10)
+    corrupt(monkeypatch, {k: (0.25, 0.5 - low, low, 0.25)
                           for k, low in ((1, -5e-10), (2, -2e-9))})
     states, conc, eof, errors = steady_state_entanglement(0.0, drive, 20.0, 0.3)
     assert type(errors[1]) is NotPSD and "below PSD floor" in str(errors[1])

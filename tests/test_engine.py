@@ -12,11 +12,8 @@ import numpy as np
 import pytest
 
 from dipolepair import (
-    AtomPairConfig,
     BasisTag,
-    Couplings,
     DensityMatrix,
-    build_liouvillian,
     cross_decay,
     dipole_coupling,
     liouvillian_stack,
@@ -25,7 +22,7 @@ from dipolepair import (
     wootters_concurrence,
     wootters_concurrences,
 )
-from dipolepair import cli, dynamics
+from dipolepair import cli
 from dipolepair import tolerances as tol
 from dipolepair.dynamics import _density_errors
 from dipolepair.errors import InvalidState, NoNullSpace, NotHermitian, NotPSD
@@ -95,22 +92,6 @@ def test_affine_assembly_matches_kron_formula():
     for k in range(n):
         ref = kron_liouvillian(delta[k], drive[k], omega[k], gamma12[k])
         assert np.abs(stack[k] - ref).max() <= 1e-15 * np.abs(ref).max()
-
-
-def test_block_assembly_matches_projected_generators():
-    n = 300
-    delta = RNG.uniform(-3.0, 3.0, n)
-    drive = RNG.uniform(0.0, 20.0, n)
-    omega = RNG.choice([-1.0, 1.0], n) * 10.0 ** RNG.uniform(-3.0, 6.0, n)
-    gamma12 = RNG.uniform(-0.5, 1.0, n)
-    gamma12[:2] = 1.0
-    blocks = dynamics._assemble(dynamics._block_basis(), delta, drive, omega, gamma12)
-    assert blocks.shape == (n, 9, 9)
-    for k in range(n):
-        cfg = AtomPairConfig(delta=delta[k], drive=drive[k])
-        lm = build_liouvillian(cfg, Couplings(omega[k], gamma12[k])).matrix
-        ref = dynamics._TRIPLET_ROWS @ lm @ dynamics._TRIPLET_COLS
-        assert np.abs(blocks[k] - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 # ------------------------------------------------------- engine
