@@ -11,7 +11,6 @@ matrix sits at flat index i + n*j, and vec(A X B) = kron(B.T, A) vec(X).
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import (
-    DegenerateKernel,
-    InvalidRegime,
-    InvalidRegimeWarning,
-    InvalidState,
-    NoNullSpace,
-)
+from .errors import InvalidRegime, InvalidRegimeWarning, InvalidState
 from .linalg import BasisTag, hermitian_part, kron
 from .model import (
     SM1,
@@ -159,40 +152,6 @@ def build_liouvillian(cfg: AtomPairConfig, c: Couplings) -> Liouvillian:
     return Liouvillian(lm, BasisTag.COMPUTATIONAL)
 
 
-@functools.cache
-def _affine_basis() -> tuple[np.ndarray, ...]:
-    """L0, L_delta, L_drive, L_omega, L_gamma12 of the affine generator.
-
-    build_liouvillian is affine in (delta, drive, omega, gamma12), so each
-    slope is its value at one unit input minus its value at zero. Built on
-    first use, so that importing the package for one-point work stays as
-    cheap as before.
-    """
-    def at(delta=0.0, drive=0.0, omega=0.0, gamma12=0.0):
-        cfg = AtomPairConfig(delta=delta, drive=drive)
-        return build_liouvillian(cfg, Couplings(omega, gamma12)).matrix
-
-    l0 = at()
-    return (l0, at(delta=1.0) - l0, at(drive=1.0) - l0, at(omega=1.0) - l0,
-            at(gamma12=1.0) - l0)
-
-
-def liouvillian_stack(delta, drive, omega, gamma12) -> np.ndarray:
-    """Generators of N parameter points as an (N, 16, 16) stack.
-
-    L = L0 + delta L_delta + drive L_drive + omega L_omega
-    + gamma12 L_gamma12, computational basis; the arguments broadcast to
-    one length. Every basis entry is a small dyadic rational, so this
-    agrees with build_liouvillian at each point to rounding (on all points
-    tested, to the last bit). A non-finite input gives a generator with NaN
-    entries (inf times a zero entry).
-    """
-    d, e, w, g = (a[:, None, None] for a in _broadcast(delta, drive, omega, gamma12))
-    l0, l_delta, l_drive, l_omega, l_gamma12 = _affine_basis()
-    with np.errstate(invalid="ignore"):
-        return l0 + d * l_delta + e * l_drive + w * l_omega + g * l_gamma12
-
-
 def _broadcast(*args) -> list[np.ndarray]:
     """Float arrays of one common length from scalars and 1-d arrays."""
     arrays = [np.asarray(a, dtype=float).reshape(-1) for a in args]
@@ -316,22 +275,22 @@ def _scaled_terms(delta, drive, omega, gamma12):
     (E, sqrt s, p, q). All four are divided by k = max(E, sqrt(sqrt s
     max(p, q))), so E^4 is never formed, and no step overflows unless an
     input comes within a factor 4 of the largest double. Returns the
-    broadcast (delta, omega, gamma12), k, and E, sqrt s, p, q over k.
+    broadcast (delta, omega, gamma12), the branch mask gamma12 != 1, k, E,
+    sqrt s and q over k, and A = 256 E^4 and D over k^4: the terms that
+    both the states and the law are built from.
     """
     d, e, w, g = _broadcast(delta, drive, omega, gamma12)
+    coupled = g != 1.0
     with np.errstate(invalid="ignore", over="ignore"):
         r = np.hypot(4.0 * d, 1.0)  # sqrt s
         p = np.hypot(4.0 * (w + d), 1.0 + g)
         q = np.hypot(4.0 * w, g)
         k = np.maximum(e, np.sqrt(r) * np.sqrt(np.maximum(p, q)))
-        return d, w, g, k, e / k, r / k, p / k, q / k
-
-
-def _trace_terms(e, r, p, coupled):
-    """(A, D) over k^4, from the scaled E, sqrt s and p of _scaled_terms."""
+        e, r, p, q = e / k, r / k, p / k, q / k
     e2 = e**2
     a = 256.0 * e2 * e2
-    return a, (3.0 + coupled) * a + r * r * 64.0 * e2 + (r * p) ** 2
+    den = (3.0 + coupled) * a + r * r * 64.0 * e2 + (r * p) ** 2
+    return d, w, g, coupled, k, e, r, q, a, den
 
 
 def solve_steady_states(delta, drive, omega, gamma12):
@@ -355,21 +314,20 @@ def solve_steady_states(delta, drive, omega, gamma12):
     ``(states, errors)``: an (N, 4, 4) array, NaN where a point failed,
     and a list holding per point None or its typed error.
     """
-    states, _, errors = _solve_blocks(delta, drive, omega, gamma12)
+    states, _, errors = _solve_blocks(_scaled_terms(delta, drive, omega, gamma12))
     return states, errors
 
 
-def _closed_form_states(delta, drive, omega, gamma12) -> np.ndarray:
+def _closed_form_states(terms) -> np.ndarray:
     """The (N, 4, 4) states of solve_steady_states, unchecked; not finite where failed.
 
-    Entries of D rho over k^4, with c = 16 E^2 and b = -4 sqrt 2 E x the
-    shared entries of u and w, and z = x (4 omega + 4 delta - i (1 +
-    gamma12)) the last of u; the lower triangle is the conjugate of the
-    upper, so the state is exactly Hermitian.
+    Entries of D rho over k^4, from the terms of _scaled_terms, with c =
+    16 E^2 and b = -4 sqrt 2 E x the shared entries of u and w, and z = x
+    (4 omega + 4 delta - i (1 + gamma12)) the last of u; the lower
+    triangle is the conjugate of the upper, so the state is exactly
+    Hermitian.
     """
-    d, om, g, k, e, r, p, _ = _scaled_terms(delta, drive, omega, gamma12)
-    coupled = g != 1.0
-    a, den = _trace_terms(e, r, p, coupled)
+    d, om, g, coupled, k, e, _, _, a, den = terms
     n = len(d)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         x = np.empty(n, dtype=complex)  # x / k
@@ -394,67 +352,14 @@ def _closed_form_states(delta, drive, omega, gamma12) -> np.ndarray:
     return rho
 
 
-def _solve_blocks(delta, drive, omega, gamma12):
-    """solve_steady_states, plus the lowest eigenvalue of each state from its checks."""
-    states = _closed_form_states(delta, drive, omega, gamma12)
+def _solve_blocks(terms):
+    """solve_steady_states on the terms of _scaled_terms, plus the lowest
+    eigenvalue of each state from its checks."""
+    states = _closed_form_states(terms)
     errors: list[Exception | None] = [
         None if ok else np.linalg.LinAlgError("non-finite steady state")
         for ok in np.isfinite(states).all(axis=(1, 2))]
     return _check_states(states, errors)
-
-
-# ------------------------------------------------------- SVD kernels, one point
-# at a time: independent references for the tests and the check command
-
-
-def _kernel_state(m: np.ndarray, label: str, degenerate_rtol: float | None):
-    """State spanning the kernel of one generator, by SVD.
-
-    Raises NoNullSpace (message prefix ``label``) when the smallest
-    singular value exceeds NULLSPACE_RTOL of the largest; DegenerateKernel
-    when, with ``degenerate_rtol``, the second is below that fraction of
-    the largest, or when the kernel vector is traceless. The kernel vector,
-    its phase fixed by its trace, Hermitized and normalized, must pass the
-    DensityMatrix checks.
-    """
-    _, s, vh = np.linalg.svd(m)
-    if s[-1] > tol.NULLSPACE_RTOL * s[0]:
-        raise NoNullSpace(f"{label}: smallest singular value {s[-1]:.3e}")
-    if degenerate_rtol is not None and s[-2] <= degenerate_rtol * s[0]:
-        raise DegenerateKernel("steady state is not unique (singlet sector decoupled); "
-                               "restrict to the triplet sector")
-    rho = vh[-1].conj().reshape((math.isqrt(len(m)),) * 2, order="F")
-    tr = np.trace(rho)
-    if abs(tr) < 1e-10:
-        raise DegenerateKernel("kernel vector is traceless, steady state not unique")
-    rho = hermitian_part(rho * (tr.conjugate() / abs(tr)))
-    rho = rho / np.trace(rho).real
-    err = _density_errors(rho[None])[0]
-    if err is not None:
-        raise err
-    return rho
-
-
-def steady_state_numeric(liouv: Liouvillian) -> DensityMatrix:
-    """Kernel of the superoperator, Hermitized and trace-normalized.
-
-    Raises DegenerateKernel when the kernel is more than one-dimensional
-    at working precision, which happens exactly when gamma12 = gamma (the
-    singlet decouples); restrict to the triplet sector in that case.
-    """
-    rho = _kernel_state(liouv.matrix, "no kernel", tol.KERNEL_EXACT_RTOL)
-    return DensityMatrix._checked(rho, liouv.basis)
-
-
-def restrict_triplet(liouv: Liouvillian) -> np.ndarray:
-    """9x9 sub-superoperator acting on the triplet block, coupled basis."""
-    return liouv.to_coupled().matrix[np.ix_(_TRIPLET_IDX, _TRIPLET_IDX)]
-
-
-def triplet_steady_state(liouv: Liouvillian) -> DensityMatrix:
-    """Steady state of the triplet-restricted dynamics (singlet weight 0)."""
-    rho = _kernel_state(restrict_triplet(liouv), "no triplet kernel", None)
-    return DensityMatrix._checked(rho, BasisTag.TRIPLET)
 
 
 def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:

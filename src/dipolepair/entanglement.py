@@ -15,17 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .dynamics import (
-    DensityMatrix,
-    _broadcast,
-    _density_errors,
-    _scaled_terms,
-    _solve_blocks,
-    _trace_terms,
-)
+from .dynamics import DensityMatrix, _scaled_terms, _solve_blocks
 from .errors import InvalidState, NotPSD, OutOfRange
-from .linalg import BasisTag, _psd_sqrt_stack, psd_sqrt
-from .model import SIGMA_Y, SINGLET_KET, TO_COUPLED
+from .linalg import BasisTag, psd_sqrt
+from .model import SIGMA_Y, SINGLET_KET
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y).real.astype(complex)  # real matrix
 
@@ -100,42 +93,6 @@ def wootters_concurrence(rho) -> ConcurrenceReport:
     return ConcurrenceReport(lambdas=lam, concurrence=c, eof=eof_from_concurrence(c))
 
 
-def wootters_concurrences(states, errors=None):
-    """Concurrence and entanglement of formation of N states in one batch.
-
-    ``states`` is an (N, 4, 4) stack in the coupled basis and ``errors``
-    its per-point errors, as solve_steady_states returns them; points
-    with an error are passed through. Every other point gets the checks
-    of the one-point path: the DensityMatrix checks in the computational
-    basis, psd_sqrt's Hermiticity and PSD-floor checks (one eigh per
-    point serves both and the square root; the DensityMatrix error is
-    kept where both fail), and the range of the concurrence. Returns
-    ``(concurrence, eof, errors)``, NaN where a point failed and its
-    typed error in the list.
-    """
-    states = np.asarray(states, dtype=complex)
-    n = len(states)
-    errors = [None] * n if errors is None else list(errors)
-    conc = np.full(n, np.nan)
-    eof = np.full(n, np.nan)
-    idx = np.flatnonzero([e is None for e in errors])
-    comp = TO_COUPLED.conj().T @ states[idx] @ TO_COUPLED
-    w, v = np.linalg.eigh(comp)  # serves both sets of checks and the root
-    roots, root_errors = _psd_sqrt_stack(comp, w, v)
-    for i, err, root_err in zip(idx, _density_errors(comp, w), root_errors):
-        errors[i] = err or root_err
-    keep = [errors[i] is None for i in idx]
-    idx, roots = idx[keep], roots[keep]
-    lam = np.linalg.svd(roots @ _YY @ roots.conj(), compute_uv=False)
-    for i, d in zip(idx, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]):
-        c = max(0.0, float(d))
-        if c > 1.0 + 1e-12:
-            errors[i] = OutOfRange(f"concurrence {c!r} outside [0, 1]")
-        else:
-            conc[i], eof[i] = c, eof_from_concurrence(c)
-    return conc, eof, errors
-
-
 def steady_state_concurrences(delta, drive, omega, gamma12) -> np.ndarray:
     """Exact concurrence of the steady state at N parameter points.
 
@@ -160,9 +117,12 @@ def steady_state_concurrences(delta, drive, omega, gamma12) -> np.ndarray:
     and no step overflows unless an input comes within a factor 4 of the
     largest double. A non-finite input gives NaN.
     """
-    _, _, g, _, e, r, p, q = _scaled_terms(delta, drive, omega, gamma12)
-    coupled = g != 1.0
-    a, den = _trace_terms(e, r, p, coupled)
+    return _concurrence_law(_scaled_terms(delta, drive, omega, gamma12))
+
+
+def _concurrence_law(terms) -> np.ndarray:
+    """steady_state_concurrences on the terms of dynamics._scaled_terms."""
+    _, _, _, coupled, _, e, r, q, a, den = terms
     return np.maximum(32.0 * e**2 * r * q - (1.0 + coupled) * a, 0.0) / den
 
 
@@ -182,13 +142,14 @@ def steady_state_entanglement(delta, drive, omega, gamma12):
     floor of wootters_concurrence (NotPSD), judged on the eigenvalues that
     the DensityMatrix checks computed (a basis change keeps them). The
     concurrence is steady_state_concurrences and must lie in [0, 1]
-    (OutOfRange). A point that fails does not stop the others. Returns
+    (OutOfRange); states and concurrence share one evaluation of the
+    scaled terms. A point that fails does not stop the others. Returns
     ``(states, concurrence, eof, errors)``, NaN where a point failed and
     its typed error in the list.
     """
-    args = _broadcast(delta, drive, omega, gamma12)
-    states, lowest, errors = _solve_blocks(*args)
-    conc = steady_state_concurrences(*args)
+    terms = _scaled_terms(delta, drive, omega, gamma12)
+    states, lowest, errors = _solve_blocks(terms)
+    conc = _concurrence_law(terms)
     psd = lowest >= tol.PSD_EVAL_FLOOR  # NaN where the state was not finite
     in_range = conc <= 1.0 + 1e-12
     for i in np.flatnonzero(~(psd & in_range)):

@@ -17,12 +17,8 @@ class NoNullSpace(DipolePairError):
     """Smallest singular value is not small enough to count as a kernel."""
 
 
-class DegenerateKernel(DipolePairError):
-    """Kernel is more than one-dimensional; the steady state is not unique."""
-
-
 class InvalidGeometry(DipolePairError):
-    """Nonpositive distance, quality factor or photon number."""
+    """Distance not finite and > 0, or nonpositive quality factor or photon number."""
 
 
 class DegenerateDrive(DipolePairError):

@@ -11,7 +11,7 @@ import enum
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DipolePairError, NoNullSpace, NotHermitian, NotPSD
+from .errors import NoNullSpace, NotHermitian, NotPSD
 
 
 class BasisTag(enum.Enum):
@@ -81,32 +81,11 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     Eigenvalues slightly below zero (floor -1e-10) are clamped; anything
     lower raises NotPSD.
     """
-    m = np.asarray(m, dtype=complex)[None]
-    roots, errors = _psd_sqrt_stack(m, *np.linalg.eigh(m))
-    if errors[0] is not None:
-        raise errors[0]
-    return roots[0]
-
-
-def _psd_sqrt_stack(m: np.ndarray, w: np.ndarray, v: np.ndarray):
-    """psd_sqrt of every matrix of an (N, n, n) stack, given its eigh (w, v).
-
-    Returns (roots, errors): NaN roots where a matrix failed, and per
-    matrix None or the NotHermitian / NotPSD error psd_sqrt raises.
-    """
-    dev = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
-    low = w[:, 0]  # ascending
-    w = np.clip(w, 0.0, None)
-    roots = hermitian_part((v * np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(1, 2))
-    errors: list[DipolePairError | None] = [None] * len(m)
-    for i in np.flatnonzero((dev > tol.HERMITICITY_ATOL) | (low < tol.PSD_EVAL_FLOOR)):
-        errors[i] = (
-            NotHermitian(f"deviation from Hermiticity {dev[i]:.3e}")
-            if dev[i] > tol.HERMITICITY_ATOL
-            else NotPSD(f"eigenvalue {low[i]:.3e} below PSD floor")
-        )
-        roots[i] = np.nan
-    return roots, errors
+    m = _require_hermitian(m)
+    w, v = np.linalg.eigh(m)  # ascending
+    if w[0] < tol.PSD_EVAL_FLOOR:
+        raise NotPSD(f"eigenvalue {w[0]:.3e} below PSD floor")
+    return hermitian_part((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
 
 
 def null_vector(m: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -109,6 +109,14 @@ class DriveScaling:
             raise InvalidGeometry("tau, q_factor and nbar_v must all be > 0")
 
 
+def _distance(k0r) -> np.ndarray:
+    """k0r as a float array; InvalidGeometry unless every entry is finite and > 0."""
+    x = np.asarray(k0r, dtype=float)
+    if not np.all((x > 0) & (x < math.inf)):  # NaN fails both
+        raise InvalidGeometry("k0r must be finite and > 0")
+    return x
+
+
 def dipole_coupling(k0r, mu_dot_rhat: float = 0.0):
     """Coherent dipole-dipole coupling Omega/gamma at distance x = k0r.
 
@@ -117,11 +125,10 @@ def dipole_coupling(k0r, mu_dot_rhat: float = 0.0):
 
     Below x = 1e-3 the bracket is evaluated by series to avoid the 1/x^3
     cancellations; the series is only summed when some x needs it.
-    Accepts scalars or arrays.
+    Accepts scalars or arrays; a k0r that is not finite and > 0 raises
+    InvalidGeometry.
     """
-    x = np.asarray(k0r, dtype=float)
-    if np.any(x <= 0):
-        raise InvalidGeometry("k0r must be > 0")
+    x = _distance(k0r)
     a = 1.0 - mu_dot_rhat**2
     b = 1.0 - 3.0 * mu_dot_rhat**2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -150,11 +157,10 @@ def cross_decay(k0r):
     x -> 0 but stays below it: the value is capped at the largest double
     below 1, since gamma12 == gamma exactly selects the decoupled-singlet
     branch of the steady-state solver, which no distance reaches. Accepts
-    scalars or arrays.
+    scalars or arrays; a k0r that is not finite and > 0 raises
+    InvalidGeometry.
     """
-    x = np.asarray(k0r, dtype=float)
-    if np.any(x <= 0):
-        raise InvalidGeometry("k0r must be > 0")
+    x = _distance(k0r)
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = -3.0 * (np.cos(x) / x**2 - np.sin(x) / x**3)
     out = direct

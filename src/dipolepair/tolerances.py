@@ -6,11 +6,9 @@ EIGEN_RESIDUAL_ATOL = 1e-9    # ||m v - lam v|| for Hermitian eigenpairs
 GENERAL_EIG_ATOL = 1e-8       # characteristic-polynomial agreement
 PSD_EVAL_FLOOR = -1e-10       # eigenvalues below this fail the PSD check
 PSD_SQRT_ATOL = 1e-8          # ||s s - m||
-# SVD kernels of null_vector, steady_state_numeric and triplet_steady_state;
-# the steady-state solver itself solves a linear system and has no threshold
+# the SVD kernel of null_vector; the steady-state solvers have no threshold
 NULLSPACE_RTOL = 1e-8         # smallest singular value relative to largest
 KERNEL_FLAG_RTOL = 1e-8       # second-smallest singular value: degeneracy flag
-KERNEL_EXACT_RTOL = 1e-12     # below this the kernel is genuinely multi-dimensional
 
 # density matrices
 DENSITY_HERM_ATOL = 1e-10

@@ -1,0 +1,72 @@
+"""Steady states as SVD kernels of the generator, one point at a time.
+
+Independent references for the solver tests: the kernel of the full
+16x16 superoperator (``steady_state_numeric``) and of its 9x9 triplet
+block (``triplet_steady_state``). Neither knows about exchange symmetry
+or the closed form; both stop at a singular-value threshold instead.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from dipolepair import BasisTag, DensityMatrix, Liouvillian, hermitian_part
+from dipolepair import tolerances as tol
+from dipolepair.errors import DipolePairError, NoNullSpace
+
+KERNEL_EXACT_RTOL = 1e-12  # below this the kernel is genuinely multi-dimensional
+
+# flat indices of the 3x3 triplet block inside a column-stacked 4x4
+_TRIPLET_IDX = np.array([i + 4 * j for j in range(3) for i in range(3)])
+
+
+class DegenerateKernel(DipolePairError):
+    """Kernel is more than one-dimensional; the steady state is not unique."""
+
+
+def _kernel_state(m: np.ndarray, label: str, degenerate_rtol: float | None):
+    """State spanning the kernel of one generator, by SVD.
+
+    Raises NoNullSpace (message prefix ``label``) when the smallest
+    singular value exceeds NULLSPACE_RTOL of the largest; DegenerateKernel
+    when, with ``degenerate_rtol``, the second is below that fraction of
+    the largest, or when the kernel vector is traceless. The kernel vector,
+    its phase fixed by its trace, Hermitized and normalized, is returned
+    as a matrix.
+    """
+    _, s, vh = np.linalg.svd(m)
+    if s[-1] > tol.NULLSPACE_RTOL * s[0]:
+        raise NoNullSpace(f"{label}: smallest singular value {s[-1]:.3e}")
+    if degenerate_rtol is not None and s[-2] <= degenerate_rtol * s[0]:
+        raise DegenerateKernel("steady state is not unique (singlet sector decoupled); "
+                               "restrict to the triplet sector")
+    rho = vh[-1].conj().reshape((math.isqrt(len(m)),) * 2, order="F")
+    tr = np.trace(rho)
+    if abs(tr) < 1e-10:
+        raise DegenerateKernel("kernel vector is traceless, steady state not unique")
+    rho = hermitian_part(rho * (tr.conjugate() / abs(tr)))
+    return rho / np.trace(rho).real
+
+
+def steady_state_numeric(liouv: Liouvillian) -> DensityMatrix:
+    """Kernel of the superoperator, Hermitized and trace-normalized.
+
+    Raises DegenerateKernel when the kernel is more than one-dimensional
+    at working precision, which happens exactly when gamma12 = gamma (the
+    singlet decouples); restrict to the triplet sector in that case.
+    """
+    return DensityMatrix(_kernel_state(liouv.matrix, "no kernel", KERNEL_EXACT_RTOL),
+                         liouv.basis)
+
+
+def restrict_triplet(liouv: Liouvillian) -> np.ndarray:
+    """9x9 sub-superoperator acting on the triplet block, coupled basis."""
+    return liouv.to_coupled().matrix[np.ix_(_TRIPLET_IDX, _TRIPLET_IDX)]
+
+
+def triplet_steady_state(liouv: Liouvillian) -> DensityMatrix:
+    """Steady state of the triplet-restricted dynamics (singlet weight 0)."""
+    return DensityMatrix(_kernel_state(restrict_triplet(liouv), "no triplet kernel", None),
+                         BasisTag.TRIPLET)

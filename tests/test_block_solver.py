@@ -22,6 +22,7 @@ from dipolepair import (
     AtomPairConfig,
     BasisTag,
     Couplings,
+    DensityMatrix,
     analytic_steady_state,
     couplings_from_geometry,
     cross_decay,
@@ -29,7 +30,6 @@ from dipolepair import (
     solve_steady_state,
     solve_steady_states,
     wootters_concurrence,
-    wootters_concurrences,
 )
 from dipolepair import dynamics
 from dipolepair.cli import main
@@ -44,6 +44,10 @@ def computational(m):
     return TO_COUPLED.conj().T @ m @ TO_COUPLED
 
 
+def coupled(m):
+    return DensityMatrix(m, BasisTag.COUPLED)
+
+
 def corner_grid():
     """4 distances x 4 drives x 3 dipole projections, detuning cycling over 5 values."""
     k0r, efield, mu = (a.ravel() for a in np.meshgrid(
@@ -56,8 +60,8 @@ def corner_grid():
 def test_block_solve_matches_oracle_on_log_grid():
     delta, efield, omega, gamma12 = corner_grid()
     states, errors = solve_steady_states(delta, efield, omega, gamma12)
-    conc, _, errors = wootters_concurrences(states, errors)
     assert len(errors) == 48 and errors == [None] * 48
+    conc = [wootters_concurrence(coupled(m)).concurrence for m in states]
     assert np.array_equal(states[:, 3, 3], states[:, 0, 0].real)
     assert not states[:, 3, :3].any() and not states[:, :3, 3].any()
     for k in range(48):
@@ -135,10 +139,10 @@ def test_geometry_never_selects_the_decoupled_singlet_branch(k0r):
     one = solve_steady_state(cfg, couplings_from_geometry(cfg))
     x = np.array([k0r])
     states, errors = solve_steady_states(0.0, cfg.drive, dipole_coupling(x), cross_decay(x))
-    conc, _, errors = wootters_concurrences(states, errors)
     assert errors == [None]
+    conc = wootters_concurrence(coupled(states[0])).concurrence
     for weight, c in ((one.singlet_weight(), wootters_concurrence(one).concurrence),
-                      (states[0, 3, 3].real, conc[0])):
+                      (states[0, 3, 3].real, conc)):
         assert weight == pytest.approx(16.0 / (TAU_STAR**2 + 64.0), abs=1e-4)
         assert c == pytest.approx((8.0 * TAU_STAR - 32.0) / (TAU_STAR**2 + 64.0), abs=1e-4)
 

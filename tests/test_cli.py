@@ -27,8 +27,8 @@ def inject_failures(monkeypatch, failures):
     """Make the grid engine fail with failures[k] at point k of each stack."""
     solve = entanglement._solve_blocks
 
-    def failing(*args):
-        states, lowest, errors = solve(*args)
+    def failing(terms):
+        states, lowest, errors = solve(terms)
         for k, exc in failures.items():
             states[k] = np.nan
             errors[k] = exc
@@ -76,10 +76,11 @@ def test_steady_rejects_conflicting_flags(capsys):
 
 
 def test_steady_rejects_non_finite_input(capsys):
-    for argv in (("--efield", "nan", "--k0r", "1"), ("--efield", "1", "--k0r", "inf")):
+    for argv, message in ((("--efield", "nan", "--k0r", "1"), "error: inputs must be finite"),
+                          (("--efield", "1", "--k0r", "inf"), "error: k0r must be finite")):
         rc, out, err = run(capsys, "steady", *argv)
         assert rc == 2 and out == ""
-        assert err.startswith("error: inputs must be finite") and err.count("\n") == 1
+        assert err.startswith(message) and err.count("\n") == 1
     # a non-finite coupling reaches the solver, whose LinAlgError is caught
     rc, out, err = run(capsys, "steady", "--efield", "1", "--omega", "nan")
     assert rc == 2 and out == ""
@@ -511,6 +512,13 @@ def test_sweep_rejects_nan_distance(capsys):
     rc, out, err = run(capsys, "sweep", "--axis", "efield=0:1:3", "--k0r", "nan")
     assert rc == 2 and out == ""
     assert err == "error: k0r must be > 0\n"
+
+
+def test_sweep_rejects_infinite_distance(capsys):
+    # the geometry factors reject k0r = inf before any point is solved
+    rc, out, err = run(capsys, "sweep", "--axis", "efield=1:2:2", "--k0r", "inf")
+    assert rc == 2 and out == ""
+    assert err == "error: k0r must be finite and > 0\n"
 
 
 def test_sweep_records_failed_point_as_nan_row(capsys, monkeypatch):

@@ -194,9 +194,9 @@ def test_grid_checks_fail_only_their_own_point(monkeypatch):
 
 def test_grid_concurrence_outside_the_unit_interval_fails_its_point(monkeypatch):
     # a valid state has C <= 1, so only a faulty law could reach this check
-    law = entanglement.steady_state_concurrences
-    monkeypatch.setattr(entanglement, "steady_state_concurrences",
-                        lambda *args: law(*args) + [0.0, 1.0, 0.0])
+    law = entanglement._concurrence_law
+    monkeypatch.setattr(entanglement, "_concurrence_law",
+                        lambda terms: law(terms) + [0.0, 1.0, 0.0])
     _, conc, eof, errors = steady_state_entanglement(0.0, [0.5, 1.0, 1.5], 20.0, 0.3)
     assert type(errors[1]) is OutOfRange and "outside [0, 1]" in str(errors[1])
     assert errors[0] is None and errors[2] is None

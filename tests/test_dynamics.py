@@ -17,20 +17,19 @@ from dipolepair import (
     dipole_coupling,
     lamb_dicke_limit_state,
     propagate,
-    restrict_triplet,
     solve_steady_state,
-    steady_state_numeric,
-    triplet_steady_state,
     unvec,
     vec,
     wootters_concurrence,
 )
-from dipolepair.errors import (
-    DegenerateKernel,
-    InvalidRegimeWarning,
-    InvalidState,
-)
+from dipolepair.errors import InvalidRegimeWarning, InvalidState
 from dipolepair.model import SM1, SM2, SP1, SP2, TO_COUPLED
+from svd_reference import (
+    DegenerateKernel,
+    restrict_triplet,
+    steady_state_numeric,
+    triplet_steady_state,
+)
 
 RNG = np.random.default_rng(23)
 

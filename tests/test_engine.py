@@ -1,9 +1,9 @@
 """The batched steady-state engine against per-point references.
 
-The references below are test-local: the 18-kron generator assembly,
-Wootters' concurrence through a per-point PSD square root, and the
-50-digit solve of the full 16x16 generator in ``mp_oracle``. The engine
-must agree with them point for point.
+The references below are test-local: Wootters' concurrence through a
+per-point PSD square root, and the 50-digit solve of the full 16x16
+generator in ``mp_oracle``. The engine must agree with them point for
+point.
 """
 
 import math
@@ -16,43 +16,23 @@ from dipolepair import (
     DensityMatrix,
     cross_decay,
     dipole_coupling,
-    liouvillian_stack,
+    psd_sqrt,
     solve_steady_states,
     steady_state_entanglement,
     wootters_concurrence,
-    wootters_concurrences,
 )
 from dipolepair import cli
 from dipolepair import tolerances as tol
 from dipolepair.dynamics import _density_errors
-from dipolepair.errors import InvalidState, NoNullSpace, NotHermitian, NotPSD
-from dipolepair.model import SIGMA_X, SIGMA_Y, SIGMA_Z, SM1, SM2, SP1, SP2, TO_COUPLED
+from dipolepair.errors import DipolePairError, InvalidState, NotHermitian, NotPSD
+from dipolepair.model import SIGMA_Y, TO_COUPLED
 
 RNG = np.random.default_rng(31)
 
-I2 = np.eye(2, dtype=complex)
-I4 = np.eye(4, dtype=complex)
 YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 
 # ------------------------------------------------------- per-point reference
-
-
-def kron_liouvillian(delta, drive, omega, gamma12, gamma=1.0):
-    """The superoperator as 18 Kronecker products, column stacking."""
-    h = 0.5 * delta * (np.kron(SIGMA_Z, I2) + np.kron(I2, SIGMA_Z))
-    h = h + drive * (np.kron(SIGMA_X, I2) + np.kron(I2, SIGMA_X))
-    h = h + omega * (SP1 @ SM2 + SM1 @ SP2)
-    rates = 0.5 * np.array([[gamma, gamma12], [gamma12, gamma]])
-    lm = -1j * (np.kron(I4, h) - np.kron(h.T, I4))
-    plus, minus = (SP1, SP2), (SM1, SM2)
-    for i in range(2):
-        for j in range(2):
-            a = plus[i] @ minus[j]
-            lm = lm + 0.5 * rates[i, j] * (
-                2.0 * np.kron(plus[j].T, minus[i]) - np.kron(I4, a) - np.kron(a.T, I4)
-            )
-    return lm
 
 
 def reference_concurrence(m):
@@ -76,24 +56,6 @@ def fig2_mesh(k0r_lo, k0r_hi, e_lo, e_hi, points):
     return 0.0, np.tile(efields, points), omega, gamma12
 
 
-# ------------------------------------------------------- assembly
-
-
-def test_affine_assembly_matches_kron_formula():
-    n = 300
-    delta = RNG.uniform(-3.0, 3.0, n)
-    drive = RNG.uniform(0.0, 20.0, n)
-    omega = RNG.choice([-1.0, 1.0], n) * 10.0 ** RNG.uniform(-3.0, 6.0, n)
-    omega[:3] = (1e6, -1e6, 0.0)
-    gamma12 = RNG.uniform(-0.5, 1.0, n)
-    gamma12[:2] = 1.0
-    stack = liouvillian_stack(delta, drive, omega, gamma12)
-    assert stack.shape == (n, 16, 16)
-    for k in range(n):
-        ref = kron_liouvillian(delta[k], drive[k], omega[k], gamma12[k])
-        assert np.abs(stack[k] - ref).max() <= 1e-15 * np.abs(ref).max()
-
-
 # ------------------------------------------------------- engine
 
 
@@ -111,8 +73,10 @@ def test_engine_matches_per_point_algorithm(mesh):
 
     delta, drive, omega, gamma12 = fig2_mesh(*mesh)
     states, errors = solve_steady_states(delta, drive, omega, gamma12)
-    conc, eof, errors = wootters_concurrences(states, errors)
     assert errors == [None] * len(drive)
+    reports = [wootters_concurrence(DensityMatrix(m, BasisTag.COUPLED)) for m in states]
+    conc = np.array([r.concurrence for r in reports])
+    eof = np.array([r.eof for r in reports])
     assert not np.isnan(conc).any() and not np.isnan(eof).any()
     for k in np.random.default_rng(len(drive)).choice(len(drive), 6, replace=False):
         expected = oracle_state(delta, drive[k], omega[k], gamma12[k])
@@ -176,32 +140,21 @@ def test_density_errors_agree_with_density_matrix_checks():
 
 
 def test_wootters_concurrences_records_each_failure_and_keeps_the_rest():
+    # one point at a time: each failing state raises its own error, and a
+    # good state after them still gets its concurrence
     good = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
     not_herm = good.copy()
     not_herm[0, 1] = 1e-3
     # -5e-10 passes the density-matrix floor (-1e-9), not psd_sqrt's (-1e-10)
     slightly_negative = np.diag([0.5 + 5e-10, 0.25, 0.25, -5e-10]).astype(complex)
-    stack = np.array([good, not_herm, 2.0 * good, slightly_negative, good])
-    upstream = NoNullSpace("failed upstream")
-    conc, eof, errors = wootters_concurrences(stack, [None] * 4 + [upstream])
-    assert [type(e).__name__ for e in errors] == [
-        "NoneType", "InvalidState", "InvalidState", "NotPSD", "NoNullSpace"]
-    assert errors[4] is upstream
+    for m, kind in ((not_herm, InvalidState), (2.0 * good, InvalidState),
+                    (slightly_negative, NotPSD)):
+        with pytest.raises(DipolePairError) as failure:
+            wootters_concurrence(TO_COUPLED.conj().T @ m @ TO_COUPLED)
+        assert type(failure.value) is kind
+    report = wootters_concurrence(TO_COUPLED.conj().T @ good @ TO_COUPLED)
     expected = reference_concurrence(TO_COUPLED.conj().T @ good @ TO_COUPLED)
-    assert abs(conc[0] - expected) <= 1e-15 and not math.isnan(eof[0])
-    assert np.isnan(conc[1:]).all() and np.isnan(eof[1:]).all()
-
-
-
-def test_batched_concurrence_matches_the_one_point_path():
-    delta, drive, omega, gamma12 = fig2_mesh(0.05, 2.0, 0.0, 10.0, 12)
-    states, errors = solve_steady_states(delta, drive, omega, gamma12)
-    conc, eof, errors = wootters_concurrences(states, errors)
-    assert errors == [None] * len(drive)
-    for k, state in enumerate(states):
-        report = wootters_concurrence(DensityMatrix(state, BasisTag.COUPLED))
-        assert abs(conc[k] - report.concurrence) <= 1e-15
-        assert abs(eof[k] - report.eof) <= 1e-15
+    assert abs(report.concurrence - expected) <= 1e-15 and not math.isnan(report.eof)
 
 
 @pytest.mark.parametrize("lowest, herm_dev, expected", [
@@ -211,11 +164,23 @@ def test_batched_concurrence_matches_the_one_point_path():
     (-2e-9, 2e-10, (InvalidState, "not Hermitian within tolerance")),
 ], ids=["psd_floor_only", "density_floor_first", "hermiticity", "hermiticity_first"])
 def test_wootters_concurrences_error_precedence_at_the_floors(lowest, herm_dev, expected):
-    # coupled basis; (|+1>, |-1>) is (|ee>, |gg>), so the deviation is not spread
+    # one point: the DensityMatrix checks come first, then psd_sqrt's.
+    # Coupled basis; (|+1>, |-1>) is (|ee>, |gg>), so the deviation is not spread
     m = np.diag([0.5 - lowest, 0.25, 0.25, lowest]).astype(complex)
     m[0, 2] = herm_dev
-    conc, eof, errors = wootters_concurrences(np.array([m, np.diag([1.0, 0, 0, 0])]))
     kind, message = expected
-    assert type(errors[0]) is kind and message in str(errors[0])
-    assert np.isnan(conc[0]) and np.isnan(eof[0])
-    assert errors[1] is None and conc[1] == 0.0
+    with pytest.raises(DipolePairError) as failure:
+        wootters_concurrence(TO_COUPLED.conj().T @ m @ TO_COUPLED)
+    assert type(failure.value) is kind and message in str(failure.value)
+    assert wootters_concurrence(np.diag([1.0, 0, 0, 0])).concurrence == 0.0
+
+
+def test_psd_sqrt_checks_hermiticity_before_the_floor():
+    # past the DensityMatrix checks, psd_sqrt raises NotHermitian before NotPSD
+    m = np.diag([0.5 + 5e-10, 0.25, 0.25, -5e-10]).astype(complex)
+    m[0, 3] = 2e-10
+    with pytest.raises(NotHermitian, match="deviation from Hermiticity"):
+        psd_sqrt(m)
+    m[0, 3] = 0.0
+    with pytest.raises(NotPSD, match="below PSD floor"):
+        psd_sqrt(m)

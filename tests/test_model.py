@@ -49,6 +49,18 @@ def test_dipole_coupling_rejects_bad_distance():
         dipole_coupling(-1.0)
 
 
+@pytest.mark.parametrize("factor", [dipole_coupling, cross_decay])
+@pytest.mark.parametrize("k0r", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_geometry_factors_reject_a_distance_that_is_not_finite_and_positive(factor, k0r):
+    with pytest.raises(InvalidGeometry, match="k0r must be finite and > 0"):
+        factor(k0r)
+    # one bad entry rejects the whole array
+    with pytest.raises(InvalidGeometry, match="k0r must be finite and > 0"):
+        factor(np.array([0.5, k0r, 1e-4]))
+    with pytest.raises(InvalidGeometry):
+        factor(np.full((2, 2), k0r))
+
+
 # ------------------------------------------------------- cross decay
 
 
