@@ -302,9 +302,8 @@ def _mesh(ns, config, axes=(), drive=None, limit=False):
         params["omega"] = params["tau"] * efield**2
     elif "k0r" in params:
         k0r = params["k0r"]
-        if not (k0r > 0).all():  # NaN fails too
-            raise UsageError("k0r must be > 0")
-        # one call per mesh; the array formulas equal the scalar ones bit for bit
+        # one call per mesh, which rejects a k0r that is not finite and > 0;
+        # the array formulas equal the scalar ones bit for bit
         params["omega"] = dipole_coupling(k0r, mu)
         if "gamma12" not in params:
             params["gamma12"] = cross_decay(k0r)
@@ -337,11 +336,11 @@ def _cmd_steady(ns, config) -> int:
         AtomPairConfig(delta=inputs["delta"], drive=inputs["efield"],
                        k0r=inputs.get("k0r", 1.0))  # raises on an invalid point
         # the grid engine on one point, so steady and sweep print the same numbers
-        (state,), (conc,), (eof,), (err,) = steady_state_entanglement(
+        states, (conc,), (eof,), (err,) = steady_state_entanglement(
             *(columns[key] for key in ("delta", "efield", "omega", "gamma12")))
         if err is not None:
             raise err
-        coupled = DensityMatrix._checked(state, BasisTag.COUPLED)
+        (coupled,) = DensityMatrix._checked(states, BasisTag.COUPLED)
     else:
         state = lamb_dicke_limit_state(inputs["tau"])
         coupled = state.to_basis(BasisTag.COUPLED)

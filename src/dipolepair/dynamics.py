@@ -55,10 +55,10 @@ def unvec(v: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, trace-one, PSD matrix with a basis tag.
+    """Finite, Hermitian, trace-one, PSD matrix with a basis tag.
 
     3x3 for the TRIPLET tag, 4x4 otherwise. Violating any invariant
-    raises InvalidState at construction.
+    raises InvalidState at construction (the checks of _density_errors).
     """
 
     matrix: np.ndarray
@@ -70,20 +70,18 @@ class DensityMatrix:
         dim = 3 if self.basis is BasisTag.TRIPLET else 4
         if m.shape != (dim, dim):
             raise InvalidState(f"expected {dim}x{dim} for {self.basis}, got {m.shape}")
-        if np.abs(m - m.conj().T).max() > tol.DENSITY_HERM_ATOL:
-            raise InvalidState("not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > tol.DENSITY_TRACE_ATOL:
-            raise InvalidState(f"trace {np.trace(m).real!r} is not 1")
-        if np.linalg.eigvalsh(m).min() < tol.DENSITY_EVAL_FLOOR:
-            raise InvalidState("negative eigenvalue beyond tolerance")
+        (err,) = _density_errors(m[None])
+        if err is not None:
+            raise err
 
     @classmethod
-    def _checked(cls, matrix: np.ndarray, basis: BasisTag) -> "DensityMatrix":
-        """Wrap a matrix that has just passed _density_errors, without checking again."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "matrix", matrix)
-        object.__setattr__(state, "basis", basis)
-        return state
+    def _checked(cls, stack: np.ndarray, basis: BasisTag) -> list["DensityMatrix"]:
+        """Wrap each matrix of a stack that has just passed _density_errors,
+        without checking again."""
+        states = [object.__new__(cls) for _ in range(len(stack))]
+        for state, m in zip(states, stack):
+            state.__dict__.update(matrix=m, basis=basis)
+        return states
 
     def to_basis(self, basis: BasisTag) -> "DensityMatrix":
         """Convert between bases; the triplet tag embeds with zero singlet."""
@@ -166,23 +164,56 @@ def _broadcast(*args) -> list[np.ndarray]:
 # raises for it. A failed point never stops the others.
 
 
+# DENSITY_EVAL_FLOOR times the identity, for 3x3 (TRIPLET) and 4x4 states
+_FLOOR_EYE = {d: tol.DENSITY_EVAL_FLOOR * np.eye(d) for d in (3, 4)}
+
+
 def _density_errors(m: np.ndarray, evals=None) -> list[InvalidState | None]:
-    """DensityMatrix's checks, in its order, on an (N, d, d) stack with ascending evals."""
+    """DensityMatrix's checks, in its order, on an (N, d, d) stack.
+
+    Every entry finite, Hermitian to DENSITY_HERM_ATOL, trace 1 to
+    DENSITY_TRACE_ATOL, lowest eigenvalue at least DENSITY_EVAL_FLOOR.
+    The last is read off ``evals`` (ascending per matrix) when given,
+    else decided by _below_floor.
+    """
     if not len(m):
         return []
-    herm = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2)) > tol.DENSITY_HERM_ATOL
-    tr = m.trace(axis1=1, axis2=2).real
-    off = np.abs(tr - 1.0) > tol.DENSITY_TRACE_ATOL
-    evals = np.linalg.eigvalsh(m) if evals is None else evals
-    low = evals[:, 0] < tol.DENSITY_EVAL_FLOOR  # ascending
-    errors: list[InvalidState | None] = [None] * len(m)
-    for i in np.flatnonzero(herm | off | low):
-        errors[i] = InvalidState(
-            "not Hermitian within tolerance" if herm[i]
-            else f"trace {tr[i]!r} is not 1" if off[i]
-            else "negative eigenvalue beyond tolerance"
-        )
-    return errors
+    # a non-finite entry makes its matrix's dev NaN or inf, which fails
+    # the first comparison below
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        tr = m.trace(axis1=1, axis2=2).real
+    low = _below_floor(m) if evals is None else (evals[:, 0] < tol.DENSITY_EVAL_FLOOR).tolist()
+    # decided on Python floats: on a small stack that costs less than
+    # further numpy calls
+    return [
+        None if d <= tol.DENSITY_HERM_ATOL and abs(t - 1.0) <= tol.DENSITY_TRACE_ATOL and not lo
+        else InvalidState(
+            "entries are not finite" if not np.isfinite(m[i]).all()
+            else "not Hermitian within tolerance" if d > tol.DENSITY_HERM_ATOL
+            else f"trace {t!r} is not 1" if abs(t - 1.0) > tol.DENSITY_TRACE_ATOL
+            else "negative eigenvalue beyond tolerance")
+        for i, (d, t, lo) in enumerate(zip(dev.tolist(), tr.tolist(), low))
+    ]
+
+
+def _below_floor(m: np.ndarray) -> list[bool]:
+    """Per matrix of an (N, d, d) stack: is its lowest eigenvalue below DENSITY_EVAL_FLOOR?
+
+    The lowest eigenvalue is at least the floor exactly when m - floor I
+    is PSD, so one batched Cholesky factorisation of that shift that
+    succeeds clears the whole stack. When it fails, eigvalsh decides for
+    each finite matrix; both read the lower triangle. A non-finite matrix
+    is left to the finiteness check.
+    """
+    try:
+        np.linalg.cholesky(m - _FLOOR_EYE[m.shape[-1]])
+    except np.linalg.LinAlgError:
+        low = np.zeros(len(m), dtype=bool)
+        finite = np.isfinite(m).all(axis=(1, 2))
+        low[finite] = np.linalg.eigvalsh(m[finite])[:, 0] < tol.DENSITY_EVAL_FLOOR
+        return low.tolist()
+    return [False] * len(m)
 
 
 def _solve_stack(a: np.ndarray, b: np.ndarray):
@@ -380,7 +411,8 @@ def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
                                        np.array([c.gamma12]))
     if errors[0] is not None:
         raise errors[0]
-    return DensityMatrix._checked(states[0], BasisTag.COUPLED)
+    (state,) = DensityMatrix._checked(states, BasisTag.COUPLED)
+    return state
 
 
 def analytic_steady_state(omega: float, drive: float) -> DensityMatrix:
@@ -440,31 +472,50 @@ def lamb_dicke_limit_state(tau: float) -> DensityMatrix:
     return DensityMatrix(m / (tau**2 + 48.0), BasisTag.TRIPLET)
 
 
-# Pade(13) coefficients b_k = (26 - k)! / (k! (13 - k)!) and the 1-norm up
-# to which the unscaled approximant keeps its backward error below the
-# double-precision unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26,
-# 1179 (2005))
-_PADE13 = [math.factorial(26 - k) // (math.factorial(k) * math.factorial(13 - k))
-           for k in range(14)]
-_THETA13 = 5.371920351148152
+# Pade(m) coefficients b_k = (2m - k)! / (k! (m - k)!), up to a common
+# factor, and the 1-norm theta_m up to which the unscaled degree-m
+# approximant keeps its backward error below the double-precision unit
+# roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3)
+_PADE = {m: [math.factorial(2 * m - k) // (math.factorial(k) * math.factorial(m - k))
+             for k in range(m + 1)] for m in (3, 5, 7, 9, 13)}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+          9: 2.097847961257068, 13: 5.371920351148152}
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a square matrix by scaling and squaring of Pade(13)."""
+    """exp(a) of a square matrix by Higham's scaling and squaring of Pade(m).
+
+    The lowest degree m in (3, 5, 7, 9) with ||a||_1 <= theta_m, unscaled;
+    above theta_9 degree 13, scaled by 2^-s so that the norm is at most
+    theta_13, then squared s times.
+    """
     norm = float(np.abs(a).sum(axis=0).max())
     if not math.isfinite(norm):
         raise np.linalg.LinAlgError("exponential of a non-finite matrix")
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    a = a / 2.0**s
-    b = _PADE13
-    ident = np.eye(len(a), dtype=a.dtype)
+    m = next((m for m in (3, 5, 7, 9) if norm <= _THETA[m]), 13)
+    s = math.ceil(math.log2(norm / _THETA[13])) if norm > _THETA[13] else 0
+    if s:
+        a = a / 2.0**s
+    b = _PADE[m]
+    # u and v without their b_1 I and b_0 I terms: r = (v - u)^-1 (v + u)
+    # for the odd part u = a (b_1 + b_3 a^2 + ...), even part v = b_0 + b_2 a^2 + ...
     a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    if m == 13:
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2)
+    else:
+        power, u, v = a2, b[3] * a2, b[2] * a2
+        for k in range(4, m, 2):
+            power = power @ a2
+            u += b[k + 1] * power
+            v += b[k] * power
+    u.reshape(-1)[:: len(a) + 1] += b[1]  # the diagonals of fresh arrays
+    v.reshape(-1)[:: len(a) + 1] += b[0]
+    u = a @ u
     r = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         r = r @ r
@@ -476,12 +527,15 @@ def propagate(
 ) -> tuple[np.ndarray, list[DensityMatrix]]:
     """Exact solution of rho' = L rho on the grid t = 0, dt, 2 dt, ...
 
-    Each step applies P = exp(L dt), computed once, so the step size sets
-    only the sampling. Returns (times, states) at every step including
-    t = 0. Every state is Hermitized and checked: its trace may drift from
-    one by at most TRACE_DRIFT_MAX (only a generator that does not
-    preserve trace does that); normalized, it must pass the DensityMatrix
-    checks. The first failing state raises InvalidState naming its step.
+    The step P = exp(L dt) is computed once, so the step size sets only
+    the sampling. The states come from about log2(steps) block products:
+    with the states up to step m known, P^m maps them to steps m ... 2m - 1,
+    and P^m is squared to P^2m. Returns (times, states) at every step
+    including t = 0. Every state is Hermitized and checked: its trace may
+    drift from one by at most TRACE_DRIFT_MAX (only a generator that does
+    not preserve trace does that); normalized, it must pass the
+    DensityMatrix checks. The first failing state raises InvalidState
+    naming its step.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -493,11 +547,16 @@ def propagate(
         )
     nsteps = int(math.ceil(t_final / dt - 1e-9))
     times = dt * np.arange(nsteps + 1)
-    step = _expm(liouv.matrix * dt)
+    power = _expm(liouv.matrix * dt).T  # P^m, transposed: the states are rows
     v = np.empty((nsteps + 1, 16), dtype=complex)
     v[0] = vec(rho0.matrix)
-    for k in range(nsteps):
-        v[k + 1] = step @ v[k]
+    done = 1  # states known: steps 0 ... done - 1
+    while done <= nsteps:
+        k = min(done, nsteps + 1 - done)
+        v[done:done + k] = v[:k] @ power
+        done += k
+        if done <= nsteps:
+            power = power @ power
     rho = hermitian_part(v[1:].reshape(nsteps, 4, 4).swapaxes(1, 2))  # unvec per row
     tr = rho.trace(axis1=1, axis2=2).real
     drift = np.abs(tr - 1.0)
@@ -510,4 +569,4 @@ def propagate(
     if len(over):
         raise InvalidState(f"step {end + 1}: trace drift {drift[end]:.3e} "
                            f"exceeds {tol.TRACE_DRIFT_MAX:.0e}")
-    return times, [rho0] + [DensityMatrix._checked(m, liouv.basis) for m in rho]
+    return times, [rho0] + DensityMatrix._checked(rho, liouv.basis)

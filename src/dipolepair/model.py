@@ -81,7 +81,7 @@ class AtomPairConfig:
         if self.drive < 0:
             raise OutOfRange("drive must be >= 0")
         if self.k0r <= 0:
-            raise InvalidGeometry("k0r must be > 0")
+            raise InvalidGeometry("k0r must be finite and > 0")
         if not 0.0 <= self.mu_dot_rhat <= 1.0:
             raise OutOfRange("mu_dot_rhat must lie in [0, 1]")
         if self.gamma != 1.0:

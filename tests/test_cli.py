@@ -404,7 +404,7 @@ def test_fig2_lamb_dicke_fixes_unit_cross_decay_and_zero_detuning(capsys):
      "--mu-dot-rhat must lie in [0, 1]"),
     (("spectrum", "--efield", "1", "--k0r", "1", "--mu-dot-rhat", "1.5"),
      "--mu-dot-rhat must lie in [0, 1]"),
-    (("fig2", "--k0r-range", "0:1", "--points", "2"), "k0r must be > 0"),
+    (("fig2", "--k0r-range", "0:1", "--points", "2"), "k0r must be finite and > 0"),
     (("steady", "--efield", "1", "--omega", "2", "--mu-dot-rhat", "0.7"),
      "--mu-dot-rhat conflicts with --omega/tau"),
     (("steady", "--tau", "9.21", "--mu-dot-rhat", "0.7"),
@@ -511,7 +511,7 @@ def test_readme_command_line_examples_run(tmp_path, capsys):
 def test_sweep_rejects_nan_distance(capsys):
     rc, out, err = run(capsys, "sweep", "--axis", "efield=0:1:3", "--k0r", "nan")
     assert rc == 2 and out == ""
-    assert err == "error: k0r must be > 0\n"
+    assert err == "error: k0r must be finite and > 0\n"
 
 
 def test_sweep_rejects_infinite_distance(capsys):
@@ -519,6 +519,16 @@ def test_sweep_rejects_infinite_distance(capsys):
     rc, out, err = run(capsys, "sweep", "--axis", "efield=1:2:2", "--k0r", "inf")
     assert rc == 2 and out == ""
     assert err == "error: k0r must be finite and > 0\n"
+
+
+@pytest.mark.parametrize("k0r", ["nan", "-1", "0", "inf"])
+@pytest.mark.parametrize("command", [("sweep", "--axis", "efield=1:2:2"),
+                                     ("steady", "--efield", "1"),
+                                     ("spectrum", "--efield", "1")])
+def test_every_invalid_distance_gets_the_one_message(capsys, command, k0r):
+    # the geometry factors hold the one k0r check of the CLI
+    rc, out, err = run(capsys, *command, "--k0r", k0r)
+    assert (rc, out, err) == (2, "", "error: k0r must be finite and > 0\n")
 
 
 def test_sweep_records_failed_point_as_nan_row(capsys, monkeypatch):

@@ -7,6 +7,7 @@ point.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,7 +130,9 @@ def test_density_errors_agree_with_density_matrix_checks():
     not_herm = good.copy()
     not_herm[0, 1] = 1e-3
     indefinite = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
-    stack = np.array([good, not_herm, 2.0 * good, indefinite])
+    one_nan = np.diag([math.nan, 0.0, 0.0, 1.0]).astype(complex)
+    all_nan = np.full((4, 4), math.nan, dtype=complex)
+    stack = np.array([good, not_herm, 2.0 * good, indefinite, one_nan, all_nan])
     for m, err in zip(stack, _density_errors(stack)):
         try:
             DensityMatrix(m, BasisTag.COMPUTATIONAL)
@@ -137,6 +140,27 @@ def test_density_errors_agree_with_density_matrix_checks():
             assert type(err) is type(exc) and str(err) == str(exc)
         else:
             assert err is None
+
+
+def test_density_checks_reject_non_finite_entries_first():
+    # every comparison with NaN is false, so finiteness is checked first;
+    # eigvalsh of an all-NaN matrix would raise numpy's LinAlgError, and
+    # no check may warn (the CLI runs under -W error in CI)
+    one_nan = np.diag([math.nan, 0.0, 0.0, 1.0]).astype(complex)
+    all_nan = np.full((4, 4), math.nan, dtype=complex)
+    not_herm_inf = np.diag([math.inf, 0.0, 0.0, 1.0]).astype(complex)
+    not_herm_inf[0, 1] = 1.0
+    infinite_trace = np.diag([math.inf, -math.inf, 0.0, 1.0]).astype(complex)
+    good = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+    bad = [one_nan, all_nan, not_herm_inf, infinite_trace]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in bad:
+            with pytest.raises(InvalidState, match="^entries are not finite$"):
+                DensityMatrix(m, BasisTag.COMPUTATIONAL)
+        errors = _density_errors(np.array([good] + bad))
+    assert errors[0] is None
+    assert [str(e) for e in errors[1:]] == ["entries are not finite"] * 4
 
 
 def test_wootters_concurrences_records_each_failure_and_keeps_the_rest():

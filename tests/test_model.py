@@ -279,7 +279,7 @@ def test_geometry_helpers_reject_nonpositive():
 def test_config_validation():
     with pytest.raises(ValueError):
         AtomPairConfig(drive=-0.1)
-    with pytest.raises(InvalidGeometry):
+    with pytest.raises(InvalidGeometry, match="^k0r must be finite and > 0$"):
         AtomPairConfig(k0r=0.0)
     with pytest.raises(ValueError):
         AtomPairConfig(mu_dot_rhat=1.5)

@@ -19,8 +19,10 @@ from dipolepair import (
     unvec,
     vec,
 )
-from dipolepair.dynamics import _THETA13, _expm
+from dipolepair import tolerances as tol
+from dipolepair.dynamics import _THETA, _density_errors, _expm
 from dipolepair.errors import InvalidState
+from dipolepair.model import TO_COUPLED
 
 GROUND = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
 EXCITED = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -55,12 +57,14 @@ def test_expm_zero_generator_is_identity():
     assert np.abs(gap).max() <= 2 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("norm", [0.5 * _THETA13, 0.999 * _THETA13,
-                                  1.001 * _THETA13, 3.0 * _THETA13, 1e3 * _THETA13])
+@pytest.mark.parametrize("norm", [0.5 * _THETA[13], 0.999 * _THETA[13],
+                                  1.001 * _THETA[13], 3.0 * _THETA[13], 1e3 * _THETA[13]]
+                         + [f * _THETA[m] for m in (3, 5, 7, 9) for f in (0.999, 1.001)])
 def test_expm_on_both_sides_of_the_scaling_threshold(norm):
-    # below theta13 the approximant is used unscaled, above it is scaled
-    # by 2^-s and squared s times; an anti-Hermitian matrix keeps exp(a)
-    # unitary at any norm
+    # up to theta_m of degree m = 3, 5, 7, 9 that degree is used unscaled,
+    # above theta9 degree 13, and above theta13 it is scaled by 2^-s and
+    # squared s times; an anti-Hermitian matrix keeps exp(a) unitary at
+    # any norm
     rng = np.random.default_rng(int(norm * 1000))
     g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     a = g - g.conj().T
@@ -120,6 +124,72 @@ def test_generator_losing_trace_raises_at_its_step():
     # a shorter run that stops before the bound is crossed succeeds
     _, states = propagate(liouv, rho0, 0.1, 0.01)
     assert len(states) == 11
+
+
+def _stepwise(liouv, rho0, nsteps, dt):
+    """Hermitized, normalized states 1 ... nsteps, one step product at a time."""
+    step = _expm(liouv.matrix * dt)
+    v = [vec(rho0.matrix)]
+    for _ in range(nsteps):
+        v.append(step @ v[-1])
+    out = []
+    for x in v[1:]:
+        m = unvec(x, 4)
+        m = (m + m.conj().T) / 2
+        out.append(m / np.trace(m).real)
+    return np.array(out)
+
+
+def test_doubled_trajectory_matches_step_by_step_products():
+    # the inputs of the onset benchmark: |gg>, delta = 0, 50 steps of 0.01
+    rng = np.random.default_rng(12)
+    k0r = np.exp(rng.uniform(math.log(0.05), math.log(2.0), 64))
+    drive = 5.0 * (1.0 - rng.random(64))
+    rho0 = DensityMatrix(GROUND, BasisTag.COMPUTATIONAL)
+    worst = 0.0
+    for k, e in zip(k0r, drive):
+        cfg = AtomPairConfig(delta=0.0, drive=e, k0r=k)
+        liouv = build_liouvillian(cfg, couplings_from_geometry(cfg))
+        _, states = propagate(liouv, rho0, 0.5, 0.01)
+        got = np.array([st.matrix for st in states[1:]])
+        worst = max(worst, np.abs(got - _stepwise(liouv, rho0, 50, 0.01)).max())
+    assert worst <= 1e-13
+
+
+def test_long_trajectory_matches_scipy_at_every_doubling():
+    # 5000 steps, as in criterion 6: the block products square P twelve times
+    expm = pytest.importorskip("scipy.linalg").expm
+    cfg = AtomPairConfig(delta=0.2, drive=2.0, k0r=0.3)
+    liouv = build_liouvillian(cfg, couplings_from_geometry(cfg))
+    rho0 = DensityMatrix(GROUND, BasisTag.COMPUTATIONAL)
+    times, states = propagate(liouv, rho0, 50.0, 0.01)
+    assert len(states) == 5001
+    for k in [1] + [2**j for j in range(1, 13)] + [5000]:
+        exact = unvec(expm(liouv.matrix * times[k]) @ vec(GROUND), 4)
+        assert np.abs(states[k].matrix - exact).max() <= 1e-10, k
+
+
+@pytest.mark.parametrize("basis", [BasisTag.COMPUTATIONAL, BasisTag.COUPLED])
+def test_density_checks_at_the_eigenvalue_floor(basis):
+    # lowest eigenvalue floor (1 - 1e-6) passes and floor (1 + 1e-6) fails,
+    # whether the Cholesky screen decides or falls back to eigvalsh
+    zero = Liouvillian(np.zeros((16, 16), dtype=complex), basis)
+    rotate = TO_COUPLED if basis is BasisTag.COUPLED else np.eye(4)
+    passing, failing = (
+        rotate @ np.diag([0.5 - lowest, 0.3, 0.2, lowest]).astype(complex) @ rotate.conj().T
+        for lowest in tol.DENSITY_EVAL_FLOOR * np.array([1.0 - 1e-6, 1.0 + 1e-6]))
+    rho0 = DensityMatrix(passing, basis)
+    _, out = propagate(zero, rho0, 0.02, 0.01)
+    assert len(out) == 3
+    with pytest.raises(InvalidState, match="^negative eigenvalue beyond tolerance$"):
+        DensityMatrix(failing, basis)
+    (bad,) = DensityMatrix._checked(failing[None], basis)
+    with pytest.raises(InvalidState, match="^step 1: negative eigenvalue beyond tolerance$"):
+        propagate(zero, bad, 0.02, 0.01)
+    # one failing matrix in a stack fails alone
+    errors = _density_errors(np.array([passing, failing, passing]))
+    assert [str(e) if e else None for e in errors] == [
+        None, "negative eigenvalue beyond tolerance", None]
 
 
 def test_generator_breaking_positivity_raises():
