@@ -174,18 +174,26 @@ def _density_errors(m: np.ndarray, evals=None) -> list[InvalidState | None]:
     Every entry finite, Hermitian to DENSITY_HERM_ATOL, trace 1 to
     DENSITY_TRACE_ATOL, lowest eigenvalue at least DENSITY_EVAL_FLOOR.
     The last is read off ``evals`` (ascending per matrix) when given,
-    else decided by _below_floor.
+    else decided by _below_floor. The stack is decided by one comparison
+    per check; messages are built per matrix only when some matrix fails.
     """
     if not len(m):
         return []
     # a non-finite entry makes its matrix's dev NaN or inf, which fails
-    # the first comparison below
+    # the Hermiticity test: a stack that passes it is finite
     with np.errstate(invalid="ignore"):
         dev = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
         tr = m.trace(axis1=1, axis2=2).real
-    low = _below_floor(m) if evals is None else (evals[:, 0] < tol.DENSITY_EVAL_FLOOR).tolist()
-    # decided on Python floats: on a small stack that costs less than
-    # further numpy calls
+    if len(m) == 1:  # on one matrix, Python floats cost less than numpy calls
+        passed = (dev.item() <= tol.DENSITY_HERM_ATOL
+                  and abs(tr.item() - 1.0) <= tol.DENSITY_TRACE_ATOL)
+    else:
+        passed = (dev.max() <= tol.DENSITY_HERM_ATOL
+                  and np.abs(tr - 1.0).max() <= tol.DENSITY_TRACE_ATOL)
+    low = (_below_floor(m, passed) if evals is None
+           else (evals[:, 0] < tol.DENSITY_EVAL_FLOOR).tolist())
+    if passed and not any(low):
+        return [None] * len(m)
     return [
         None if d <= tol.DENSITY_HERM_ATOL and abs(t - 1.0) <= tol.DENSITY_TRACE_ATOL and not lo
         else InvalidState(
@@ -197,15 +205,21 @@ def _density_errors(m: np.ndarray, evals=None) -> list[InvalidState | None]:
     ]
 
 
-def _below_floor(m: np.ndarray) -> list[bool]:
+def _below_floor(m: np.ndarray, all_finite: bool) -> list[bool]:
     """Per matrix of an (N, d, d) stack: is its lowest eigenvalue below DENSITY_EVAL_FLOOR?
 
     The lowest eigenvalue is at least the floor exactly when m - floor I
     is PSD, so one batched Cholesky factorisation of that shift that
     succeeds clears the whole stack. When it fails, eigvalsh decides for
     each finite matrix; both read the lower triangle. A non-finite matrix
-    is left to the finiteness check.
+    is left to the finiteness check. One matrix known to be finite
+    (``all_finite``) goes the other way round, as eigvalsh costs less
+    than the Cholesky call there: a lowest eigenvalue at the floor or
+    above clears it, and the screen decides only the rest, so the
+    outcome is the same.
     """
+    if all_finite and len(m) == 1 and np.linalg.eigvalsh(m)[0, 0] >= tol.DENSITY_EVAL_FLOOR:
+        return [False]
     try:
         np.linalg.cholesky(m - _FLOOR_EYE[m.shape[-1]])
     except np.linalg.LinAlgError:
@@ -214,29 +228,6 @@ def _below_floor(m: np.ndarray) -> list[bool]:
         low[finite] = np.linalg.eigvalsh(m[finite])[:, 0] < tol.DENSITY_EVAL_FLOOR
         return low.tolist()
     return [False] * len(m)
-
-
-def _solve_stack(a: np.ndarray, b: np.ndarray):
-    """(x, errors) with a[i] x[i] = b for every matrix of a stack.
-
-    One singular matrix makes a batched solve raise for the whole stack,
-    so that case is retried matrix by matrix; a singular or non-finite
-    matrix gets its LinAlgError and NaN entries.
-    """
-    x = np.full(a.shape[:-1], np.nan, dtype=complex)
-    errors: list[Exception | None] = [
-        None if ok else np.linalg.LinAlgError("non-finite generator")
-        for ok in np.isfinite(a).all(axis=(1, 2))]
-    idx = np.flatnonzero([e is None for e in errors])
-    try:
-        x[idx] = np.linalg.solve(a[idx], np.broadcast_to(b, (len(idx),) + b.shape))[..., 0]
-    except np.linalg.LinAlgError:
-        for i in idx:
-            try:
-                x[i] = np.linalg.solve(a[i], b)[:, 0]
-            except np.linalg.LinAlgError as exc:
-                errors[i] = exc
-    return x, errors
 
 
 # The coupled basis without its 1/sqrt(2) factors, |0'> = |eg> + |ge> and
@@ -248,6 +239,7 @@ _INVERSE = _UNNORMALISED.T / np.array([[1], [2], [2], [1]])
 _TRIPLET_ROWS = kron(_UNNORMALISED, _UNNORMALISED)[_TRIPLET_IDX]
 _TRIPLET_COLS = kron(_INVERSE, _INVERSE)[:, _TRIPLET_IDX]
 _NORMALISE = np.outer([1.0, 1.0 / _SQ2, 1.0], [1.0, 1.0 / _SQ2, 1.0])
+_TRACE_RHS = np.eye(9, 1, -8)[:, 0]
 
 
 def _check_states(states: np.ndarray, errors: list):
@@ -267,34 +259,6 @@ def _check_states(states: np.ndarray, errors: list):
     lowest = np.full(len(states), np.nan)
     lowest[solved] = evals[:, 0]
     return states, lowest, errors
-
-
-def _steady_states(a: np.ndarray, gamma12: np.ndarray):
-    """Coupled-basis steady states from an (N, 9, 9) stack of triplet blocks.
-
-    Exchange symmetry makes the unique steady state block-diagonal: a 3x3
-    triplet block rho_T and the singlet population p_A, with no coherence
-    between them. |A> is fed from |+1> and decays to |-1> alone, both at
-    (gamma - gamma12)/2, so its balance forces p_A = rho_{+1,+1}, and p_A
-    enters only the rho_{-1,-1} equation. That equation is redundant; the
-    trace condition tr rho_T + p_A = 1 replaces it, which leaves 9
-    equations in the 9 entries of rho_T. At gamma12 == gamma (= 1)
-    exactly the singlet decouples, its population is conserved, and the
-    branch takes the triplet-sector state, p_A = 0. One batched solve of
-    the 9x9 systems ``a`` (overwritten in place), the branch chosen per
-    point by ``gamma12``; each solution's Hermitian part goes through
-    _check_states. Returns its (states, lowest, errors).
-    """
-    coupled = gamma12 != 1.0
-    a[:, 8] = (1.0, 0, 0, 0, 0.5, 0, 0, 0, 1.0)  # tr rho_T in the unnormalised basis
-    a[:, 8, 0] += coupled  # plus p_A = rho_{+1,+1}
-    x, errors = _solve_stack(a, np.eye(9, 1, -8))  # trace 1, other rows 0
-    # unvec per row, then back to the normalised coupled basis
-    rho = hermitian_part(x.reshape(-1, 3, 3).swapaxes(1, 2) * _NORMALISE)
-    states = np.zeros((len(a), 4, 4), dtype=complex)
-    states[:, :3, :3] = rho
-    states[:, 3, 3] = coupled * rho[:, 0, 0].real
-    return _check_states(states, errors)
 
 
 def _scaled_terms(delta, drive, omega, gamma12):
@@ -394,25 +358,37 @@ def _solve_blocks(terms):
 
 
 def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
-    """Steady state for a parameter point, coupled basis.
+    """Steady state for a parameter point, coupled basis, from one 9x9 solve.
 
-    Solves the 9x9 exchange-symmetric block system of _steady_states: the
-    triplet block, the singlet population equal to rho_{+1,+1}, unit
-    trace, no triplet-singlet coherence; solve_steady_states writes the
-    same state in closed form. Its only branch is gamma12 ==
-    gamma exactly, where the singlet decouples and the solver returns the
-    triplet-sector state (symmetric initial conditions, singlet weight
+    Exchange symmetry makes the unique steady state block-diagonal: a 3x3
+    triplet block rho_T and the singlet population p_A, with no coherence
+    between them. |A> is fed from |+1> and decays to |-1> alone, both at
+    (gamma - gamma12)/2, so its balance forces p_A = rho_{+1,+1}, and p_A
+    enters only the rho_{-1,-1} equation. That equation is redundant; the
+    trace condition tr rho_T + p_A = 1 replaces it, which leaves 9
+    equations in the 9 entries of rho_T, taken from the triplet block of
+    build_liouvillian. solve_steady_states writes the same state in closed
+    form. The only branch is gamma12 == gamma (= 1) exactly, where the
+    singlet decouples, its population is conserved, and the solver returns
+    the triplet-sector state (symmetric initial conditions, singlet weight
     exactly zero); any other gamma12, however close to gamma, keeps the
-    singlet weight. Raises LinAlgError for a singular or non-finite
-    system and InvalidState for a state failing the DensityMatrix checks.
+    singlet weight. Raises LinAlgError for a non-finite system (before
+    solving) or a singular one, and InvalidState for a state failing the
+    DensityMatrix checks.
     """
-    lm = build_liouvillian(cfg, c).matrix[None]
-    states, _, errors = _steady_states(_TRIPLET_ROWS @ lm @ _TRIPLET_COLS,
-                                       np.array([c.gamma12]))
-    if errors[0] is not None:
-        raise errors[0]
-    (state,) = DensityMatrix._checked(states, BasisTag.COUPLED)
-    return state
+    a = _TRIPLET_ROWS @ build_liouvillian(cfg, c).matrix @ _TRIPLET_COLS
+    coupled = c.gamma12 != 1.0
+    a[8] = (1.0, 0, 0, 0, 0.5, 0, 0, 0, 1.0)  # tr rho_T in the unnormalised basis
+    a[8, 0] += coupled  # plus p_A = rho_{+1,+1}
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("non-finite generator")
+    x = np.linalg.solve(a, _TRACE_RHS)  # trace 1, other rows 0
+    # unvec, then back to the normalised coupled basis
+    rho = hermitian_part(x.reshape(3, 3).T * _NORMALISE)
+    state = np.zeros((4, 4), dtype=complex)
+    state[:3, :3] = rho
+    state[3, 3] = coupled * rho[0, 0].real
+    return DensityMatrix(state, BasisTag.COUPLED)
 
 
 def analytic_steady_state(omega: float, drive: float) -> DensityMatrix:

@@ -59,13 +59,17 @@ SINGLET_KET = TO_COUPLED.conj().T[:, 3].copy()
 
 @dataclass(frozen=True)
 class AtomPairConfig:
-    """Physical inputs, everything in units of gamma; all finite (OutOfRange).
+    """Physical inputs, everything in units of gamma.
 
     delta:       detuning of the atoms from the driving field
     drive:       classical drive amplitude, >= 0
-    k0r:         dimensionless interatomic distance, > 0
+    k0r:         dimensionless interatomic distance, finite and > 0
     mu_dot_rhat: |mu . r| in [0, 1], dipole projection on the axis
     gamma:       the rate unit, fixed to 1
+
+    A k0r outside its domain, nan and inf included, raises InvalidGeometry
+    with the message of the geometry factors; any other non-finite or
+    out-of-range field raises OutOfRange.
     """
 
     delta: float = 0.0
@@ -75,12 +79,12 @@ class AtomPairConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        values = (self.delta, self.drive, self.k0r, self.mu_dot_rhat, self.gamma)
+        values = (self.delta, self.drive, self.mu_dot_rhat, self.gamma)
         if not all(map(math.isfinite, values)):
             raise OutOfRange(f"inputs must be finite, got {self}")
         if self.drive < 0:
             raise OutOfRange("drive must be >= 0")
-        if self.k0r <= 0:
+        if not 0.0 < self.k0r < math.inf:  # NaN fails too
             raise InvalidGeometry("k0r must be finite and > 0")
         if not 0.0 <= self.mu_dot_rhat <= 1.0:
             raise OutOfRange("mu_dot_rhat must lie in [0, 1]")
@@ -124,28 +128,32 @@ def dipole_coupling(k0r, mu_dot_rhat: float = 0.0):
                           + (1-3|mu.r|^2) (sin x / x^2 + cos x / x^3) ]
 
     Below x = 1e-3 the bracket is evaluated by series to avoid the 1/x^3
-    cancellations; the series is only summed when some x needs it.
-    Accepts scalars or arrays; a k0r that is not finite and > 0 raises
-    InvalidGeometry.
+    cancellations; the series is only summed when some x needs it. At
+    large x the powers of x that overflow enter as 1/inf = 0, the limit
+    of their terms. Accepts scalars or arrays; a k0r that is not finite
+    and > 0, or so small that Omega overflows (below about 2e-103),
+    raises InvalidGeometry for the whole call.
     """
     x = _distance(k0r)
     a = 1.0 - mu_dot_rhat**2
     b = 1.0 - 3.0 * mu_dot_rhat**2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         direct = 0.75 * (
             -a * np.cos(x) / x + b * (np.sin(x) / x**2 + np.cos(x) / x**3)
         )
-    out = direct
-    if np.any(x < tol.SMALL_X):
-        series = np.zeros_like(x)
-        for k in range(9):
-            f2k = math.factorial(2 * k)
-            f2k1 = math.factorial(2 * k + 1)
-            series += (-1.0) ** k * (
-                b * x ** (2 * k - 3) / f2k + x ** (2 * k - 1) * (b / f2k1 - a / f2k)
-            )
-        series *= 0.75
-        out = np.where(x < tol.SMALL_X, series, direct)
+        out = direct
+        if np.any(x < tol.SMALL_X):
+            series = np.zeros_like(x)
+            for k in range(9):
+                f2k = math.factorial(2 * k)
+                f2k1 = math.factorial(2 * k + 1)
+                series += (-1.0) ** k * (
+                    b * x ** (2 * k - 3) / f2k + x ** (2 * k - 1) * (b / f2k1 - a / f2k)
+                )
+            series *= 0.75
+            out = np.where(x < tol.SMALL_X, series, direct)
+            if not np.isfinite(out).all():
+                raise InvalidGeometry("k0r below about 2e-103: the dipole coupling overflows")
     return float(out) if np.isscalar(k0r) else out
 
 
@@ -158,18 +166,19 @@ def cross_decay(k0r):
     below 1, since gamma12 == gamma exactly selects the decoupled-singlet
     branch of the steady-state solver, which no distance reaches. Accepts
     scalars or arrays; a k0r that is not finite and > 0 raises
-    InvalidGeometry.
+    InvalidGeometry. At large x the powers of x that overflow enter as
+    1/inf = 0, the limit of their terms.
     """
     x = _distance(k0r)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         direct = -3.0 * (np.cos(x) / x**2 - np.sin(x) / x**3)
-    out = direct
-    if np.any(x < tol.SMALL_X):
-        series = np.zeros_like(x)
-        for k in range(1, 8):
-            series += (-1.0) ** k * (2 * k) * x ** (2 * k - 2) / math.factorial(2 * k + 1)
-        series *= -3.0
-        out = np.where(x < tol.SMALL_X, series, direct)
+        out = direct
+        if np.any(x < tol.SMALL_X):
+            series = np.zeros_like(x)
+            for k in range(1, 8):
+                series += (-1.0) ** k * (2 * k) * x ** (2 * k - 2) / math.factorial(2 * k + 1)
+            series *= -3.0
+            out = np.where(x < tol.SMALL_X, series, direct)
     out = np.minimum(out, _BELOW_ONE)
     return float(out) if np.isscalar(k0r) else out
 

@@ -1,6 +1,6 @@
 """The exchange-symmetric steady states against the 50-digit 16x16 oracle.
 
-solve_steady_state solves a 9x9 system: the triplet block with the
+solve_steady_state solves one 9x9 system: the triplet block with the
 singlet population p_A = rho_{+1,+1} substituted and a trace row;
 solve_steady_states writes the same state in closed form. The oracle in
 ``mp_oracle`` solves the full 16x16 generator of the master equation.
@@ -33,7 +33,6 @@ from dipolepair import (
 )
 from dipolepair import dynamics
 from dipolepair.cli import main
-from dipolepair.dynamics import _solve_stack
 from dipolepair.errors import InvalidState
 from dipolepair.model import TO_COUPLED
 
@@ -155,15 +154,16 @@ def test_short_distance_steady_command_exits_0(capsys):
     assert pops[3] == pops[0] > 0.0
 
 
-def test_one_singular_matrix_fails_alone():
-    rhs = np.eye(9, 1, -8, dtype=complex)
-    stack = np.array([np.eye(9), np.zeros((9, 9)), 2.0 * np.eye(9),
-                      np.full((9, 9), np.nan)], dtype=complex)
-    x, errors = _solve_stack(stack, rhs)
-    assert errors[0] is None and errors[2] is None
-    assert all(isinstance(errors[k], np.linalg.LinAlgError) for k in (1, 3))
-    assert np.array_equal(x[0], rhs[:, 0]) and np.array_equal(x[2], rhs[:, 0] / 2.0)
-    assert np.isnan(x[[1, 3]]).all()
+def test_singular_or_non_finite_generator_raises_linalgerror(monkeypatch):
+    # a non-finite block is rejected before the solve; a singular one gets
+    # numpy's own error from it
+    cfg = AtomPairConfig(drive=1.0, k0r=0.5)
+    for generator, message in ((np.zeros((16, 16)), "Singular matrix"),
+                               (np.full((16, 16), np.nan), "non-finite generator")):
+        monkeypatch.setattr(dynamics, "build_liouvillian", lambda cfg, c: dynamics.Liouvillian(
+            generator.astype(complex), BasisTag.COMPUTATIONAL))
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+            solve_steady_state(cfg, couplings_from_geometry(cfg))
 
 
 def test_a_solution_failing_the_density_checks_fails_its_point(monkeypatch):

@@ -531,6 +531,27 @@ def test_every_invalid_distance_gets_the_one_message(capsys, command, k0r):
     assert (rc, out, err) == (2, "", "error: k0r must be finite and > 0\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("steady", "--efield", "2", "--k0r", "1e-120"),
+    ("sweep", "--axis", "k0r=1e-110:1e-100:3", "--efield", "1"),
+    ("fig2", "--k0r-range", "1e-120:1e-100", "--points", "2"),
+], ids=["steady", "sweep", "fig2"])
+def test_distance_where_the_dipole_coupling_overflows_is_one_error(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, *argv)
+    assert (rc, out, caught) == (2, "", [])
+    assert err == "error: k0r below about 2e-103: the dipole coupling overflows\n"
+
+
+def test_steady_at_a_huge_distance_runs_without_warning(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, "steady", "--efield", "1", "--k0r", "1e103")
+    assert (rc, err, caught) == (0, "", [])
+    assert "omega = -2.78528196807e-105" in out and "concurrence = 0" in out
+
+
 def test_sweep_records_failed_point_as_nan_row(capsys, monkeypatch):
     # at k0r = 0.01, efield = 2 SVD kernel thresholds reject the state;
     # the block solve takes it, with p_A = rho_{+1,+1}

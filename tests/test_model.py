@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,35 @@ def test_geometry_factors_reject_a_distance_that_is_not_finite_and_positive(fact
         factor(np.array([0.5, k0r, 1e-4]))
     with pytest.raises(InvalidGeometry):
         factor(np.full((2, 2), k0r))
+
+
+@pytest.mark.parametrize("k0r", [1e103, 1e300])
+def test_geometry_factors_at_large_distance_raise_no_warning(k0r):
+    # the powers of x that overflow belong to terms that tend to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        omega, gamma12 = dipole_coupling(k0r), cross_decay(k0r)
+        omegas = dipole_coupling(np.array([1e-4, k0r]), 0.3)
+        gammas = cross_decay(np.array([1e-4, k0r]))
+    inv2 = 1.0 / k0r**2 if k0r < 1e150 else 0.0
+    assert omega == pytest.approx(0.75 * (-math.cos(k0r) / k0r + math.sin(k0r) * inv2), rel=1e-12)
+    assert gamma12 == pytest.approx(-3.0 * math.cos(k0r) * inv2, rel=1e-12, abs=1e-320)
+    assert omegas.tolist() == [dipole_coupling(1e-4, 0.3), dipole_coupling(k0r, 0.3)]
+    assert gammas.tolist() == [cross_decay(1e-4), gamma12]
+
+
+@pytest.mark.parametrize("k0r", [5e-324, 1e-120])
+def test_dipole_coupling_rejects_a_distance_where_it_overflows(k0r):
+    # |Omega| ~ 0.75 / k0r^3 exceeds the largest double below about 2e-103;
+    # the cross decay stays finite, at its cap below 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for arg in (k0r, np.array([0.5, k0r, 1e-4])):
+            with pytest.raises(InvalidGeometry, match="^k0r below about 2e-103: .* overflows$"):
+                dipole_coupling(arg, 0.2)
+        assert cross_decay(k0r) == np.nextafter(1.0, 0.0)
+    assert math.isfinite(dipole_coupling(2.3e-103))
+    assert math.isfinite(dipole_coupling(2.3e-103, 1.0))
 
 
 # ------------------------------------------------------- cross decay
@@ -296,12 +326,19 @@ def test_config_range_errors_are_typed(fields):
 
 
 def test_config_rejects_non_finite_fields():
-    for field in ("delta", "drive", "k0r", "mu_dot_rhat", "gamma"):
+    for field in ("delta", "drive", "mu_dot_rhat", "gamma"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(OutOfRange, match="finite"):
                 AtomPairConfig(**{field: bad})
     with pytest.raises(OutOfRange):
         AtomPairConfig(drive=math.nan, k0r=math.nan, delta=math.inf)
+
+
+@pytest.mark.parametrize("k0r", [math.nan, math.inf, -math.inf, 0.0, -1.0, -5e-324])
+def test_config_gives_k0r_the_geometry_rule_and_error(k0r):
+    # one domain rule, one error: the geometry factors' check and message
+    with pytest.raises(InvalidGeometry, match="^k0r must be finite and > 0$"):
+        AtomPairConfig(k0r=k0r)
 
 
 def test_config_derived_couplings():
