@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import InvalidRegime, InvalidRegimeWarning, InvalidState
+from .errors import InvalidRegime, InvalidRegimeWarning, InvalidState, OutOfRange
 from .linalg import BasisTag, hermitian_part, kron
 from .model import (
     SM1,
@@ -39,8 +39,13 @@ _I4 = np.eye(4, dtype=complex)
 # flat indices of the 3x3 triplet block inside a column-stacked 4x4
 _TRIPLET_IDX = np.array([i + 4 * j for j in range(3) for i in range(3)])
 
-# computational -> coupled basis change of column-stacked 4x4 matrices
+# coupled -> computational basis change; computational -> coupled of column-stacked 4x4s
+_FROM_COUPLED = TO_COUPLED.conj().T
 _TO_COUPLED_SUPER = kron(TO_COUPLED.conj(), TO_COUPLED)
+
+# decay channels (i, j) of build_liouvillian: i != j (rate gamma12), sp_j^T, sm_i, sp_i sm_j
+_CHANNELS = [(i != j, (SP1, SP2)[j].T, (SM1, SM2)[i], (SP1, SP2)[i] @ (SM1, SM2)[j])
+             for i in range(2) for j in range(2)]
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -80,7 +85,7 @@ class DensityMatrix:
         without checking again."""
         states = [object.__new__(cls) for _ in range(len(stack))]
         for state, m in zip(states, stack):
-            state.__dict__.update(matrix=m, basis=basis)
+            state.__dict__["matrix"], state.__dict__["basis"] = m, basis
         return states
 
     def to_basis(self, basis: BasisTag) -> "DensityMatrix":
@@ -97,9 +102,9 @@ class DensityMatrix:
                 TRIPLET_EMBED @ m @ TRIPLET_EMBED.conj().T, BasisTag.COMPUTATIONAL
             )
         if self.basis is BasisTag.COMPUTATIONAL and basis is BasisTag.COUPLED:
-            return DensityMatrix(TO_COUPLED @ m @ TO_COUPLED.conj().T, basis)
+            return DensityMatrix(TO_COUPLED @ m @ _FROM_COUPLED, basis)
         if self.basis is BasisTag.COUPLED and basis is BasisTag.COMPUTATIONAL:
-            return DensityMatrix(TO_COUPLED.conj().T @ m @ TO_COUPLED, basis)
+            return DensityMatrix(_FROM_COUPLED @ m @ TO_COUPLED, basis)
         raise InvalidState(f"cannot convert {self.basis} to {basis}")
 
     def singlet_weight(self) -> float:
@@ -132,21 +137,10 @@ def build_liouvillian(cfg: AtomPairConfig, c: Couplings) -> Liouvillian:
     docstring. Trace is preserved: vec(I) is a left null vector.
     """
     h = build_hamiltonian(cfg, c.omega)
-    lops_minus = (SM1, SM2)
-    lops_plus = (SP1, SP2)
-    rates = 0.5 * np.array(
-        [[cfg.gamma, c.gamma12], [c.gamma12, cfg.gamma]], dtype=float
-    )
+    rates = (0.5 * float(cfg.gamma), 0.5 * float(c.gamma12))
     lm = -1j * (kron(_I4, h) - kron(h.T, _I4))
-    for i in range(2):
-        for j in range(2):
-            r = rates[i, j]
-            a = lops_plus[i] @ lops_minus[j]
-            lm = lm + 0.5 * r * (
-                2.0 * kron(lops_plus[j].T, lops_minus[i])
-                - kron(_I4, a)
-                - kron(a.T, _I4)
-            )
+    for cross, sp_j_t, sm_i, a in _CHANNELS:
+        lm += 0.5 * rates[cross] * (2.0 * kron(sp_j_t, sm_i) - kron(_I4, a) - kron(a.T, _I4))
     return Liouvillian(lm, BasisTag.COMPUTATIONAL)
 
 
@@ -240,6 +234,8 @@ _TRIPLET_ROWS = kron(_UNNORMALISED, _UNNORMALISED)[_TRIPLET_IDX]
 _TRIPLET_COLS = kron(_INVERSE, _INVERSE)[:, _TRIPLET_IDX]
 _NORMALISE = np.outer([1.0, 1.0 / _SQ2, 1.0], [1.0, 1.0 / _SQ2, 1.0])
 _TRACE_RHS = np.eye(9, 1, -8)[:, 0]
+# last row of the block solve: tr rho_T (unnormalised basis), + p_A = rho_{+1,+1} if coupled
+_TRACE_ROWS = tuple(np.array([1.0 + p, 0, 0, 0, 0.5, 0, 0, 0, 1.0]) for p in (0, 1))
 
 
 def _check_states(states: np.ndarray, errors: list):
@@ -272,9 +268,10 @@ def _scaled_terms(delta, drive, omega, gamma12):
     input comes within a factor 4 of the largest double. Returns the
     broadcast (delta, omega, gamma12), the branch mask gamma12 != 1, k, E,
     sqrt s and q over k, and A = 256 E^4 and D over k^4: the terms that
-    both the states and the law are built from.
+    both the states and the law are built from; last, where all four inputs are finite.
     """
     d, e, w, g = _broadcast(delta, drive, omega, gamma12)
+    finite = np.isfinite((d, e, w, g)).all(axis=0)
     coupled = g != 1.0
     with np.errstate(invalid="ignore", over="ignore"):
         r = np.hypot(4.0 * d, 1.0)  # sqrt s
@@ -285,7 +282,7 @@ def _scaled_terms(delta, drive, omega, gamma12):
     e2 = e**2
     a = 256.0 * e2 * e2
     den = (3.0 + coupled) * a + r * r * 64.0 * e2 + (r * p) ** 2
-    return d, w, g, coupled, k, e, r, q, a, den
+    return d, w, g, coupled, k, e, r, q, a, den, finite
 
 
 def solve_steady_states(delta, drive, omega, gamma12):
@@ -303,11 +300,12 @@ def solve_steady_states(delta, drive, omega, gamma12):
     as in solve_steady_state. D is the denominator of
     steady_state_concurrences, and both are evaluated on the scaled terms
     of _scaled_terms. A Gram sum is PSD by construction; each state still
-    gets the DensityMatrix checks. A point that fails (a non-finite state,
-    from non-finite input or an overflow: LinAlgError; a state failing the
-    DensityMatrix checks: InvalidState) does not stop the others. Returns
-    ``(states, errors)``: an (N, 4, 4) array, NaN where a point failed,
-    and a list holding per point None or its typed error.
+    gets the DensityMatrix checks. A point that fails (a non-finite input:
+    OutOfRange; a non-finite state from finite input, by overflow or
+    D = 0: LinAlgError; a state failing the DensityMatrix checks:
+    InvalidState) does not stop the others. Returns ``(states, errors)``:
+    an (N, 4, 4) array, NaN where a point failed, and a list holding per
+    point None or its typed error.
     """
     states, _, errors = _solve_blocks(_scaled_terms(delta, drive, omega, gamma12))
     return states, errors
@@ -322,7 +320,7 @@ def _closed_form_states(terms) -> np.ndarray:
     triangle is the conjugate of the upper, so the state is exactly
     Hermitian.
     """
-    d, om, g, coupled, k, e, _, _, a, den = terms
+    d, om, g, coupled, k, e, _, _, a, den, _ = terms
     n = len(d)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         x = np.empty(n, dtype=complex)  # x / k
@@ -352,8 +350,9 @@ def _solve_blocks(terms):
     eigenvalue of each state from its checks."""
     states = _closed_form_states(terms)
     errors: list[Exception | None] = [
-        None if ok else np.linalg.LinAlgError("non-finite steady state")
-        for ok in np.isfinite(states).all(axis=(1, 2))]
+        OutOfRange("inputs must be finite") if not finite
+        else None if ok else np.linalg.LinAlgError("non-finite steady state")
+        for finite, ok in zip(terms[-1], np.isfinite(states).all(axis=(1, 2)))]
     return _check_states(states, errors)
 
 
@@ -377,9 +376,8 @@ def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
     DensityMatrix checks.
     """
     a = _TRIPLET_ROWS @ build_liouvillian(cfg, c).matrix @ _TRIPLET_COLS
-    coupled = c.gamma12 != 1.0
-    a[8] = (1.0, 0, 0, 0, 0.5, 0, 0, 0, 1.0)  # tr rho_T in the unnormalised basis
-    a[8, 0] += coupled  # plus p_A = rho_{+1,+1}
+    coupled = bool(c.gamma12 != 1.0)
+    a[8] = _TRACE_ROWS[coupled]
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("non-finite generator")
     x = np.linalg.solve(a, _TRACE_RHS)  # trace 1, other rows 0

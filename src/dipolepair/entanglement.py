@@ -115,15 +115,17 @@ def steady_state_concurrences(delta, drive, omega, gamma12) -> np.ndarray:
     D and T are evaluated on the scaled terms of dynamics._scaled_terms,
     which solve_steady_states builds its states from: E^4 is never formed,
     and no step overflows unless an input comes within a factor 4 of the
-    largest double. A non-finite input gives NaN.
+    largest double. A non-finite input gives NaN here, without an error
+    (solve_steady_states and steady_state_entanglement fail it: OutOfRange).
     """
     return _concurrence_law(_scaled_terms(delta, drive, omega, gamma12))
 
 
 def _concurrence_law(terms) -> np.ndarray:
     """steady_state_concurrences on the terms of dynamics._scaled_terms."""
-    _, _, _, coupled, _, e, r, q, a, den = terms
-    return np.maximum(32.0 * e**2 * r * q - (1.0 + coupled) * a, 0.0) / den
+    _, _, _, coupled, _, e, r, q, a, den, _ = terms
+    with np.errstate(invalid="ignore"):  # inf - inf at drive = -inf: NaN, as documented
+        return np.maximum(32.0 * e**2 * r * q - (1.0 + coupled) * a, 0.0) / den
 
 
 def _eofs(c: np.ndarray) -> np.ndarray:

@@ -85,7 +85,7 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(m)  # ascending
     if w[0] < tol.PSD_EVAL_FLOOR:
         raise NotPSD(f"eigenvalue {w[0]:.3e} below PSD floor")
-    return hermitian_part((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+    return hermitian_part((v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T)
 
 
 def null_vector(m: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -34,6 +34,7 @@ SP1 = kron(SIGMA_PLUS, I2)
 SP2 = kron(I2, SIGMA_PLUS)
 SM1 = kron(SIGMA_MINUS, I2)
 SM2 = kron(I2, SIGMA_MINUS)
+_EXCHANGE = SP1 @ SM2 + SM1 @ SP2  # sp_1 sm_2 + sm_1 sp_2, of the dipole coupling
 
 _SQ2 = math.sqrt(2.0)
 
@@ -113,10 +114,11 @@ class DriveScaling:
             raise InvalidGeometry("tau, q_factor and nbar_v must all be > 0")
 
 
-def _distance(k0r) -> np.ndarray:
-    """k0r as a float array; InvalidGeometry unless every entry is finite and > 0."""
-    x = np.asarray(k0r, dtype=float)
-    if not np.all((x > 0) & (x < math.inf)):  # NaN fails both
+def _distance(k0r):
+    """k0r as a float array, or a numpy float for a scalar (whose x**3 can round
+    unlike np.power); InvalidGeometry unless every entry is finite and > 0."""
+    x = np.asarray(k0r, dtype=float)[()]
+    if not ((x > 0) & (x < math.inf)).all():  # NaN fails both
         raise InvalidGeometry("k0r must be finite and > 0")
     return x
 
@@ -130,19 +132,18 @@ def dipole_coupling(k0r, mu_dot_rhat: float = 0.0):
     Below x = 1e-3 the bracket is evaluated by series to avoid the 1/x^3
     cancellations; the series is only summed when some x needs it. At
     large x the powers of x that overflow enter as 1/inf = 0, the limit
-    of their terms. Accepts scalars or arrays; a k0r that is not finite
-    and > 0, or so small that Omega overflows (below about 2e-103),
-    raises InvalidGeometry for the whole call.
+    of their terms. Accepts scalars or arrays, with the same values for
+    both; a k0r that is not finite and > 0, or so small that Omega
+    overflows (below about 2e-103), raises InvalidGeometry for the whole call.
     """
     x = _distance(k0r)
     a = 1.0 - mu_dot_rhat**2
     b = 1.0 - 3.0 * mu_dot_rhat**2
     with np.errstate(all="ignore"):
-        direct = 0.75 * (
-            -a * np.cos(x) / x + b * (np.sin(x) / x**2 + np.cos(x) / x**3)
-        )
-        out = direct
-        if np.any(x < tol.SMALL_X):
+        cos = np.cos(x)
+        out = 0.75 * (-a * cos / x + b * (np.sin(x) / (x * x) + cos / np.power(x, 3)))
+        if (x < tol.SMALL_X).any():
+            x = np.asarray(x)  # the series' powers as for array input
             series = np.zeros_like(x)
             for k in range(9):
                 f2k = math.factorial(2 * k)
@@ -151,7 +152,7 @@ def dipole_coupling(k0r, mu_dot_rhat: float = 0.0):
                     b * x ** (2 * k - 3) / f2k + x ** (2 * k - 1) * (b / f2k1 - a / f2k)
                 )
             series *= 0.75
-            out = np.where(x < tol.SMALL_X, series, direct)
+            out = np.where(x < tol.SMALL_X, series, out)
             if not np.isfinite(out).all():
                 raise InvalidGeometry("k0r below about 2e-103: the dipole coupling overflows")
     return float(out) if np.isscalar(k0r) else out
@@ -165,20 +166,20 @@ def cross_decay(k0r):
     x -> 0 but stays below it: the value is capped at the largest double
     below 1, since gamma12 == gamma exactly selects the decoupled-singlet
     branch of the steady-state solver, which no distance reaches. Accepts
-    scalars or arrays; a k0r that is not finite and > 0 raises
-    InvalidGeometry. At large x the powers of x that overflow enter as
-    1/inf = 0, the limit of their terms.
+    scalars or arrays, with the same values for both; a k0r that is not
+    finite and > 0 raises InvalidGeometry. At large x the powers of x
+    that overflow enter as 1/inf = 0, the limit of their terms.
     """
     x = _distance(k0r)
     with np.errstate(all="ignore"):
-        direct = -3.0 * (np.cos(x) / x**2 - np.sin(x) / x**3)
-        out = direct
-        if np.any(x < tol.SMALL_X):
+        out = -3.0 * (np.cos(x) / (x * x) - np.sin(x) / np.power(x, 3))
+        if (x < tol.SMALL_X).any():
+            x = np.asarray(x)  # the series' powers as for array input
             series = np.zeros_like(x)
             for k in range(1, 8):
                 series += (-1.0) ** k * (2 * k) * x ** (2 * k - 2) / math.factorial(2 * k + 1)
             series *= -3.0
-            out = np.where(x < tol.SMALL_X, series, direct)
+            out = np.where(x < tol.SMALL_X, series, out)
     out = np.minimum(out, _BELOW_ONE)
     return float(out) if np.isscalar(k0r) else out
 
@@ -194,7 +195,7 @@ def gamma_cross(cfg: AtomPairConfig) -> float:
 
 
 def couplings_from_geometry(cfg: AtomPairConfig) -> Couplings:
-    return Couplings(omega=omega_dipole(cfg), gamma12=gamma_cross(cfg))
+    return Couplings(dipole_coupling(cfg.k0r, cfg.mu_dot_rhat), cross_decay(cfg.k0r))
 
 
 def build_hamiltonian(cfg: AtomPairConfig, omega: float) -> np.ndarray:
@@ -208,8 +209,8 @@ def build_hamiltonian(cfg: AtomPairConfig, omega: float) -> np.ndarray:
     real and the assembly is exactly symmetric.
     """
     h = 0.5 * cfg.delta * (kron(SIGMA_Z, I2) + kron(I2, SIGMA_Z))
-    h = h + cfg.drive * (kron(SIGMA_X, I2) + kron(I2, SIGMA_X))
-    h = h + omega * (SP1 @ SM2 + SM1 @ SP2)
+    h += cfg.drive * (kron(SIGMA_X, I2) + kron(I2, SIGMA_X))
+    h += omega * _EXCHANGE
     return h
 
 
@@ -233,16 +234,27 @@ def build_effective_hamiltonian(cfg: AtomPairConfig, c: Couplings) -> np.ndarray
 
 
 def tau_of_geometry(k0r: float, q_factor: float, nbar_v: float) -> float:
-    """tau = (3 / 4 pi alpha) / ( (k0r)^3 Q nbarV ), alpha = 1/137."""
-    if k0r <= 0 or q_factor <= 0 or nbar_v <= 0:
+    """tau = (3 / 4 pi alpha) / ( (k0r)^3 Q nbarV ), alpha = 1/137; InvalidGeometry where
+    it overflows or underflows to 0 (at Q nbarV = 1, k0r below ~6e-103 or above ~6e102)."""
+    if not (k0r > 0 and q_factor > 0 and nbar_v > 0):  # NaN fails too
         raise InvalidGeometry("k0r, q_factor and nbar_v must all be > 0")
-    return 3.0 / (4.0 * math.pi * FINE_STRUCTURE) / (k0r**3 * q_factor * nbar_v)
+    with np.errstate(all="ignore"):  # numpy floats: out of range gives 0 or inf
+        tau = 3.0 / (4.0 * math.pi * FINE_STRUCTURE) / (np.float64(k0r)**3 * q_factor * nbar_v)
+    if not 0.0 < tau < math.inf:
+        raise InvalidGeometry(
+            f"tau {'overflows' if tau else 'underflows to 0'} at this k0r^3 Q nbarV")
+    return float(tau)
 
 
 def k0r_for_tau(tau: float, q_factor: float, nbar_v: float) -> float:
-    """Distance at which tau_of_geometry() returns the requested tau."""
-    if tau <= 0 or q_factor <= 0 or nbar_v <= 0:
+    """Distance at which tau_of_geometry() returns the requested tau;
+    InvalidGeometry where that distance overflows or underflows to 0."""
+    if not (tau > 0 and q_factor > 0 and nbar_v > 0):  # NaN fails too
         raise InvalidGeometry("tau, q_factor and nbar_v must all be > 0")
-    return (3.0 / (4.0 * math.pi * FINE_STRUCTURE * tau * q_factor * nbar_v)) ** (
-        1.0 / 3.0
-    )
+    with np.errstate(all="ignore"):  # numpy floats: out of range gives 0 or inf
+        den = 4.0 * math.pi * FINE_STRUCTURE * np.float64(tau) * q_factor * nbar_v
+        k0r = (3.0 / den) ** (1.0 / 3.0)
+    if not 0.0 < k0r < math.inf:
+        raise InvalidGeometry(
+            f"k0r {'overflows' if k0r else 'underflows to 0'} at this tau Q nbarV")
+    return float(k0r)

@@ -4,6 +4,9 @@ Independent references for the solver tests: the kernel of the full
 16x16 superoperator (``steady_state_numeric``) and of its 9x9 triplet
 block (``triplet_steady_state``). Neither knows about exchange symmetry
 or the closed form; both stop at a singular-value threshold instead.
+``kron_loop_liouvillian`` is the generator assembled channel by channel,
+in the order and arithmetic that ``build_liouvillian`` must reproduce
+bit for bit.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ import math
 
 import numpy as np
 
-from dipolepair import BasisTag, DensityMatrix, Liouvillian, hermitian_part
+from dipolepair import BasisTag, DensityMatrix, Liouvillian, hermitian_part, kron
 from dipolepair import tolerances as tol
 from dipolepair.errors import DipolePairError, NoNullSpace
+from dipolepair.model import I2, SIGMA_X, SIGMA_Z, SM1, SM2, SP1, SP2
 
 KERNEL_EXACT_RTOL = 1e-12  # below this the kernel is genuinely multi-dimensional
 
@@ -70,3 +74,27 @@ def triplet_steady_state(liouv: Liouvillian) -> DensityMatrix:
     """Steady state of the triplet-restricted dynamics (singlet weight 0)."""
     return DensityMatrix(_kernel_state(restrict_triplet(liouv), "no triplet kernel", None),
                          BasisTag.TRIPLET)
+
+
+def kron_loop_liouvillian(cfg, c) -> np.ndarray:
+    """The 16x16 generator of build_liouvillian, Hamiltonian included.
+
+    Every operator product is formed where it is used, the rates come
+    from a numpy table, and each term makes a fresh array.
+    """
+    _i4 = np.eye(4, dtype=complex)
+    h = 0.5 * cfg.delta * (kron(SIGMA_Z, I2) + kron(I2, SIGMA_Z))
+    h = h + cfg.drive * (kron(SIGMA_X, I2) + kron(I2, SIGMA_X))
+    h = h + c.omega * (SP1 @ SM2 + SM1 @ SP2)
+    lops_minus = (SM1, SM2)
+    lops_plus = (SP1, SP2)
+    rates = 0.5 * np.array([[cfg.gamma, c.gamma12], [c.gamma12, cfg.gamma]], dtype=float)
+    lm = -1j * (kron(_i4, h) - kron(h.T, _i4))
+    for i in range(2):
+        for j in range(2):
+            r = rates[i, j]
+            a = lops_plus[i] @ lops_minus[j]
+            lm = lm + 0.5 * r * (
+                2.0 * kron(lops_plus[j].T, lops_minus[i]) - kron(_i4, a) - kron(a.T, _i4)
+            )
+    return lm

@@ -81,10 +81,10 @@ def test_steady_rejects_non_finite_input(capsys):
         rc, out, err = run(capsys, "steady", *argv)
         assert rc == 2 and out == ""
         assert err.startswith(message) and err.count("\n") == 1
-    # a non-finite coupling reaches the solver, whose LinAlgError is caught
+    # a non-finite coupling reaches the solver, which fails its point with OutOfRange
     rc, out, err = run(capsys, "steady", "--efield", "1", "--omega", "nan")
     assert rc == 2 and out == ""
-    assert err.startswith("error: linear algebra failed") and err.count("\n") == 1
+    assert err == "error: inputs must be finite\n"
 
 
 def test_steady_json_format(capsys):
@@ -139,6 +139,18 @@ def test_fig1_reference_point(capsys):
 def test_fig1_rejects_nonpositive(capsys):
     rc, _, err = run(capsys, "fig1", "--nbar-min", "-5")
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--tau", "1e-320"), "k0r overflows"),
+    (("--q", "1e300", "--nbar-max", "1e300"), "k0r underflows to 0"),
+])
+def test_fig1_distance_outside_the_doubles_is_one_error_line(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "fig1", *argv, "--points", "3")
+    assert rc == 2 and out == ""
+    assert err == f"error: {message} at this tau Q nbarV\n"
 
 
 # ------------------------------------------------------- fig2
@@ -582,7 +594,7 @@ def test_sweep_exits_1_only_when_every_point_failed(capsys):
                        "--delta", "nan")
     assert rc == 1
     assert out == ""
-    assert "2 grid point(s) failed, recorded as NaN (LinAlgError: 2)" in err
+    assert "2 grid point(s) failed, recorded as NaN (OutOfRange: 2)" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -607,7 +619,7 @@ def test_sweep_non_finite_fixed_value_fails_per_point_without_warning(capsys):
         warnings.simplefilter("always")
         rc, out, err = run(capsys, "sweep", "--axis", "efield=1:2:2", "--omega", "inf")
     assert rc == 1 and out == "" and caught == []
-    assert err == "warning: 2 grid point(s) failed, recorded as NaN (LinAlgError: 2)\n"
+    assert err == "warning: 2 grid point(s) failed, recorded as NaN (OutOfRange: 2)\n"
 
 
 def test_grid_commands_reject_dipole_projection_out_of_range(capsys):

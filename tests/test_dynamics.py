@@ -26,6 +26,7 @@ from dipolepair.errors import InvalidRegimeWarning, InvalidState
 from dipolepair.model import SM1, SM2, SP1, SP2, TO_COUPLED
 from svd_reference import (
     DegenerateKernel,
+    kron_loop_liouvillian,
     restrict_triplet,
     steady_state_numeric,
     triplet_steady_state,
@@ -76,6 +77,25 @@ def test_liouvillian_matches_direct_evaluation():
         rho = random_density()
         direct = lindblad_rhs(h, cfg.gamma, c.gamma12, rho)
         assert np.abs(unvec(liouv.matrix @ vec(rho), 4) - direct).max() < 1e-12
+
+
+def test_liouvillian_is_bitwise_the_kron_loop_assembly():
+    # 1200 points over many decades, every tenth on the gamma12 == 1 branch;
+    # numpy-float couplings give the same generator and steady state
+    rng = np.random.default_rng(41)
+    for n in range(1200):
+        delta, omega = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3, 2)
+        drive = 10.0 ** rng.uniform(-3, 3)
+        gamma12 = 1.0 if n % 10 == 0 else rng.uniform(-1.0, 1.0)
+        cfg = AtomPairConfig(delta=delta, drive=drive)
+        c = Couplings(omega=omega, gamma12=gamma12)
+        got = build_liouvillian(cfg, c).matrix
+        assert got.tobytes() == kron_loop_liouvillian(cfg, c).tobytes()
+        if n % 100 == 0:
+            c64 = Couplings(omega=np.float64(omega), gamma12=np.float64(gamma12))
+            assert build_liouvillian(cfg, c64).matrix.tobytes() == got.tobytes()
+            assert (solve_steady_state(cfg, c64).matrix.tobytes()
+                    == solve_steady_state(cfg, c).matrix.tobytes())
 
 
 def test_singlet_projector_is_stationary_at_full_cross_decay():

@@ -19,13 +19,14 @@ from dipolepair import (
     dipole_coupling,
     psd_sqrt,
     solve_steady_states,
+    steady_state_concurrences,
     steady_state_entanglement,
     wootters_concurrence,
 )
 from dipolepair import cli
 from dipolepair import tolerances as tol
 from dipolepair.dynamics import _density_errors
-from dipolepair.errors import DipolePairError, InvalidState, NotHermitian, NotPSD
+from dipolepair.errors import DipolePairError, InvalidState, NotHermitian, NotPSD, OutOfRange
 from dipolepair.model import SIGMA_Y, TO_COUPLED
 
 RNG = np.random.default_rng(31)
@@ -103,7 +104,7 @@ def test_result_does_not_depend_on_batch_position_or_chunks():
     gamma12 = cross_decay(k0r)
     delta[RNG.choice(n, 9, replace=False)] = math.nan  # failures mixed in
     pops, conc, eof, errors = cli._solve_grid(delta, drive, omega, gamma12)
-    assert sum(isinstance(e, np.linalg.LinAlgError) for e in errors) == 9
+    assert sum(type(e) is OutOfRange for e in errors) == 9
     perm = RNG.permutation(n)
     pops_p, conc_p, eof_p, errors_p = cli._solve_grid(
         delta[perm], drive[perm], omega[perm], gamma12[perm]
@@ -120,9 +121,42 @@ def test_result_does_not_depend_on_batch_position_or_chunks():
 
 def test_engine_keeps_going_past_a_non_finite_point():
     states, errors = solve_steady_states(0.0, [1.0, math.nan, 2.0], 3.0, 0.2)
-    assert isinstance(errors[1], np.linalg.LinAlgError)
+    assert type(errors[1]) is OutOfRange and str(errors[1]) == "inputs must be finite"
     assert errors[0] is None and errors[2] is None
     assert np.isnan(states[1]).all() and not np.isnan(states[[0, 2]]).any()
+
+
+@pytest.mark.parametrize("which", range(4), ids=["delta", "drive", "omega", "gamma12"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_input_fails_its_point_with_out_of_range(which, bad):
+    args = [np.array([0.3, 0.3, 0.3]), np.array([1.0, 1.0, 2.0]),
+            np.array([2.0, 2.0, 2.0]), np.array([0.4, 0.4, 0.4])]
+    args[which][1] = bad
+    clean_states, clean_errors = solve_steady_states(*(np.delete(a, 1) for a in args))
+    assert clean_errors == [None, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states, errors = solve_steady_states(*args)
+        _, conc, eof, grid_errors = steady_state_entanglement(*args)
+        law = steady_state_concurrences(*args)
+    for errs in (errors, grid_errors):
+        assert errs[0] is None and errs[2] is None
+        assert type(errs[1]) is OutOfRange and str(errs[1]) == "inputs must be finite"
+    assert np.isnan(states[1]).all() and np.isnan([conc[1], eof[1], law[1]]).all()
+    assert np.array_equal(states[[0, 2]], clean_states)
+
+
+def test_an_overflow_from_finite_input_keeps_its_linalg_error():
+    # 4 delta overflows: every input is finite, the state is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states, errors = solve_steady_states([0.3, 1e308], 1.0, 2.0, 0.4)
+        _, _, _, grid_errors = steady_state_entanglement([0.3, 1e308], 1.0, 2.0, 0.4)
+    for errs in (errors, grid_errors):
+        assert errs[0] is None
+        assert type(errs[1]) is np.linalg.LinAlgError
+        assert str(errs[1]) == "non-finite steady state"
+    assert np.isnan(states[1]).all()
 
 
 def test_density_errors_agree_with_density_matrix_checks():

@@ -43,6 +43,25 @@ def test_dipole_coupling_magic_angle_leaves_first_term():
         assert abs(dipole_coupling(x, mu) - expected) < 1e-12
 
 
+@pytest.mark.parametrize("factor", [dipole_coupling, cross_decay])
+def test_scalar_and_one_element_array_calls_agree_bitwise(factor):
+    # a scalar k0r runs on numpy floats, where x**3 rounds unlike the array
+    # power for about 5% of k0r: the factors must still give the array values
+    rng = np.random.default_rng(53)
+    k0r = np.concatenate([np.geomspace(1e-102, 1e300, 4001),
+                          SMALL_X * np.array([0.5, 0.999, 1.0, 1.001, 2.0])])
+    mu = rng.uniform(0.0, 1.0, len(k0r))
+    below = 0
+    for x, m in zip(k0r.tolist(), mu.tolist()):
+        extra = (m,) if factor is dipole_coupling else ()
+        scalar = factor(x, *extra)
+        (array,) = factor(np.array([x]), *extra)
+        assert type(scalar) is float
+        assert np.float64(scalar).tobytes() == array.tobytes(), (x, m)
+        below += x < SMALL_X
+    assert min(below, len(k0r) - below) > 900  # both sides of SMALL_X
+
+
 def test_dipole_coupling_rejects_bad_distance():
     with pytest.raises(InvalidGeometry):
         dipole_coupling(0.0)
@@ -301,6 +320,36 @@ def test_geometry_helpers_reject_nonpositive():
         tau_of_geometry(0.0, 1e6, 10.0)
     with pytest.raises(InvalidGeometry):
         k0r_for_tau(9.21, -1e6, 10.0)
+    for helper in (tau_of_geometry, k0r_for_tau):
+        with pytest.raises(InvalidGeometry, match="must all be > 0"):
+            helper(math.nan, 1e6, 10.0)
+
+
+@pytest.mark.parametrize("helper, args, message", [
+    (tau_of_geometry, (1e103, 1.0, 1.0), "tau underflows to 0"),  # k0r**3 overflows
+    (tau_of_geometry, (1e-120, 1.0, 1.0), "tau overflows"),  # k0r**3 underflows to 0
+    (tau_of_geometry, (1e-104, 1.0, 1.0), "tau overflows"),
+    (tau_of_geometry, (1e100, 1e300, 1.0), "tau underflows to 0"),
+    (k0r_for_tau, (1e-320, 1.0, 1.0), "k0r overflows"),
+    (k0r_for_tau, (1e-320, 1e-10, 1.0), "k0r overflows"),  # tau Q nbarV underflows to 0
+    (k0r_for_tau, (1e300, 1e300, 1.0), "k0r underflows to 0"),
+    (k0r_for_tau, (9.21, 1e300, np.float64(1e300)), "k0r underflows to 0"),
+])
+def test_geometry_helpers_reject_a_result_outside_the_doubles(helper, args, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidGeometry, match=f"^{message} at this "):
+            helper(*args)
+
+
+def test_geometry_helpers_return_floats_equal_to_the_plain_formulas():
+    for k0r, q, nv in ((7.083e-3, 1e6, 10.0), (6e-103, 1.0, 1.0), (5.6e102, 1.0, 1.0)):
+        tau = tau_of_geometry(k0r, q, np.float64(nv))
+        assert type(tau) is float
+        assert tau == 3.0 / (4.0 * math.pi * (1 / 137)) / (k0r**3 * q * nv)
+        k = k0r_for_tau(tau, q, nv)
+        assert type(k) is float
+        assert k == (3.0 / (4.0 * math.pi * (1 / 137) * tau * q * nv)) ** (1.0 / 3.0)
 
 
 # ------------------------------------------------------- config validation
