@@ -263,26 +263,28 @@ def _scaled_terms(delta, drive, omega, gamma12):
     With s = 1 + 16 delta^2, p = |4 (omega + delta) - i (1 + gamma12)| and
     q = |4 omega - i gamma12|, every entry of D rho (see
     solve_steady_states) and of the concurrence law has degree 4 in
-    (E, sqrt s, p, q). All four are divided by k = max(E, sqrt(sqrt s
+    (E, sqrt s, p, q). All four are divided by k = max(|E|, sqrt(sqrt s
     max(p, q))), so E^4 is never formed, and no step overflows unless an
     input comes within a factor 4 of the largest double. Returns the
-    broadcast (delta, omega, gamma12), the branch mask gamma12 != 1, k, E,
-    sqrt s and q over k, and A = 256 E^4 and D over k^4: the terms that
-    both the states and the law are built from; last, where all four inputs are finite.
+    broadcast inputs (delta, drive, omega, gamma12), the mask of points
+    where all four are finite, the branch mask gamma12 != 1, k, E, sqrt s
+    and q over k, and A = 256 E^4 and D over k^4: the terms that both the
+    states and the law are built from.
     """
-    d, e, w, g = _broadcast(delta, drive, omega, gamma12)
-    finite = np.isfinite((d, e, w, g)).all(axis=0)
+    d, drive, w, g = _broadcast(delta, drive, omega, gamma12)
+    finite = np.isfinite((d, drive, w, g)).all(axis=0)
     coupled = g != 1.0
     with np.errstate(invalid="ignore", over="ignore"):
         r = np.hypot(4.0 * d, 1.0)  # sqrt s
         p = np.hypot(4.0 * (w + d), 1.0 + g)
         q = np.hypot(4.0 * w, g)
-        k = np.maximum(e, np.sqrt(r) * np.sqrt(np.maximum(p, q)))
-        e, r, p, q = e / k, r / k, p / k, q / k
+        # |E|: a negative drive, which is rejected, does not overflow either
+        k = np.maximum(np.abs(drive), np.sqrt(r) * np.sqrt(np.maximum(p, q)))
+        e, r, p, q = drive / k, r / k, p / k, q / k
     e2 = e**2
     a = 256.0 * e2 * e2
     den = (3.0 + coupled) * a + r * r * 64.0 * e2 + (r * p) ** 2
-    return d, w, g, coupled, k, e, r, q, a, den, finite
+    return (d, drive, w, g), finite, coupled, k, e, r, q, a, den
 
 
 def solve_steady_states(delta, drive, omega, gamma12):
@@ -300,10 +302,13 @@ def solve_steady_states(delta, drive, omega, gamma12):
     as in solve_steady_state. D is the denominator of
     steady_state_concurrences, and both are evaluated on the scaled terms
     of _scaled_terms. A Gram sum is PSD by construction; each state still
-    gets the DensityMatrix checks. A point that fails (a non-finite input:
-    OutOfRange; a non-finite state from finite input, by overflow or
-    D = 0: LinAlgError; a state failing the DensityMatrix checks:
-    InvalidState) does not stop the others. Returns ``(states, errors)``:
+    gets the DensityMatrix checks. A point that fails does not stop the
+    others: a non-finite input (OutOfRange "inputs must be finite"), a
+    negative drive (OutOfRange "drive must be >= 0", as AtomPairConfig),
+    D = 0, where the steady state is not unique (InvalidRegime: no drive,
+    gamma12 = -1 and delta = -omega exactly), a non-finite state from
+    finite input, by overflow (LinAlgError), or a state failing the
+    DensityMatrix checks (InvalidState). Returns ``(states, errors)``:
     an (N, 4, 4) array, NaN where a point failed, and a list holding per
     point None or its typed error.
     """
@@ -320,7 +325,7 @@ def _closed_form_states(terms) -> np.ndarray:
     triangle is the conjugate of the upper, so the state is exactly
     Hermitian.
     """
-    d, om, g, coupled, k, e, _, _, a, den, _ = terms
+    (d, _, om, g), _, coupled, k, e, _, _, a, den = terms
     n = len(d)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         x = np.empty(n, dtype=complex)  # x / k
@@ -349,11 +354,30 @@ def _solve_blocks(terms):
     """solve_steady_states on the terms of _scaled_terms, plus the lowest
     eigenvalue of each state from its checks."""
     states = _closed_form_states(terms)
-    errors: list[Exception | None] = [
-        OutOfRange("inputs must be finite") if not finite
-        else None if ok else np.linalg.LinAlgError("non-finite steady state")
-        for finite, ok in zip(terms[-1], np.isfinite(states).all(axis=(1, 2)))]
+    (d, drive, w, g), finite = terms[:2]
+    errors: list[Exception | None] = [None] * len(states)
+    for i in np.flatnonzero(~finite | (drive < 0) | ~np.isfinite(states).all(axis=(1, 2))):
+        errors[i] = _point_error(finite[i], d[i], drive[i], w[i], g[i])
     return _check_states(states, errors)
+
+
+def _point_error(finite, delta, drive, omega, gamma12) -> Exception:
+    """Why a point of solve_steady_states has no state: its input is outside
+    the domain, D = 0, or (else) its state overflowed.
+
+    D = 1024 E^4 + s (64 E^2 + 16 (omega + delta)^2 + (1 + gamma12)^2)
+    with s >= 1 vanishes only at E = 0, omega + delta = 0 and gamma12 =
+    -1, which the inputs decide without rounding (a sum of two doubles is
+    0 only if they cancel exactly); there the steady state is not unique.
+    """
+    if not finite:
+        return OutOfRange("inputs must be finite")
+    if drive < 0:
+        return OutOfRange("drive must be >= 0")
+    if drive == 0 and omega + delta == 0 and gamma12 == -1:
+        return InvalidRegime("steady state not unique: D = 0 at drive 0, gamma12 = -1, "
+                             "delta = -omega")
+    return np.linalg.LinAlgError("non-finite steady state")
 
 
 def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:

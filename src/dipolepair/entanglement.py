@@ -18,9 +18,14 @@ from . import tolerances as tol
 from .dynamics import DensityMatrix, _scaled_terms, _solve_blocks
 from .errors import InvalidState, NotPSD, OutOfRange
 from .linalg import BasisTag, psd_sqrt
-from .model import SIGMA_Y, SINGLET_KET
+from .model import SIGMA_Y, SINGLET_KET, TO_COUPLED
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y).real.astype(complex)  # real matrix
+# Y x Y in the coupled basis (|+1>, |0>, |-1>, |A>), written out exactly:
+# TO_COUPLED is real and orthogonal, so this is TO_COUPLED _YY TO_COUPLED^T
+# (Y x Y |ee> = -|gg>, |0> -> |0>, |A> -> -|A>)
+_YY_COUPLED = np.array([[0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1]],
+                       dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -32,25 +37,41 @@ class ConcurrenceReport:
     eof: float
 
 
-def _as_computational(rho) -> np.ndarray:
-    """Accept DensityMatrix in any basis, or a raw 4x4/3x3 array."""
+def _with_yy(rho) -> tuple[np.ndarray, np.ndarray]:
+    """The 4x4 matrix of a state and Y x Y in the same basis.
+
+    A DensityMatrix was checked when it was built and is not checked
+    again: a coupled or computational state is used as it is stored, a
+    triplet state is padded with a zero singlet row and column into the
+    coupled basis (which adds only the eigenvalue 0). A raw 4x4 array is
+    taken in the computational basis and a raw 3x3 array as a triplet
+    state; either is checked once here.
+    """
     if isinstance(rho, DensityMatrix):
-        return rho.to_basis(BasisTag.COMPUTATIONAL).matrix
-    m = np.asarray(rho, dtype=complex)
-    if m.shape == (3, 3):
-        return DensityMatrix(m, BasisTag.TRIPLET).to_basis(
-            BasisTag.COMPUTATIONAL
-        ).matrix
-    if m.shape == (4, 4):
-        # raw arrays are taken in the computational basis; validate
-        return DensityMatrix(m, BasisTag.COMPUTATIONAL).matrix
-    raise InvalidState(f"expected a 4x4 or 3x3 density matrix, got {m.shape}")
+        m, basis = rho.matrix, rho.basis
+    else:
+        m = np.asarray(rho, dtype=complex)
+        if m.shape not in ((3, 3), (4, 4)):
+            raise InvalidState(f"expected a 4x4 or 3x3 density matrix, got {m.shape}")
+        basis = BasisTag.TRIPLET if m.shape == (3, 3) else BasisTag.COMPUTATIONAL
+        m = DensityMatrix(m, basis).matrix
+    if basis is BasisTag.COMPUTATIONAL:
+        return m, _YY
+    if basis is BasisTag.TRIPLET:
+        padded = np.zeros((4, 4), dtype=complex)
+        padded[:3, :3] = m
+        m = padded
+    return m, _YY_COUPLED
 
 
 def spin_flip(rho) -> np.ndarray:
     """(Y x Y) rho* (Y x Y) in the computational basis."""
-    m = _as_computational(rho)
-    return _YY @ m.conj() @ _YY
+    m, yy = _with_yy(rho)
+    flipped = yy @ m.conj() @ yy
+    if yy is _YY:
+        return flipped
+    # back from the coupled basis; TO_COUPLED is real, so rho* rotates as rho
+    return TO_COUPLED.T @ flipped @ TO_COUPLED
 
 
 def binary_entropy(x: float) -> float:
@@ -75,18 +96,27 @@ def spin_flip_spectrum(rho) -> np.ndarray:
     which satisfies K K^dagger = sqrt(rho) rho~ sqrt(rho): identical
     spectrum, but small values come out with absolute (not square-root)
     accuracy, which the pure-state cross checks need.
+
+    K is formed in the basis the state already carries (see _with_yy),
+    with Y x Y written in that basis: a real orthogonal change of basis U
+    takes sqrt(rho) to U sqrt(rho) U^T, its conjugate likewise, and K to
+    U K U^T, whose singular values are those of K. So no state is rotated
+    or checked again, and a coupled-basis steady state keeps its singlet
+    population p_A apart from the triplet block in the square root.
     """
-    m = _as_computational(rho)
+    m, yy = _with_yy(rho)
     root = psd_sqrt(m)
-    k = root @ _YY @ root.conj()
+    k = root @ yy @ root.conj()
     return np.linalg.svd(k, compute_uv=False)
 
 
 def wootters_concurrence(rho) -> ConcurrenceReport:
     """Concurrence and entanglement of formation of a two-qubit state.
 
-    Triplet-sector inputs are embedded with a zero singlet row and
-    column first; for them the fourth spin-flip eigenvalue is zero.
+    The spin-flip spectrum is taken in the state's own basis, which is
+    exact (see spin_flip_spectrum): coupled and computational states as
+    stored, triplet-sector states padded with a zero singlet row and
+    column, for which the fourth spin-flip eigenvalue is zero.
     """
     lam = spin_flip_spectrum(rho)
     c = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
@@ -115,17 +145,23 @@ def steady_state_concurrences(delta, drive, omega, gamma12) -> np.ndarray:
     D and T are evaluated on the scaled terms of dynamics._scaled_terms,
     which solve_steady_states builds its states from: E^4 is never formed,
     and no step overflows unless an input comes within a factor 4 of the
-    largest double. A non-finite input gives NaN here, without an error
-    (solve_steady_states and steady_state_entanglement fail it: OutOfRange).
+    largest double. A non-finite input, a negative drive and D = 0 give
+    NaN here, without an error (solve_steady_states and
+    steady_state_entanglement fail them: OutOfRange, OutOfRange and
+    InvalidRegime).
     """
     return _concurrence_law(_scaled_terms(delta, drive, omega, gamma12))
 
 
 def _concurrence_law(terms) -> np.ndarray:
     """steady_state_concurrences on the terms of dynamics._scaled_terms."""
-    _, _, _, coupled, _, e, r, q, a, den, _ = terms
-    with np.errstate(invalid="ignore"):  # inf - inf at drive = -inf: NaN, as documented
-        return np.maximum(32.0 * e**2 * r * q - (1.0 + coupled) * a, 0.0) / den
+    (_, drive, _, _), _, coupled, _, e, r, q, a, den = terms
+    # NaN, as documented: a non-finite input makes e, r or q NaN, D = 0
+    # gives 0 / 0, and a negative drive is set below
+    with np.errstate(invalid="ignore"):
+        conc = np.maximum(32.0 * e**2 * r * q - (1.0 + coupled) * a, 0.0) / den
+    conc[drive < 0] = np.nan
+    return conc
 
 
 def _eofs(c: np.ndarray) -> np.ndarray:

@@ -114,11 +114,18 @@ class DriveScaling:
             raise InvalidGeometry("tau, q_factor and nbar_v must all be > 0")
 
 
+def _any(mask) -> bool:
+    """mask.any(), with a 0-d mask decided by its truth value: a reduction
+    over one numpy bool costs about 2 us, the truth test a few ns."""
+    return bool(mask.any() if mask.ndim else mask)
+
+
 def _distance(k0r):
     """k0r as a float array, or a numpy float for a scalar (whose x**3 can round
     unlike np.power); InvalidGeometry unless every entry is finite and > 0."""
     x = np.asarray(k0r, dtype=float)[()]
-    if not ((x > 0) & (x < math.inf)).all():  # NaN fails both
+    ok = (x > 0) & (x < math.inf)  # NaN fails both
+    if not (ok.all() if x.ndim else ok):  # a 0-d x without a reduction, as in _any
         raise InvalidGeometry("k0r must be finite and > 0")
     return x
 
@@ -142,7 +149,7 @@ def dipole_coupling(k0r, mu_dot_rhat: float = 0.0):
     with np.errstate(all="ignore"):
         cos = np.cos(x)
         out = 0.75 * (-a * cos / x + b * (np.sin(x) / (x * x) + cos / np.power(x, 3)))
-        if (x < tol.SMALL_X).any():
+        if _any(x < tol.SMALL_X):
             x = np.asarray(x)  # the series' powers as for array input
             series = np.zeros_like(x)
             for k in range(9):
@@ -153,7 +160,7 @@ def dipole_coupling(k0r, mu_dot_rhat: float = 0.0):
                 )
             series *= 0.75
             out = np.where(x < tol.SMALL_X, series, out)
-            if not np.isfinite(out).all():
+            if _any(~np.isfinite(out)):
                 raise InvalidGeometry("k0r below about 2e-103: the dipole coupling overflows")
     return float(out) if np.isscalar(k0r) else out
 
@@ -173,7 +180,7 @@ def cross_decay(k0r):
     x = _distance(k0r)
     with np.errstate(all="ignore"):
         out = -3.0 * (np.cos(x) / (x * x) - np.sin(x) / np.power(x, 3))
-        if (x < tol.SMALL_X).any():
+        if _any(x < tol.SMALL_X):
             x = np.asarray(x)  # the series' powers as for array input
             series = np.zeros_like(x)
             for k in range(1, 8):

@@ -87,6 +87,16 @@ def test_steady_rejects_non_finite_input(capsys):
     assert err == "error: inputs must be finite\n"
 
 
+def test_steady_at_a_non_unique_steady_state_names_it(capsys):
+    # D = 0: no drive, gamma12 = -1, delta = -omega; a package error, so
+    # the line carries no "linear algebra failed"
+    rc, out, err = run(capsys, "steady", "--efield", "0", "--omega", "2",
+                       "--gamma12", "-1", "--delta", "-2")
+    assert rc == 2 and out == ""
+    assert err == ("error: steady state not unique: D = 0 at drive 0, gamma12 = -1, "
+                   "delta = -omega\n")
+
+
 def test_steady_json_format(capsys):
     rc, out, _ = run(capsys, "steady", "--efield", "1", "--k0r", "0.5",
                      "--format", "json")

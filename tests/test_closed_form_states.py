@@ -95,14 +95,18 @@ def test_extreme_drive_gives_the_mixed_state_without_warnings():
 
 
 def test_a_non_finite_state_fails_its_point_with_linalg_error():
-    # finite input whose trace D is zero (no drive, gamma12 = -1, omega +
-    # delta = 0) gives a non-finite state: LinAlgError; non-finite input
-    # fails as OutOfRange before that
+    # finite input whose state overflows (4 delta) gives a non-finite
+    # state: LinAlgError; non-finite input fails as OutOfRange before that,
+    # and D = 0 (no drive, gamma12 = -1, omega + delta = 0), where the
+    # steady state is not unique, as InvalidRegime
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        states, errors = solve_steady_states([0.0, math.nan, 0.0, 0.0],
-                                             [1.0, 1.0, math.inf, 0.0],
-                                             [2.0, 2.0, 2.0, 0.0], [0.3, 0.3, 0.3, -1.0])
+        states, errors = solve_steady_states([0.0, math.nan, 0.0, 0.0, 1e308],
+                                             [1.0, 1.0, math.inf, 0.0, 1.0],
+                                             [2.0, 2.0, 2.0, 0.0, 2.0],
+                                             [0.3, 0.3, 0.3, -1.0, 0.3])
     assert errors[0] is None and not np.isnan(states[0]).any()
-    assert [type(e).__name__ for e in errors[1:]] == ["OutOfRange", "OutOfRange", "LinAlgError"]
+    assert [type(e).__name__ for e in errors[1:]] == ["OutOfRange", "OutOfRange",
+                                                      "InvalidRegime", "LinAlgError"]
+    assert "not unique" in str(errors[3])
     assert np.isnan(states[1:]).all()

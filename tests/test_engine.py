@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from dipolepair import (
+    AtomPairConfig,
     BasisTag,
     DensityMatrix,
     cross_decay,
@@ -26,7 +27,14 @@ from dipolepair import (
 from dipolepair import cli
 from dipolepair import tolerances as tol
 from dipolepair.dynamics import _density_errors
-from dipolepair.errors import DipolePairError, InvalidState, NotHermitian, NotPSD, OutOfRange
+from dipolepair.errors import (
+    DipolePairError,
+    InvalidRegime,
+    InvalidState,
+    NotHermitian,
+    NotPSD,
+    OutOfRange,
+)
 from dipolepair.model import SIGMA_Y, TO_COUPLED
 
 RNG = np.random.default_rng(31)
@@ -144,6 +152,45 @@ def test_a_non_finite_input_fails_its_point_with_out_of_range(which, bad):
         assert type(errs[1]) is OutOfRange and str(errs[1]) == "inputs must be finite"
     assert np.isnan(states[1]).all() and np.isnan([conc[1], eof[1], law[1]]).all()
     assert np.array_equal(states[[0, 2]], clean_states)
+
+
+@pytest.mark.parametrize("drive", [-1.0, -1e-300, -1e300])
+def test_a_negative_drive_fails_its_point_with_out_of_range(drive):
+    # the message of AtomPairConfig; -0.0 is no negative drive
+    args = (0.0, [-0.0, drive, 1.0], 2.0, 0.4)
+    clean_states, clean_errors = solve_steady_states(0.0, [0.0, 1.0], 2.0, 0.4)
+    assert clean_errors == [None, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states, errors = solve_steady_states(*args)
+        _, conc, eof, grid_errors = steady_state_entanglement(*args)
+        law = steady_state_concurrences(*args)
+    with pytest.raises(OutOfRange) as config_error:
+        AtomPairConfig(drive=drive)
+    for errs in (errors, grid_errors):
+        assert errs[0] is None and errs[2] is None
+        assert type(errs[1]) is OutOfRange and str(errs[1]) == str(config_error.value)
+    assert np.isnan(states[1]).all() and np.isnan([conc[1], eof[1], law[1]]).all()
+    assert np.array_equal(states[[0, 2]], clean_states)
+    assert not np.isnan(law[[0, 2]]).any()
+
+
+def test_a_non_unique_steady_state_fails_its_point_with_invalid_regime():
+    # D = 0 exactly: no drive, gamma12 = -1 and omega + delta = 0; one
+    # ulp off any of them leaves a unique state
+    below = np.nextafter(-1.0, 0.0)
+    args = ([-2.0, -2.0, -2.0, np.nextafter(-2.0, 0.0)], [0.0, 1e-100, 0.0, 0.0],
+            2.0, [-1.0, -1.0, below, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states, errors = solve_steady_states(*args)
+        _, conc, eof, grid_errors = steady_state_entanglement(*args)
+        law = steady_state_concurrences(*args)
+    for errs in (errors, grid_errors):
+        assert type(errs[0]) is InvalidRegime and "not unique" in str(errs[0])
+        assert errs[1:] == [None, None, None]
+    assert np.isnan(states[0]).all() and np.isnan([conc[0], eof[0], law[0]]).all()
+    assert not np.isnan(states[1:]).any() and not np.isnan(law[1:]).any()
 
 
 def test_an_overflow_from_finite_input_keeps_its_linalg_error():

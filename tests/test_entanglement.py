@@ -4,22 +4,29 @@ import numpy as np
 import pytest
 
 from dipolepair import (
+    AtomPairConfig,
     BasisTag,
+    DensityMatrix,
     admixture_concurrence,
     argmax_concurrence,
     binary_entropy,
     closed_form_concurrence,
+    couplings_from_geometry,
     eof_from_concurrence,
     lamb_dicke_limit_state,
     pure_concurrence,
     singlet_projector,
+    solve_steady_state,
     spin_flip,
     spin_flip_spectrum,
+    steady_state_concurrences,
     wootters_concurrence,
 )
+from dipolepair import dynamics, entanglement
 from dipolepair.checks import admixture_rise_count
 from dipolepair.entanglement import C_PEAK, TAU_PEAK
 from dipolepair.errors import InvalidState, OutOfRange
+from dipolepair.model import SIGMA_Y, TO_COUPLED
 
 RNG = np.random.default_rng(99)
 
@@ -36,6 +43,82 @@ def random_unitary(n=2):
 
 
 # ------------------------------------------------------- spin flip
+
+
+def random_state(dim, rank):
+    """A random dim x dim density matrix of the given rank, with unequal weights."""
+    psi = RNG.normal(size=(dim, rank)) + 1j * RNG.normal(size=(dim, rank))
+    psi *= RNG.uniform(0.01, 1.0, size=rank) ** 2
+    m = psi @ psi.conj().T
+    return m / np.trace(m).real
+
+
+def test_coupled_yy_is_the_rotated_yy():
+    # exact in integers with the unnormalised coupled basis |eg> +- |ge>,
+    # whose rows have squared norms (1, 2, 1, 2)
+    yy = np.kron(SIGMA_Y, SIGMA_Y).real
+    basis = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1], [0, 1, -1, 0]])
+    norms = np.array([1, 2, 1, 2])
+    assert np.array_equal((basis @ yy @ basis.T) / np.sqrt(np.outer(norms, norms)),
+                          entanglement._YY_COUPLED.real)
+    assert not entanglement._YY_COUPLED.imag.any()
+    # in floating point (1/sqrt 2)^2 rounds up: one ulp at (|0>, |0>)
+    rotated = TO_COUPLED @ entanglement._YY @ TO_COUPLED.T
+    assert np.abs(rotated - entanglement._YY_COUPLED).max() <= np.finfo(float).eps
+
+
+def test_spin_flip_spectrum_is_the_same_in_every_basis():
+    # full-rank and rank-deficient states; the coupled ones carry
+    # triplet-singlet coherences, the triplet ones are padded
+    worst = 0.0
+    for trial in range(1200):
+        dim = 3 if trial % 4 == 0 else 4
+        m = random_state(dim, 1 + trial % dim)
+        if dim == 3:
+            state = DensityMatrix(m, BasisTag.TRIPLET)
+            forms = [m, state.to_basis(BasisTag.COUPLED), state.to_basis(BasisTag.COMPUTATIONAL)]
+        else:
+            state = DensityMatrix(m, BasisTag.COUPLED)
+            comp = state.to_basis(BasisTag.COMPUTATIONAL)
+            forms = [comp, comp.matrix]
+        lam = spin_flip_spectrum(state)
+        for form in forms:
+            worst = max(worst, np.abs(spin_flip_spectrum(form) - lam).max())
+    assert worst <= 1e-13
+
+
+def test_spin_flip_is_computational_in_every_basis():
+    for dim in (3, 4):
+        m = random_state(dim, dim)
+        state = DensityMatrix(m, BasisTag.TRIPLET if dim == 3 else BasisTag.COUPLED)
+        comp = state.to_basis(BasisTag.COMPUTATIONAL).matrix
+        expected = spin_flip(comp)
+        assert np.abs(spin_flip(state) - expected).max() <= 1e-15
+        if dim == 3:
+            assert np.abs(spin_flip(m) - expected).max() <= 1e-15
+
+
+def test_a_scalar_point_is_checked_once_and_never_rotated(monkeypatch):
+    counts = {"checks": 0, "rotations": 0}
+    density_errors = dynamics._density_errors
+    to_basis = DensityMatrix.to_basis
+
+    def counted_checks(*args, **kwargs):
+        counts["checks"] += 1
+        return density_errors(*args, **kwargs)
+
+    def counted_rotation(*args, **kwargs):
+        counts["rotations"] += 1
+        return to_basis(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_density_errors", counted_checks)
+    monkeypatch.setattr(DensityMatrix, "to_basis", counted_rotation)
+    cfg = AtomPairConfig(delta=-0.2, drive=1.3, k0r=0.7, mu_dot_rhat=0.4)
+    c = couplings_from_geometry(cfg)
+    report = wootters_concurrence(solve_steady_state(cfg, c))
+    assert counts == {"checks": 1, "rotations": 0}
+    law = steady_state_concurrences(cfg.delta, cfg.drive, c.omega, c.gamma12)
+    assert report.concurrence == pytest.approx(law[0], abs=1e-14)
 
 
 def test_spin_flip_fixes_singlet():
