@@ -39,9 +39,8 @@ _I4 = np.eye(4, dtype=complex)
 # flat indices of the 3x3 triplet block inside a column-stacked 4x4
 _TRIPLET_IDX = np.array([i + 4 * j for j in range(3) for i in range(3)])
 
-# coupled -> computational basis change; computational -> coupled of column-stacked 4x4s
+# coupled -> computational basis change
 _FROM_COUPLED = TO_COUPLED.conj().T
-_TO_COUPLED_SUPER = kron(TO_COUPLED.conj(), TO_COUPLED)
 
 # decay channels (i, j) of build_liouvillian: i != j (rate gamma12), sp_j^T, sm_i, sp_i sm_j
 _CHANNELS = [(i != j, (SP1, SP2)[j].T, (SM1, SM2)[i], (SP1, SP2)[i] @ (SM1, SM2)[j])
@@ -122,12 +121,6 @@ class Liouvillian:
     matrix: np.ndarray
     basis: BasisTag
 
-    def to_coupled(self) -> "Liouvillian":
-        if self.basis is BasisTag.COUPLED:
-            return self
-        u = _TO_COUPLED_SUPER
-        return Liouvillian(u @ self.matrix @ u.conj().T, BasisTag.COUPLED)
-
 
 def build_liouvillian(cfg: AtomPairConfig, c: Couplings) -> Liouvillian:
     """Superoperator of the master equation, computational basis.
@@ -158,17 +151,19 @@ def _broadcast(*args) -> list[np.ndarray]:
 # raises for it. A failed point never stops the others.
 
 
-# DENSITY_EVAL_FLOOR times the identity, for 3x3 (TRIPLET) and 4x4 states
-_FLOOR_EYE = {d: tol.DENSITY_EVAL_FLOOR * np.eye(d) for d in (3, 4)}
+# each floor times the identity, for 3x3 (TRIPLET) and 4x4 states
+_FLOOR_EYE = {(f, d): f * np.eye(d) for f in (tol.DENSITY_EVAL_FLOOR, tol.PSD_EVAL_FLOOR)
+              for d in (3, 4)}
+_UNSCREENED = object()  # _density_errors screens the stack itself
 
 
-def _density_errors(m: np.ndarray, evals=None) -> list[InvalidState | None]:
+def _density_errors(m: np.ndarray, lowest=_UNSCREENED) -> list[InvalidState | None]:
     """DensityMatrix's checks, in its order, on an (N, d, d) stack.
 
     Every entry finite, Hermitian to DENSITY_HERM_ATOL, trace 1 to
     DENSITY_TRACE_ATOL, lowest eigenvalue at least DENSITY_EVAL_FLOOR.
-    The last is read off ``evals`` (ascending per matrix) when given,
-    else decided by _below_floor. The stack is decided by one comparison
+    The last is screened by _below_floor, or ``lowest`` is its result at
+    a floor at least as strict. The stack is decided by one comparison
     per check; messages are built per matrix only when some matrix fails.
     """
     if not len(m):
@@ -184,10 +179,11 @@ def _density_errors(m: np.ndarray, evals=None) -> list[InvalidState | None]:
     else:
         passed = (dev.max() <= tol.DENSITY_HERM_ATOL
                   and np.abs(tr - 1.0).max() <= tol.DENSITY_TRACE_ATOL)
-    low = (_below_floor(m, passed) if evals is None
-           else (evals[:, 0] < tol.DENSITY_EVAL_FLOOR).tolist())
-    if passed and not any(low):
+    if lowest is _UNSCREENED:
+        lowest = _below_floor(m, tol.DENSITY_EVAL_FLOOR, passed)
+    if passed and lowest is None:
         return [None] * len(m)
+    low = [False] * len(m) if lowest is None else lowest < tol.DENSITY_EVAL_FLOOR
     return [
         None if d <= tol.DENSITY_HERM_ATOL and abs(t - 1.0) <= tol.DENSITY_TRACE_ATOL and not lo
         else InvalidState(
@@ -199,29 +195,28 @@ def _density_errors(m: np.ndarray, evals=None) -> list[InvalidState | None]:
     ]
 
 
-def _below_floor(m: np.ndarray, all_finite: bool) -> list[bool]:
-    """Per matrix of an (N, d, d) stack: is its lowest eigenvalue below DENSITY_EVAL_FLOOR?
+def _below_floor(m: np.ndarray, floor: float, all_finite: bool) -> np.ndarray | None:
+    """None if every matrix of an (N, d, d) stack has its lowest eigenvalue
+    at ``floor`` or above, else each one's lowest eigenvalue (NaN if not finite).
 
     The lowest eigenvalue is at least the floor exactly when m - floor I
     is PSD, so one batched Cholesky factorisation of that shift that
     succeeds clears the whole stack. When it fails, eigvalsh decides for
     each finite matrix; both read the lower triangle. A non-finite matrix
     is left to the finiteness check. One matrix known to be finite
-    (``all_finite``) goes the other way round, as eigvalsh costs less
-    than the Cholesky call there: a lowest eigenvalue at the floor or
-    above clears it, and the screen decides only the rest, so the
-    outcome is the same.
+    (``all_finite``) goes to eigvalsh alone, which costs no more there.
     """
-    if all_finite and len(m) == 1 and np.linalg.eigvalsh(m)[0, 0] >= tol.DENSITY_EVAL_FLOOR:
-        return [False]
+    if all_finite and len(m) == 1:
+        lowest = np.linalg.eigvalsh(m)[:, 0]
+        return None if lowest[0] >= floor else lowest
     try:
-        np.linalg.cholesky(m - _FLOOR_EYE[m.shape[-1]])
+        np.linalg.cholesky(m - _FLOOR_EYE[floor, m.shape[-1]])
     except np.linalg.LinAlgError:
-        low = np.zeros(len(m), dtype=bool)
+        lowest = np.full(len(m), np.nan)
         finite = np.isfinite(m).all(axis=(1, 2))
-        low[finite] = np.linalg.eigvalsh(m[finite])[:, 0] < tol.DENSITY_EVAL_FLOOR
-        return low.tolist()
-    return [False] * len(m)
+        lowest[finite] = np.linalg.eigvalsh(m[finite])[:, 0]
+        return lowest
+    return None
 
 
 # The coupled basis without its 1/sqrt(2) factors, |0'> = |eg> + |ge> and
@@ -241,19 +236,23 @@ _TRACE_ROWS = tuple(np.array([1.0 + p, 0, 0, 0, 0.5, 0, 0, 0, 1.0]) for p in (0,
 def _check_states(states: np.ndarray, errors: list):
     """The DensityMatrix checks on each state of an (N, 4, 4) stack without an error.
 
-    One eigvalsh per checked state serves the checks and is returned: the
-    lowest eigenvalue of each state, NaN where a point had failed before.
-    A state that fails, then or now, becomes NaN. Returns (states, lowest,
-    errors).
+    Those are finite (_solve_blocks fails the rest). One _below_floor
+    screen at PSD_EVAL_FLOOR, the stricter floor, clears both floors of
+    steady_state_entanglement for a clean stack. A state that fails, then
+    or now, becomes NaN. Returns (states, lowest, errors), lowest as
+    _below_floor's, NaN where a point had failed before.
     """
-    solved = np.flatnonzero([e is None for e in errors])
-    checked = states[solved]
-    evals = np.linalg.eigvalsh(checked)
-    for i, err in zip(solved, _density_errors(checked, evals)):
+    solved = [i for i, e in enumerate(errors) if e is None]
+    checked = states if len(solved) == len(states) else states[solved]
+    low = _below_floor(checked, tol.PSD_EVAL_FLOOR, True)
+    for i, err in zip(solved, _density_errors(checked, low)):
         errors[i] = err
-    states[[e is not None for e in errors]] = np.nan
-    lowest = np.full(len(states), np.nan)
-    lowest[solved] = evals[:, 0]
+    if errors.count(None) < len(errors):
+        states[[e is not None for e in errors]] = np.nan
+    lowest = low
+    if low is not None and checked is not states:
+        lowest = np.full(len(states), np.nan)
+        lowest[solved] = low
     return states, lowest, errors
 
 
@@ -352,7 +351,7 @@ def _closed_form_states(terms) -> np.ndarray:
 
 def _solve_blocks(terms):
     """solve_steady_states on the terms of _scaled_terms, plus the lowest
-    eigenvalue of each state from its checks."""
+    eigenvalues from _check_states."""
     states = _closed_form_states(terms)
     (d, drive, w, g), finite = terms[:2]
     errors: list[Exception | None] = [None] * len(states)
@@ -395,10 +394,12 @@ def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
     singlet decouples, its population is conserved, and the solver returns
     the triplet-sector state (symmetric initial conditions, singlet weight
     exactly zero); any other gamma12, however close to gamma, keeps the
-    singlet weight. Raises LinAlgError for a non-finite system (before
-    solving) or a singular one, and InvalidState for a state failing the
-    DensityMatrix checks.
+    singlet weight. Raises InvalidRegime at D = 0, as solve_steady_states,
+    LinAlgError for a non-finite system or a singular one, and
+    InvalidState for a state failing the DensityMatrix checks.
     """
+    if cfg.drive == 0 and c.omega + cfg.delta == 0 and c.gamma12 == -1:
+        raise _point_error(True, cfg.delta, cfg.drive, c.omega, c.gamma12)
     a = _TRIPLET_ROWS @ build_liouvillian(cfg, c).matrix @ _TRIPLET_COLS
     coupled = bool(c.gamma12 != 1.0)
     a[8] = _TRACE_ROWS[coupled]

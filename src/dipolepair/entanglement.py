@@ -177,8 +177,8 @@ def steady_state_entanglement(delta, drive, omega, gamma12):
 
     The arguments broadcast to one length N. States and their checks are
     those of solve_steady_states; each state must also clear the PSD
-    floor of wootters_concurrence (NotPSD), judged on the eigenvalues that
-    the DensityMatrix checks computed (a basis change keeps them). The
+    floor of wootters_concurrence (NotPSD), at which the checks screen the
+    stack; NotPSD quotes the lowest eigenvalue (a basis change keeps it). The
     concurrence is steady_state_concurrences and must lie in [0, 1]
     (OutOfRange); states and concurrence share one evaluation of the
     scaled terms. A point that fails does not stop the others. Returns
@@ -188,13 +188,15 @@ def steady_state_entanglement(delta, drive, omega, gamma12):
     terms = _scaled_terms(delta, drive, omega, gamma12)
     states, lowest, errors = _solve_blocks(terms)
     conc = _concurrence_law(terms)
-    psd = lowest >= tol.PSD_EVAL_FLOOR  # NaN where the state was not finite
+    # the checks' lowest eigenvalues: None where they cleared the PSD floor, NaN where failed
+    psd = np.full(len(conc), True) if lowest is None else lowest >= tol.PSD_EVAL_FLOOR
     in_range = conc <= 1.0 + 1e-12
     for i in np.flatnonzero(~(psd & in_range)):
         if errors[i] is None:
             errors[i] = (NotPSD(f"eigenvalue {lowest[i]:.3e} below PSD floor") if not psd[i]
                          else OutOfRange(f"concurrence {float(conc[i])!r} outside [0, 1]"))
-    conc[[e is not None for e in errors]] = np.nan
+    if errors.count(None) < len(errors):
+        conc[[e is not None for e in errors]] = np.nan
     return states, conc, _eofs(conc), errors
 
 

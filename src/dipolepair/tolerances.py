@@ -2,10 +2,7 @@
 
 # linear algebra kernels
 HERMITICITY_ATOL = 1e-10      # max-abs of m - m^dagger
-EIGEN_RESIDUAL_ATOL = 1e-9    # ||m v - lam v|| for Hermitian eigenpairs
-GENERAL_EIG_ATOL = 1e-8       # characteristic-polynomial agreement
 PSD_EVAL_FLOOR = -1e-10       # eigenvalues below this fail the PSD check
-PSD_SQRT_ATOL = 1e-8          # ||s s - m||
 # the SVD kernel of null_vector; the steady-state solvers have no threshold
 NULLSPACE_RTOL = 1e-8         # smallest singular value relative to largest
 KERNEL_FLAG_RTOL = 1e-8       # second-smallest singular value: degeneracy flag

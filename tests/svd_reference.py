@@ -6,7 +6,7 @@ block (``triplet_steady_state``). Neither knows about exchange symmetry
 or the closed form; both stop at a singular-value threshold instead.
 ``kron_loop_liouvillian`` is the generator assembled channel by channel,
 in the order and arithmetic that ``build_liouvillian`` must reproduce
-bit for bit.
+bit for bit, and ``to_coupled`` takes a generator to the coupled basis.
 """
 
 from __future__ import annotations
@@ -18,12 +18,15 @@ import numpy as np
 from dipolepair import BasisTag, DensityMatrix, Liouvillian, hermitian_part, kron
 from dipolepair import tolerances as tol
 from dipolepair.errors import DipolePairError, NoNullSpace
-from dipolepair.model import I2, SIGMA_X, SIGMA_Z, SM1, SM2, SP1, SP2
+from dipolepair.model import I2, SIGMA_X, SIGMA_Z, SM1, SM2, SP1, SP2, TO_COUPLED
 
 KERNEL_EXACT_RTOL = 1e-12  # below this the kernel is genuinely multi-dimensional
 
 # flat indices of the 3x3 triplet block inside a column-stacked 4x4
 _TRIPLET_IDX = np.array([i + 4 * j for j in range(3) for i in range(3)])
+
+# computational -> coupled basis change of column-stacked 4x4s
+_TO_COUPLED_SUPER = kron(TO_COUPLED.conj(), TO_COUPLED)
 
 
 class DegenerateKernel(DipolePairError):
@@ -65,9 +68,17 @@ def steady_state_numeric(liouv: Liouvillian) -> DensityMatrix:
                          liouv.basis)
 
 
+def to_coupled(liouv: Liouvillian) -> Liouvillian:
+    """The generator in the coupled basis; a coupled one is returned as it is."""
+    if liouv.basis is BasisTag.COUPLED:
+        return liouv
+    u = _TO_COUPLED_SUPER
+    return Liouvillian(u @ liouv.matrix @ u.conj().T, BasisTag.COUPLED)
+
+
 def restrict_triplet(liouv: Liouvillian) -> np.ndarray:
     """9x9 sub-superoperator acting on the triplet block, coupled basis."""
-    return liouv.to_coupled().matrix[np.ix_(_TRIPLET_IDX, _TRIPLET_IDX)]
+    return to_coupled(liouv).matrix[np.ix_(_TRIPLET_IDX, _TRIPLET_IDX)]
 
 
 def triplet_steady_state(liouv: Liouvillian) -> DensityMatrix:

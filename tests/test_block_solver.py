@@ -33,7 +33,7 @@ from dipolepair import (
 )
 from dipolepair import dynamics
 from dipolepair.cli import main
-from dipolepair.errors import InvalidState
+from dipolepair.errors import InvalidRegime, InvalidState
 from dipolepair.model import TO_COUPLED
 
 TAU_STAR = 9.21
@@ -164,6 +164,23 @@ def test_singular_or_non_finite_generator_raises_linalgerror(monkeypatch):
             generator.astype(complex), BasisTag.COMPUTATIONAL))
         with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
             solve_steady_state(cfg, couplings_from_geometry(cfg))
+
+
+def test_scalar_solve_fails_d_zero_with_the_batch_error(monkeypatch):
+    # D = 0 (no drive, gamma12 = -1, delta = -omega): the steady state is
+    # not unique, and the scalar solve raises the batch's typed error for
+    # it before the system is assembled, instead of numpy's "Singular matrix"
+    cfg = AtomPairConfig(delta=-2.0, drive=0.0, k0r=1.0)
+    _, (batch_error,) = solve_steady_states(-2.0, 0.0, 2.0, -1.0)
+    monkeypatch.setattr(dynamics, "build_liouvillian", None)
+    with pytest.raises(InvalidRegime) as failure:
+        solve_steady_state(cfg, Couplings(2.0, -1.0))
+    assert type(batch_error) is InvalidRegime and str(failure.value) == str(batch_error)
+    monkeypatch.undo()
+    # at gamma12 > -1, drive 0 leaves the pair in its ground state |-1> = |gg>
+    for c in (Couplings(2.0, -0.5), Couplings(1.0, 0.3)):
+        state = solve_steady_state(cfg, c).matrix
+        assert np.abs(state - np.diag([0, 0, 1, 0])).max() <= 1e-15
 
 
 def test_a_solution_failing_the_density_checks_fails_its_point(monkeypatch):

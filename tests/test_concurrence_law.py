@@ -34,6 +34,7 @@ from dipolepair import (
     steady_state_entanglement,
 )
 from dipolepair import cli, dynamics, entanglement
+from dipolepair import tolerances as tol
 from dipolepair.errors import InvalidState, NotPSD, OutOfRange
 from dipolepair.model import SIGMA_Y, TO_COUPLED
 
@@ -203,23 +204,146 @@ def test_grid_concurrence_outside_the_unit_interval_fails_its_point(monkeypatch)
     assert np.isnan(conc[1]) and np.isnan(eof[1]) and not np.isnan(conc[[0, 2]]).any()
 
 
-@pytest.mark.parametrize("argv, points", [
-    (("fig2", "--points", "7"), 49),
-    (("sweep", "--axis", "efield=0:5:30", "--k0r", "0.3", "--delta", "-26"), 30),
-], ids=["fig2", "sweep"])
-def test_grid_commands_take_one_eigvalsh_per_state(monkeypatch, capsys, argv, points):
-    counts = {"eigvalsh": 0, "eigh": 0, "svd": 0}
+def inject_once(monkeypatch, stack, k, state):
+    """Replace the built state at point k of the given stack (call) only."""
+    build = dynamics._closed_form_states
+    calls = []
+
+    def corrupted(*args):
+        states = build(*args)
+        if len(calls) == stack:
+            states[k] = state
+        calls.append(len(states))
+        return states
+
+    monkeypatch.setattr(dynamics, "_closed_form_states", corrupted)
+
+
+def coupled_state(lowest, herm_dev=0.0):
+    """diag(0.25, 0.5 - lowest, lowest, 0.25) on (|+1>, |0>, |-1>, |A>): unit
+    trace, lowest eigenvalue ``lowest``; herm_dev in the upper triangle only."""
+    m = np.diag([0.25, 0.5 - lowest, lowest, 0.25]).astype(complex)
+    m[0, 2] = herm_dev
+    return m
+
+
+def count_decompositions(monkeypatch):
+    """Count matrices through eigvalsh, eigh and svd, and calls of cholesky."""
+    counts = {"cholesky": 0, "eigvalsh": 0, "eigh": 0, "svd": 0}
 
     def counting(name):
         original = getattr(np.linalg, name)
 
         def counted(m, *args, **kwargs):
-            counts[name] += math.prod(np.shape(m)[:-2])
+            counts[name] += 1 if name == "cholesky" else math.prod(np.shape(m)[:-2])
             return original(m, *args, **kwargs)
         return counted
 
     for name in counts:
         monkeypatch.setattr(np.linalg, name, counting(name))
+    return counts
+
+
+@pytest.mark.parametrize("argv, stacks", [
+    (("fig2", "--points", "7"), [20, 20, 9]),
+    (("sweep", "--axis", "efield=0:5:30", "--k0r", "0.3", "--delta", "-26"), [20, 10]),
+], ids=["fig2", "sweep"])
+def test_grid_commands_screen_each_stack_with_one_cholesky(monkeypatch, capsys, argv, stacks):
+    # a clean grid: one Cholesky screen per stack and no eigendecomposition
+    monkeypatch.setattr(cli, "GRID_CHUNK", 20)
+    counts = count_decompositions(monkeypatch)
     assert cli.main(list(argv)) == 0
-    assert len(capsys.readouterr().out.splitlines()) == points + 1
-    assert counts == {"eigvalsh": points, "eigh": 0, "svd": 0}
+    clean = capsys.readouterr().out.splitlines()
+    assert len(clean) == sum(stacks) + 1
+    assert counts == {"cholesky": len(stacks), "eigvalsh": 0, "eigh": 0, "svd": 0}
+    # one state below the PSD floor in the second stack: eigvalsh for that stack alone
+    counts.update(dict.fromkeys(counts, 0))
+    inject_once(monkeypatch, 1, 3, coupled_state(-5e-10))
+    assert cli.main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert "(NotPSD: 1)" in captured.err
+    assert counts == {"cholesky": len(stacks), "eigvalsh": stacks[1], "eigh": 0, "svd": 0}
+    failed = captured.out.splitlines()
+    assert failed[1 + 23].endswith(",NaN") and "NaN" not in clean[1 + 23]
+    assert failed[:24] + failed[25:] == clean[:24] + clean[25:]
+
+
+FLOOR_CASES = [
+    (-5e-10, 0.0, (NotPSD, "below PSD floor")),
+    (-2e-9, 0.0, (InvalidState, "negative eigenvalue beyond tolerance")),
+    (0.0, 2e-10, (InvalidState, "not Hermitian within tolerance")),
+    (-2e-9, 2e-10, (InvalidState, "not Hermitian within tolerance")),
+    (tol.PSD_EVAL_FLOOR * (1.0 - 1e-6), 0.0, None),
+    (tol.PSD_EVAL_FLOOR * (1.0 + 1e-6), 0.0, (NotPSD, "below PSD floor")),
+    (tol.DENSITY_EVAL_FLOOR * (1.0 - 1e-6), 0.0, (NotPSD, "below PSD floor")),
+    (tol.DENSITY_EVAL_FLOOR * (1.0 + 1e-6), 0.0,
+     (InvalidState, "negative eigenvalue beyond tolerance")),
+]
+
+
+@pytest.mark.parametrize("lowest, herm_dev, expected", FLOOR_CASES, ids=[
+    "psd_floor_only", "density_floor_first", "hermiticity", "hermiticity_first",
+    "psd_floor_passes", "psd_floor_fails", "density_floor_passes", "density_floor_fails"])
+def test_grid_checks_floors_and_error_precedence(monkeypatch, lowest, herm_dev, expected):
+    # the grid counterpart of test_wootters_concurrences_error_precedence_at_the_floors:
+    # one injected state per stack of clean ones, decided as wootters_concurrence
+    # decides it; a stack that clears the Cholesky screen takes no eigvalsh
+    drive = np.linspace(0.5, 3.0, 6)
+    clean = steady_state_entanglement(0.0, drive, 20.0, 0.3)
+    counts = count_decompositions(monkeypatch)
+    for stack, k in enumerate((0, 2, 5)):
+        inject_once(monkeypatch, stack, k, coupled_state(lowest, herm_dev))
+    for k in (0, 2, 5):
+        counts.update(dict.fromkeys(counts, 0))
+        states, conc, eof, errors = steady_state_entanglement(0.0, drive, 20.0, 0.3)
+        # the screen reads the lower triangle, where herm_dev is not
+        assert counts["cholesky"] == 1
+        assert counts["eigvalsh"] == (0 if lowest >= tol.PSD_EVAL_FLOOR else 6)
+        others = [i for i in range(6) if i != k]
+        assert all(errors[i] is None for i in others)
+        for got, want in zip((states, conc, eof), clean[:3]):
+            assert np.array_equal(got[others], want[others])
+        if expected is None:
+            assert errors[k] is None
+            assert np.array_equal(states[k], coupled_state(lowest, herm_dev))
+            assert conc[k] == clean[1][k] and eof[k] == clean[2][k]
+            continue
+        kind, message = expected
+        assert type(errors[k]) is kind and message in str(errors[k])
+        if kind is NotPSD:  # the state passed its checks; the message quotes the eigenvalue
+            assert str(errors[k]) == f"eigenvalue {lowest:.3e} below PSD floor"
+            assert np.array_equal(states[k], coupled_state(lowest, herm_dev))
+        else:
+            assert np.isnan(states[k]).all()
+        assert np.isnan(conc[k]) and np.isnan(eof[k])
+
+
+@pytest.mark.parametrize("lowest", [tol.PSD_EVAL_FLOOR * (1.0 - 1e-6),
+                                    tol.DENSITY_EVAL_FLOOR * (1.0 - 1e-6)],
+                         ids=["psd_floor", "density_floor"])
+def test_grid_fallback_decides_a_state_just_above_the_floor(monkeypatch, lowest):
+    # a stack that fails the screen on one state (lowest -2e-9) decides the
+    # others by eigvalsh, with the outcome the screen gives them on their own
+    drive = np.linspace(0.5, 3.0, 6)
+    clean = steady_state_entanglement(0.0, drive, 20.0, 0.3)
+    build = dynamics._closed_form_states
+
+    def corrupted(*args):
+        states = build(*args)
+        states[1], states[4] = coupled_state(lowest), coupled_state(-2e-9)
+        return states
+
+    monkeypatch.setattr(dynamics, "_closed_form_states", corrupted)
+    counts = count_decompositions(monkeypatch)
+    states, conc, eof, errors = steady_state_entanglement(0.0, drive, 20.0, 0.3)
+    assert counts["cholesky"] == 1 and counts["eigvalsh"] == 6
+    assert type(errors[4]) is InvalidState
+    if lowest > tol.PSD_EVAL_FLOOR:
+        assert errors[1] is None and conc[1] == clean[1][1]
+    else:
+        assert type(errors[1]) is NotPSD and np.isnan(conc[1])
+    assert np.array_equal(states[1], coupled_state(lowest))
+    others = [0, 2, 3, 5]
+    assert all(errors[i] is None for i in others)
+    for got, want in zip((states, conc, eof), clean[:3]):
+        assert np.array_equal(got[others], want[others])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from svd_reference import to_coupled
 
 from dipolepair import (
     AtomPairConfig,
@@ -104,7 +105,7 @@ def test_drive_2_from_ground_at_coarse_step_succeeds(k0r):
 
 def test_states_are_hermitian_unit_trace_and_tagged():
     cfg = AtomPairConfig(delta=0.4, drive=1.5, k0r=0.3)
-    liouv = build_liouvillian(cfg, couplings_from_geometry(cfg)).to_coupled()
+    liouv = to_coupled(build_liouvillian(cfg, couplings_from_geometry(cfg)))
     rho0 = DensityMatrix(GROUND, BasisTag.COMPUTATIONAL).to_basis(BasisTag.COUPLED)
     times, states = propagate(liouv, rho0, 1.0, 0.05)
     assert states[0] is rho0
