@@ -32,14 +32,21 @@ from .entanglement import (
     argmax_concurrence,
     closed_form_concurrence,
     eof_from_concurrence,
+    pure_concurrence,
     singlet_projector,
     spin_flip_spectrum,
     steady_state_concurrences,
     wootters_concurrence,
 )
 from .linalg import BasisTag, hermitian_eig
-from .model import SINGLET_KET, AtomPairConfig, Couplings, cross_decay, dipole_coupling
-from .spectral import pure_concurrence, triplet_block, triplet_cubic_roots
+from .model import (
+    SINGLET_KET,
+    AtomPairConfig,
+    Couplings,
+    cross_decay,
+    dipole_coupling,
+    triplet_block,
+)
 
 _GROUND = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)  # |gg>, computational basis
 
@@ -172,29 +179,29 @@ def singlet_conservation() -> list[Line]:
 
 
 def triplet_spectrum() -> list[Line]:
-    """7. The triplet cubic's roots obey Vieta (3 fixed, 50 random points)
-    and equal the triplet block's eigenvalues."""
+    """7. The triplet block's eigenvalues, descending, are the roots of the
+    paper's cubic eps^3 - omega eps^2 - (delta^2 + 4 E^2) eps + delta^2 omega:
+    they obey Vieta (3 fixed, 50 random points) and equal the explicit
+    roots without drive, (delta, omega, -delta), and at delta = 0,
+    omega/2 +- sqrt(omega^2 + 16 E^2)/2 and 0."""
     rng = np.random.default_rng(17)
     points = [(0.5, 1.3, 0.8), (-1.0, 2.0, 0.1), (0.0, 5.0, 2.0)] + [
         (float(rng.normal() * 2), float(rng.normal() * 3), float(rng.uniform(0, 5)))
         for _ in range(50)]
     vieta = []
     for delta, omega, drive in points:
-        r = triplet_cubic_roots(delta, omega, drive)
+        r, _ = hermitian_eig(triplet_block(delta, omega, drive))
         vieta += [r.sum() - omega,
                   r[0] * r[1] + r[0] * r[2] + r[1] * r[2] + delta**2 + 4 * drive**2,
                   r.prod() + delta**2 * omega]
-    match = []
-    for delta, omega, drive in ((0.5, 2.0, 0.0), (1.5, -0.7, 0.0), (2.0, 0.0, 0.0),
-                                (0.0, 1.0, 0.5), (0.0, -2.0, 3.0)):
-        w, _ = hermitian_eig(triplet_block(delta, omega, drive))
-        match.append(triplet_cubic_roots(delta, omega, drive) - w)
+    explicit = {(delta, omega, 0.0): sorted((delta, omega, -delta), reverse=True)
+                for delta, omega in ((0.5, 2.0), (1.5, -0.7), (2.0, 0.0))}
     for omega, drive in ((1.0, 0.5), (-2.0, 3.0)):
         gap = math.sqrt(omega**2 + 16 * drive**2)  # >= |omega|: descending
-        explicit = [omega / 2 + gap / 2, 0.0, omega / 2 - gap / 2]
-        match.append(triplet_cubic_roots(0.0, omega, drive) - explicit)
+        explicit[0.0, omega, drive] = [omega / 2 + gap / 2, 0.0, omega / 2 - gap / 2]
+    match = [hermitian_eig(triplet_block(*p))[0] - roots for p, roots in explicit.items()]
     return [Line("triplet_roots_vieta", _worst(vieta), 0.0, 1e-9),
-            Line("triplet_roots_eig_match", _worst(match), 0.0, 1e-10)]
+            Line("triplet_roots_closed_form", _worst(match), 0.0, 1e-10)]
 
 
 def admixture_rise_count(rho_s: DensityMatrix, points: int = 30) -> int:

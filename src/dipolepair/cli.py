@@ -33,13 +33,12 @@ from .linalg import BasisTag, general_eig, hermitian_eig
 from .model import (
     AtomPairConfig,
     Couplings,
-    DriveScaling,
     build_effective_hamiltonian,
     cross_decay,
     dipole_coupling,
     k0r_for_tau,
+    triplet_block,
 )
-from .spectral import triplet_cubic_roots
 
 AXIS_NAMES = ("k0r", "efield", "omega", "delta", "tau")
 
@@ -389,7 +388,7 @@ def _cmd_spectrum(ns, config) -> int:
     p = {key: float(column[0]) for key, column in columns.items()}
     cfg = AtomPairConfig(delta=p["delta"], drive=p["efield"], k0r=p.get("k0r", 1.0))
     couplings = Couplings(p["omega"], p["gamma12"])
-    roots = triplet_cubic_roots(cfg.delta, couplings.omega, cfg.drive)
+    roots, _ = hermitian_eig(triplet_block(cfg.delta, couplings.omega, cfg.drive))
     heff = build_effective_hamiltonian(cfg, couplings)
     heff_evals = general_eig(heff)
     fmt = _resolve(ns, config, "format", "text")
@@ -426,7 +425,7 @@ def _cmd_fig1(ns, config) -> int:
     nbar_max = float(_resolve(ns, config, "nbar_max", 1e4))
     points = int(_resolve(ns, config, "points", 50))
     _require_finite(q=q, tau=tau, nbar_min=nbar_min, nbar_max=nbar_max)
-    DriveScaling(tau=tau, q_factor=q, nbar_v=nbar_min)  # raises when one is <= 0
+    k0r_for_tau(tau, q, nbar_min)  # raises when one is <= 0, before log10
     if points < 2:
         raise UsageError("--points must be >= 2")
     if nbar_min >= nbar_max:

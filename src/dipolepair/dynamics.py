@@ -180,7 +180,7 @@ def _density_errors(m: np.ndarray, lowest=_UNSCREENED) -> list[InvalidState | No
         passed = (dev.max() <= tol.DENSITY_HERM_ATOL
                   and np.abs(tr - 1.0).max() <= tol.DENSITY_TRACE_ATOL)
     if lowest is _UNSCREENED:
-        lowest = _below_floor(m, tol.DENSITY_EVAL_FLOOR, passed)
+        lowest = _below_floor(m, tol.DENSITY_EVAL_FLOOR)
     if passed and lowest is None:
         return [None] * len(m)
     low = [False] * len(m) if lowest is None else lowest < tol.DENSITY_EVAL_FLOOR
@@ -195,7 +195,7 @@ def _density_errors(m: np.ndarray, lowest=_UNSCREENED) -> list[InvalidState | No
     ]
 
 
-def _below_floor(m: np.ndarray, floor: float, all_finite: bool) -> np.ndarray | None:
+def _below_floor(m: np.ndarray, floor: float) -> np.ndarray | None:
     """None if every matrix of an (N, d, d) stack has its lowest eigenvalue
     at ``floor`` or above, else each one's lowest eigenvalue (NaN if not finite).
 
@@ -203,12 +203,8 @@ def _below_floor(m: np.ndarray, floor: float, all_finite: bool) -> np.ndarray | 
     is PSD, so one batched Cholesky factorisation of that shift that
     succeeds clears the whole stack. When it fails, eigvalsh decides for
     each finite matrix; both read the lower triangle. A non-finite matrix
-    is left to the finiteness check. One matrix known to be finite
-    (``all_finite``) goes to eigvalsh alone, which costs no more there.
+    is left to the finiteness check.
     """
-    if all_finite and len(m) == 1:
-        lowest = np.linalg.eigvalsh(m)[:, 0]
-        return None if lowest[0] >= floor else lowest
     try:
         np.linalg.cholesky(m - _FLOOR_EYE[floor, m.shape[-1]])
     except np.linalg.LinAlgError:
@@ -244,7 +240,7 @@ def _check_states(states: np.ndarray, errors: list):
     """
     solved = [i for i, e in enumerate(errors) if e is None]
     checked = states if len(solved) == len(states) else states[solved]
-    low = _below_floor(checked, tol.PSD_EVAL_FLOOR, True)
+    low = _below_floor(checked, tol.PSD_EVAL_FLOOR)
     for i, err in zip(solved, _density_errors(checked, low)):
         errors[i] = err
     if errors.count(None) < len(errors):
@@ -304,8 +300,8 @@ def solve_steady_states(delta, drive, omega, gamma12):
     gets the DensityMatrix checks. A point that fails does not stop the
     others: a non-finite input (OutOfRange "inputs must be finite"), a
     negative drive (OutOfRange "drive must be >= 0", as AtomPairConfig),
-    D = 0, where the steady state is not unique (InvalidRegime: no drive,
-    gamma12 = -1 and delta = -omega exactly), a non-finite state from
+    the dark line, where the steady state is not unique (InvalidRegime: no
+    drive and gamma12 = -1 exactly, at any delta), a non-finite state from
     finite input, by overflow (LinAlgError), or a state failing the
     DensityMatrix checks (InvalidState). Returns ``(states, errors)``:
     an (N, 4, 4) array, NaN where a point failed, and a list holding per
@@ -353,29 +349,31 @@ def _solve_blocks(terms):
     """solve_steady_states on the terms of _scaled_terms, plus the lowest
     eigenvalues from _check_states."""
     states = _closed_form_states(terms)
-    (d, drive, w, g), finite = terms[:2]
+    (_, drive, _, g), finite = terms[:2]
     errors: list[Exception | None] = [None] * len(states)
-    for i in np.flatnonzero(~finite | (drive < 0) | ~np.isfinite(states).all(axis=(1, 2))):
-        errors[i] = _point_error(finite[i], d[i], drive[i], w[i], g[i])
+    failed = ~finite | (drive < 0) | ((drive == 0) & (g == -1))
+    for i in np.flatnonzero(failed | ~np.isfinite(states).all(axis=(1, 2))):
+        errors[i] = _point_error(finite[i], drive[i], g[i])
     return _check_states(states, errors)
 
 
-def _point_error(finite, delta, drive, omega, gamma12) -> Exception:
+def _point_error(finite, drive, gamma12) -> Exception:
     """Why a point of solve_steady_states has no state: its input is outside
-    the domain, D = 0, or (else) its state overflowed.
+    the domain, it lies on the dark line, or (else) its state overflowed.
 
-    D = 1024 E^4 + s (64 E^2 + 16 (omega + delta)^2 + (1 + gamma12)^2)
-    with s >= 1 vanishes only at E = 0, omega + delta = 0 and gamma12 =
-    -1, which the inputs decide without rounding (a sum of two doubles is
-    0 only if they cancel exactly); there the steady state is not unique.
+    At drive 0 and gamma12 = -1 exactly, the symmetric decay channel has
+    rate (1 + gamma12) / 2 = 0 and the antisymmetric one annihilates |0>,
+    so |0> does not decay: |0><0| and |-1><-1| are both steady at every
+    delta. D = 1024 E^4 + s (64 E^2 + 16 (omega + delta)^2 + (1 +
+    gamma12)^2), s >= 1, vanishes only on that line (at delta = -omega).
     """
     if not finite:
         return OutOfRange("inputs must be finite")
     if drive < 0:
         return OutOfRange("drive must be >= 0")
-    if drive == 0 and omega + delta == 0 and gamma12 == -1:
-        return InvalidRegime("steady state not unique: D = 0 at drive 0, gamma12 = -1, "
-                             "delta = -omega")
+    if drive == 0 and gamma12 == -1:
+        return InvalidRegime("steady state not unique: |0> is dark at drive 0, "
+                             "gamma12 = -1")
     return np.linalg.LinAlgError("non-finite steady state")
 
 
@@ -394,12 +392,13 @@ def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
     singlet decouples, its population is conserved, and the solver returns
     the triplet-sector state (symmetric initial conditions, singlet weight
     exactly zero); any other gamma12, however close to gamma, keeps the
-    singlet weight. Raises InvalidRegime at D = 0, as solve_steady_states,
-    LinAlgError for a non-finite system or a singular one, and
-    InvalidState for a state failing the DensityMatrix checks.
+    singlet weight. Raises InvalidRegime on the dark line drive 0, gamma12
+    = -1, as solve_steady_states, before the solve; LinAlgError for a
+    non-finite system or a singular one, and InvalidState for a state
+    failing the DensityMatrix checks.
     """
-    if cfg.drive == 0 and c.omega + cfg.delta == 0 and c.gamma12 == -1:
-        raise _point_error(True, cfg.delta, cfg.drive, c.omega, c.gamma12)
+    if cfg.drive == 0 and c.gamma12 == -1:
+        raise _point_error(True, cfg.drive, c.gamma12)
     a = _TRIPLET_ROWS @ build_liouvillian(cfg, c).matrix @ _TRIPLET_COLS
     coupled = bool(c.gamma12 != 1.0)
     a[8] = _TRACE_ROWS[coupled]

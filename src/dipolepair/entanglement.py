@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .dynamics import DensityMatrix, _scaled_terms, _solve_blocks
-from .errors import InvalidState, NotPSD, OutOfRange
+from .errors import InvalidState, NotNormalized, NotPSD, OutOfRange
 from .linalg import BasisTag, psd_sqrt
 from .model import SIGMA_Y, SINGLET_KET, TO_COUPLED
 
@@ -123,6 +123,20 @@ def wootters_concurrence(rho) -> ConcurrenceReport:
     return ConcurrenceReport(lambdas=lam, concurrence=c, eof=eof_from_concurrence(c))
 
 
+def pure_concurrence(state: np.ndarray) -> float:
+    """Concurrence of a pure two-qubit state, computational basis.
+
+    C = 2 |c_ee c_gg - c_eg c_ge|; invariant under local phases.
+    """
+    psi = np.asarray(state, dtype=complex).ravel()
+    if psi.shape != (4,):
+        raise ValueError("expected a 4-component state vector")
+    n = np.linalg.norm(psi)
+    if abs(n - 1.0) > tol.STATE_NORM_ATOL:
+        raise NotNormalized(f"state norm {n!r}")
+    return float(2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2]))
+
+
 def steady_state_concurrences(delta, drive, omega, gamma12) -> np.ndarray:
     """Exact concurrence of the steady state at N parameter points.
 
@@ -145,22 +159,22 @@ def steady_state_concurrences(delta, drive, omega, gamma12) -> np.ndarray:
     D and T are evaluated on the scaled terms of dynamics._scaled_terms,
     which solve_steady_states builds its states from: E^4 is never formed,
     and no step overflows unless an input comes within a factor 4 of the
-    largest double. A non-finite input, a negative drive and D = 0 give
-    NaN here, without an error (solve_steady_states and
-    steady_state_entanglement fail them: OutOfRange, OutOfRange and
-    InvalidRegime).
+    largest double. A non-finite input, a negative drive and the dark line
+    (drive 0, gamma12 = -1, where D = 0 lies) give NaN here, without an
+    error (solve_steady_states and steady_state_entanglement fail them:
+    OutOfRange, OutOfRange and InvalidRegime).
     """
     return _concurrence_law(_scaled_terms(delta, drive, omega, gamma12))
 
 
 def _concurrence_law(terms) -> np.ndarray:
     """steady_state_concurrences on the terms of dynamics._scaled_terms."""
-    (_, drive, _, _), _, coupled, _, e, r, q, a, den = terms
+    (_, drive, _, g), _, coupled, _, e, r, q, a, den = terms
     # NaN, as documented: a non-finite input makes e, r or q NaN, D = 0
-    # gives 0 / 0, and a negative drive is set below
+    # gives 0 / 0, and a negative drive and the dark line are set below
     with np.errstate(invalid="ignore"):
         conc = np.maximum(32.0 * e**2 * r * q - (1.0 + coupled) * a, 0.0) / den
-    conc[drive < 0] = np.nan
+    conc[(drive < 0) | ((drive == 0) & (g == -1))] = np.nan
     return conc
 
 

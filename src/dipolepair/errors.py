@@ -21,10 +21,6 @@ class InvalidGeometry(DipolePairError):
     """Distance not finite and > 0, or nonpositive quality factor or photon number."""
 
 
-class DegenerateDrive(DipolePairError):
-    """All triplet eigenvalues coincide; eigenvectors are not unique."""
-
-
 class NotNormalized(DipolePairError):
     """State vector norm differs from one beyond tolerance."""
 

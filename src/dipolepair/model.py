@@ -101,19 +101,6 @@ class Couplings:
     gamma12: float
 
 
-@dataclass(frozen=True)
-class DriveScaling:
-    """Dimensionless drive bookkeeping: tau, quality factor, photon number."""
-
-    tau: float
-    q_factor: float
-    nbar_v: float
-
-    def __post_init__(self):
-        if self.tau <= 0 or self.q_factor <= 0 or self.nbar_v <= 0:
-            raise InvalidGeometry("tau, q_factor and nbar_v must all be > 0")
-
-
 def _any(mask) -> bool:
     """mask.any(), with a 0-d mask decided by its truth value: a reduction
     over one numpy bool costs about 2 us, the truth test a few ns."""
@@ -191,16 +178,6 @@ def cross_decay(k0r):
     return float(out) if np.isscalar(k0r) else out
 
 
-def omega_dipole(cfg: AtomPairConfig) -> float:
-    """Omega/gamma for the configured geometry."""
-    return dipole_coupling(cfg.k0r, cfg.mu_dot_rhat)
-
-
-def gamma_cross(cfg: AtomPairConfig) -> float:
-    """Gamma12/gamma for the configured geometry."""
-    return cross_decay(cfg.k0r)
-
-
 def couplings_from_geometry(cfg: AtomPairConfig) -> Couplings:
     return Couplings(dipole_coupling(cfg.k0r, cfg.mu_dot_rhat), cross_decay(cfg.k0r))
 
@@ -219,6 +196,18 @@ def build_hamiltonian(cfg: AtomPairConfig, omega: float) -> np.ndarray:
     h += cfg.drive * (kron(SIGMA_X, I2) + kron(I2, SIGMA_X))
     h += omega * _EXCHANGE
     return h
+
+
+def triplet_block(delta: float, omega: float, drive: float) -> np.ndarray:
+    """3x3 Hamiltonian block on (|+1>, |0>, |-1>).
+
+    Its eigenvalues, the dressed-state energies, are the roots of the
+    paper's cubic eps^3 - omega eps^2 - (delta^2 + 4 E^2) eps + delta^2 omega.
+    """
+    e = _SQ2 * drive
+    return np.array(
+        [[delta, e, 0.0], [e, omega, e], [0.0, e, -delta]], dtype=complex
+    )
 
 
 def build_effective_hamiltonian(cfg: AtomPairConfig, c: Couplings) -> np.ndarray:

@@ -88,13 +88,12 @@ def test_steady_rejects_non_finite_input(capsys):
 
 
 def test_steady_at_a_non_unique_steady_state_names_it(capsys):
-    # D = 0: no drive, gamma12 = -1, delta = -omega; a package error, so
-    # the line carries no "linear algebra failed"
+    # D = 0: no drive, gamma12 = -1, delta = -omega, on the dark line; a
+    # package error, so the line carries no "linear algebra failed"
     rc, out, err = run(capsys, "steady", "--efield", "0", "--omega", "2",
                        "--gamma12", "-1", "--delta", "-2")
     assert rc == 2 and out == ""
-    assert err == ("error: steady state not unique: D = 0 at drive 0, gamma12 = -1, "
-                   "delta = -omega\n")
+    assert err == "error: steady state not unique: |0> is dark at drive 0, gamma12 = -1\n"
 
 
 def test_steady_json_format(capsys):
@@ -119,6 +118,25 @@ def test_spectrum_undriven_roots(capsys):
     singlet = [r for r in rows if r["branch"] == "singlet"][0]
     assert abs(singlet["energy"] + 2.0) < 1e-12
     assert abs(singlet["decay"] - 0.7) < 1e-12
+
+
+@pytest.mark.parametrize("point", [("--efield", "1e-4", "--omega", "1e-4"),
+                                   ("--delta", "0.5", "--omega", "2", "--efield", "1")])
+def test_spectrum_triplet_energies_are_the_cubics_roots(capsys, point):
+    # the roots of eps^3 - omega eps^2 - (delta^2 + 4 E^2) eps + delta^2 omega,
+    # descending, at a small-scale and an order-one point; each Vieta
+    # relation of degree k holds to 1e-12 S^k, S the largest |root|
+    rc, out, _ = run(capsys, "spectrum", *point, "--format", "json")
+    assert rc == 0
+    flags = dict(zip(point[::2], map(float, point[1::2])))
+    delta, omega, drive = (flags.get(f, 0.0) for f in ("--delta", "--omega", "--efield"))
+    r = [row["energy"] for row in json.loads(out) if row["branch"] == "triplet"]
+    assert len(r) == 3 and r[0] >= r[1] >= r[2]
+    scale = max(map(abs, r))
+    assert abs(sum(r) - omega) <= 1e-12 * scale
+    assert abs(r[0] * r[1] + r[0] * r[2] + r[1] * r[2]
+               + delta**2 + 4 * drive**2) <= 1e-12 * scale**2
+    assert abs(r[0] * r[1] * r[2] + delta**2 * omega) <= 1e-12 * scale**3
 
 
 def test_spectrum_singlet_decay_vanishes_in_lamb_dicke(capsys):

@@ -15,10 +15,12 @@ import pytest
 from dipolepair import (
     AtomPairConfig,
     BasisTag,
+    Couplings,
     DensityMatrix,
     cross_decay,
     dipole_coupling,
     psd_sqrt,
+    solve_steady_state,
     solve_steady_states,
     steady_state_concurrences,
     steady_state_entanglement,
@@ -176,8 +178,9 @@ def test_a_negative_drive_fails_its_point_with_out_of_range(drive):
 
 
 def test_a_non_unique_steady_state_fails_its_point_with_invalid_regime():
-    # D = 0 exactly: no drive, gamma12 = -1 and omega + delta = 0; one
-    # ulp off any of them leaves a unique state
+    # the dark line, no drive and gamma12 = -1 exactly, at delta = -omega
+    # (D = 0) and one ulp off it; one ulp off the drive or gamma12 leaves
+    # a unique state
     below = np.nextafter(-1.0, 0.0)
     args = ([-2.0, -2.0, -2.0, np.nextafter(-2.0, 0.0)], [0.0, 1e-100, 0.0, 0.0],
             2.0, [-1.0, -1.0, below, -1.0])
@@ -187,10 +190,41 @@ def test_a_non_unique_steady_state_fails_its_point_with_invalid_regime():
         _, conc, eof, grid_errors = steady_state_entanglement(*args)
         law = steady_state_concurrences(*args)
     for errs in (errors, grid_errors):
-        assert type(errs[0]) is InvalidRegime and "not unique" in str(errs[0])
-        assert errs[1:] == [None, None, None]
-    assert np.isnan(states[0]).all() and np.isnan([conc[0], eof[0], law[0]]).all()
-    assert not np.isnan(states[1:]).any() and not np.isnan(law[1:]).any()
+        for i in (0, 3):
+            assert type(errs[i]) is InvalidRegime and "not unique" in str(errs[i])
+        assert errs[1:3] == [None, None]
+    for i in (0, 3):
+        assert np.isnan(states[i]).all() and np.isnan([conc[i], eof[i], law[i]]).all()
+    assert not np.isnan(states[1:3]).any() and not np.isnan(law[1:3]).any()
+
+
+def test_the_dark_line_fails_at_every_delta_and_its_neighbours_do_not():
+    # drive 0, gamma12 = -1: |0> does not decay, so |0><0| and |-1><-1| are
+    # both steady at every delta, not only at D = 0 (delta = -omega = -2)
+    deltas = [-3.0, -2.0, -1.0, np.nextafter(-2.0, 0.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, errors = solve_steady_states(deltas, 0.0, 2.0, -1.0)
+        _, conc, _, grid_errors = steady_state_entanglement(deltas, 0.0, 2.0, -1.0)
+        law = steady_state_concurrences(deltas, 0.0, 2.0, -1.0)
+    messages = {str(e) for e in errors + grid_errors}
+    assert all(type(e) is InvalidRegime for e in errors + grid_errors)
+    assert messages == {"steady state not unique: |0> is dark at drive 0, gamma12 = -1"}
+    assert np.isnan(law).all() and np.isnan(conc).all()
+    for delta in deltas:
+        with pytest.raises(InvalidRegime) as failure:
+            solve_steady_state(AtomPairConfig(delta=delta), Couplings(2.0, -1.0))
+        assert str(failure.value) in messages
+    # one ulp off gamma12, either side: a unique, validated state everywhere
+    for g in (np.nextafter(-1.0, 0.0), np.nextafter(-1.0, -2.0)):
+        states, errors = solve_steady_states(deltas, 0.0, 2.0, g)
+        assert errors == [None] * 4 and np.isfinite(states).all()
+        for delta in deltas:
+            state = solve_steady_state(AtomPairConfig(delta=delta), Couplings(2.0, g))
+            assert abs(state.matrix[2, 2] - 1.0) <= 1e-12
+    # one ulp off the drive: the batch off D = 0 (next to it, E^2 underflows)
+    states, errors = solve_steady_states([-3.0, -1.0, deltas[3]], 5e-324, 2.0, -1.0)
+    assert errors == [None] * 3 and np.isfinite(states).all()
 
 
 def test_an_overflow_from_finite_input_keeps_its_linalg_error():

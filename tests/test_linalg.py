@@ -70,7 +70,7 @@ def test_hermitian_eig_pauli_x():
 
 
 def test_hermitian_eig_triplet_block_zero_detuning():
-    from dipolepair.spectral import triplet_block
+    from dipolepair.model import triplet_block
 
     omega, drive = 1.7, 0.9
     w, _ = hermitian_eig(triplet_block(0.0, omega, drive))

@@ -9,12 +9,11 @@ from dipolepair import (
     Couplings,
     build_effective_hamiltonian,
     build_hamiltonian,
+    couplings_from_geometry,
     cross_decay,
     dipole_coupling,
-    gamma_cross,
     hermitian_eig,
     k0r_for_tau,
-    omega_dipole,
     tau_of_geometry,
 )
 from dipolepair.errors import InvalidGeometry, OutOfRange
@@ -392,5 +391,6 @@ def test_config_gives_k0r_the_geometry_rule_and_error(k0r):
 
 def test_config_derived_couplings():
     cfg = AtomPairConfig(delta=0.0, drive=1.0, k0r=math.pi, mu_dot_rhat=0.0)
-    assert abs(omega_dipole(cfg) - 0.75 * (1 / math.pi - 1 / math.pi**3)) < 1e-14
-    assert abs(gamma_cross(cfg) - 3.0 / math.pi**2) < 1e-14
+    c = couplings_from_geometry(cfg)
+    assert abs(c.omega - 0.75 * (1 / math.pi - 1 / math.pi**3)) < 1e-14
+    assert abs(c.gamma12 - 3.0 / math.pi**2) < 1e-14
