@@ -341,9 +341,8 @@ def _cmd_steady(ns, config) -> int:
             raise err
         (coupled,) = DensityMatrix._checked(states, BasisTag.COUPLED)
     else:
-        state = lamb_dicke_limit_state(inputs["tau"])
-        coupled = state.to_basis(BasisTag.COUPLED)
-        report = wootters_concurrence(state)
+        coupled = lamb_dicke_limit_state(inputs["tau"])
+        report = wootters_concurrence(coupled)
         conc, eof = report.concurrence, report.eof
     evals, _ = hermitian_eig(coupled.matrix)
     pops = coupled.matrix.diagonal().real

@@ -26,7 +26,6 @@ from .model import (
     SP1,
     SP2,
     TO_COUPLED,
-    TRIPLET_EMBED,
     AtomPairConfig,
     Couplings,
     build_hamiltonian,
@@ -52,17 +51,12 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).flatten(order="F")
 
 
-def unvec(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of vec() for an n x n matrix."""
-    return np.asarray(v, dtype=complex).reshape((n, n), order="F")
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Finite, Hermitian, trace-one, PSD matrix with a basis tag.
+    """Finite, Hermitian, trace-one, PSD 4x4 matrix with a basis tag.
 
-    3x3 for the TRIPLET tag, 4x4 otherwise. Violating any invariant
-    raises InvalidState at construction (the checks of _density_errors).
+    Violating any invariant raises InvalidState at construction (the
+    checks of _density_errors).
     """
 
     matrix: np.ndarray
@@ -71,9 +65,8 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        dim = 3 if self.basis is BasisTag.TRIPLET else 4
-        if m.shape != (dim, dim):
-            raise InvalidState(f"expected {dim}x{dim} for {self.basis}, got {m.shape}")
+        if m.shape != (4, 4):
+            raise InvalidState(f"expected 4x4, got {m.shape}")
         (err,) = _density_errors(m[None])
         if err is not None:
             raise err
@@ -88,22 +81,13 @@ class DensityMatrix:
         return states
 
     def to_basis(self, basis: BasisTag) -> "DensityMatrix":
-        """Convert between bases; the triplet tag embeds with zero singlet."""
+        """The same state in the other basis, computational or coupled."""
         if basis is self.basis:
             return self
-        m = self.matrix
-        if self.basis is BasisTag.TRIPLET:
-            if basis is BasisTag.COUPLED:
-                out = np.zeros((4, 4), dtype=complex)
-                out[:3, :3] = m
-                return DensityMatrix(out, BasisTag.COUPLED)
-            return DensityMatrix(
-                TRIPLET_EMBED @ m @ TRIPLET_EMBED.conj().T, BasisTag.COMPUTATIONAL
-            )
-        if self.basis is BasisTag.COMPUTATIONAL and basis is BasisTag.COUPLED:
-            return DensityMatrix(TO_COUPLED @ m @ _FROM_COUPLED, basis)
-        if self.basis is BasisTag.COUPLED and basis is BasisTag.COMPUTATIONAL:
-            return DensityMatrix(_FROM_COUPLED @ m @ TO_COUPLED, basis)
+        if basis is BasisTag.COUPLED:
+            return DensityMatrix(TO_COUPLED @ self.matrix @ _FROM_COUPLED, basis)
+        if basis is BasisTag.COMPUTATIONAL:
+            return DensityMatrix(_FROM_COUPLED @ self.matrix @ TO_COUPLED, basis)
         raise InvalidState(f"cannot convert {self.basis} to {basis}")
 
     def singlet_weight(self) -> float:
@@ -111,7 +95,7 @@ class DensityMatrix:
         m = self.matrix
         if self.basis is BasisTag.COMPUTATIONAL:  # |A> = (|eg> - |ge>) / sqrt(2)
             return float((m[1, 1].real + m[2, 2].real) / 2.0 - m[1, 2].real)
-        return 0.0 if self.basis is BasisTag.TRIPLET else float(m[3, 3].real)
+        return float(m[3, 3].real)
 
 
 @dataclass(frozen=True)
@@ -151,14 +135,13 @@ def _broadcast(*args) -> list[np.ndarray]:
 # raises for it. A failed point never stops the others.
 
 
-# each floor times the identity, for 3x3 (TRIPLET) and 4x4 states
-_FLOOR_EYE = {(f, d): f * np.eye(d) for f in (tol.DENSITY_EVAL_FLOOR, tol.PSD_EVAL_FLOOR)
-              for d in (3, 4)}
+# each floor times the identity
+_FLOOR_EYE = {f: f * np.eye(4) for f in (tol.DENSITY_EVAL_FLOOR, tol.PSD_EVAL_FLOOR)}
 _UNSCREENED = object()  # _density_errors screens the stack itself
 
 
 def _density_errors(m: np.ndarray, lowest=_UNSCREENED) -> list[InvalidState | None]:
-    """DensityMatrix's checks, in its order, on an (N, d, d) stack.
+    """DensityMatrix's checks, in its order, on an (N, 4, 4) stack.
 
     Every entry finite, Hermitian to DENSITY_HERM_ATOL, trace 1 to
     DENSITY_TRACE_ATOL, lowest eigenvalue at least DENSITY_EVAL_FLOOR.
@@ -196,7 +179,7 @@ def _density_errors(m: np.ndarray, lowest=_UNSCREENED) -> list[InvalidState | No
 
 
 def _below_floor(m: np.ndarray, floor: float) -> np.ndarray | None:
-    """None if every matrix of an (N, d, d) stack has its lowest eigenvalue
+    """None if every matrix of an (N, 4, 4) stack has its lowest eigenvalue
     at ``floor`` or above, else each one's lowest eigenvalue (NaN if not finite).
 
     The lowest eigenvalue is at least the floor exactly when m - floor I
@@ -206,7 +189,7 @@ def _below_floor(m: np.ndarray, floor: float) -> np.ndarray | None:
     is left to the finiteness check.
     """
     try:
-        np.linalg.cholesky(m - _FLOOR_EYE[floor, m.shape[-1]])
+        np.linalg.cholesky(m - _FLOOR_EYE[floor])
     except np.linalg.LinAlgError:
         lowest = np.full(len(m), np.nan)
         finite = np.isfinite(m).all(axis=(1, 2))
@@ -259,8 +242,11 @@ def _scaled_terms(delta, drive, omega, gamma12):
     q = |4 omega - i gamma12|, every entry of D rho (see
     solve_steady_states) and of the concurrence law has degree 4 in
     (E, sqrt s, p, q). All four are divided by k = max(|E|, sqrt(sqrt s
-    max(p, q))), so E^4 is never formed, and no step overflows unless an
-    input comes within a factor 4 of the largest double. Returns the
+    max(p, min(q, |E|)))), and sqrt s E is formed before it is squared. So
+    E^4 is never formed, no step overflows unless an input comes within a
+    factor 4 of the largest double, and D / k^4 does not underflow next to
+    the dark line, where p and E are tiny: q enters only T, and D's leading
+    monomials are E^4, s E^2 and s p^2. k is 0 only at D = 0. Returns the
     broadcast inputs (delta, drive, omega, gamma12), the mask of points
     where all four are finite, the branch mask gamma12 != 1, k, E, sqrt s
     and q over k, and A = 256 E^4 and D over k^4: the terms that both the
@@ -269,16 +255,16 @@ def _scaled_terms(delta, drive, omega, gamma12):
     d, drive, w, g = _broadcast(delta, drive, omega, gamma12)
     finite = np.isfinite((d, drive, w, g)).all(axis=0)
     coupled = g != 1.0
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         r = np.hypot(4.0 * d, 1.0)  # sqrt s
         p = np.hypot(4.0 * (w + d), 1.0 + g)
         q = np.hypot(4.0 * w, g)
-        # |E|: a negative drive, which is rejected, does not overflow either
-        k = np.maximum(np.abs(drive), np.sqrt(r) * np.sqrt(np.maximum(p, q)))
+        size = np.abs(drive)  # a negative drive, which is rejected, does not overflow either
+        k = np.maximum(size, np.sqrt(r) * np.sqrt(np.maximum(p, np.minimum(q, size))))
         e, r, p, q = drive / k, r / k, p / k, q / k
-    e2 = e**2
-    a = 256.0 * e2 * e2
-    den = (3.0 + coupled) * a + r * r * 64.0 * e2 + (r * p) ** 2
+        e2 = e**2
+        a = 256.0 * e2 * e2
+        den = (3.0 + coupled) * a + 64.0 * (r * e) ** 2 + (r * p) ** 2
     return (d, drive, w, g), finite, coupled, k, e, r, q, a, den
 
 
@@ -407,18 +393,25 @@ def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
     x = np.linalg.solve(a, _TRACE_RHS)  # trace 1, other rows 0
     # unvec, then back to the normalised coupled basis
     rho = hermitian_part(x.reshape(3, 3).T * _NORMALISE)
-    state = np.zeros((4, 4), dtype=complex)
-    state[:3, :3] = rho
-    state[3, 3] = coupled * rho[0, 0].real
-    return DensityMatrix(state, BasisTag.COUPLED)
+    return _coupled_state(rho, coupled * rho[0, 0].real)
+
+
+def _coupled_state(block: np.ndarray, p_a: float = 0.0) -> DensityMatrix:
+    """The coupled-basis state of a 3x3 triplet block and singlet population p_a."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[:3, :3] = block
+    m[3, 3] = p_a
+    return DensityMatrix(m, BasisTag.COUPLED)
 
 
 def analytic_steady_state(omega: float, drive: float) -> DensityMatrix:
     """Exact steady state in the triplet sector for gamma12 = gamma, delta = 0.
 
-    Hard-coded closed form in the basis (|+1>, |0>, |-1>), normalized by
-    its trace N = 192 E^4 + 16 E^2 + 4 W^2 + 1. At drive = 0 the matrix
-    degenerates to the ground state diag(0, 0, 1), returned with a warning.
+    Hard-coded closed form on (|+1>, |0>, |-1>), normalized by its trace
+    N = 192 E^4 + 16 E^2 + 4 W^2 + 1, returned in the coupled basis with
+    the singlet row and column exactly zero. At drive = 0 the matrix
+    degenerates to the ground state diag(0, 0, 1, 0), returned with a
+    warning.
     """
     if drive < 0:
         raise InvalidRegime("drive must be > 0 for the closed-form steady state")
@@ -428,7 +421,7 @@ def analytic_steady_state(omega: float, drive: float) -> DensityMatrix:
             InvalidRegimeWarning,
             stacklevel=2,
         )
-        return DensityMatrix(np.diag([0.0, 0.0, 1.0]), BasisTag.TRIPLET)
+        return _coupled_state(np.diag([0.0, 0.0, 1.0]))
     e, w = drive, omega
     m = np.array(
         [
@@ -450,14 +443,15 @@ def analytic_steady_state(omega: float, drive: float) -> DensityMatrix:
         ],
         dtype=complex,
     )
-    return DensityMatrix(m / np.trace(m).real, BasisTag.TRIPLET)
+    return _coupled_state(m / np.trace(m).real)
 
 
 def lamb_dicke_limit_state(tau: float) -> DensityMatrix:
     """Strong-drive limit of the steady state at fixed tau = W / E^2.
 
     (1 / (tau^2 + 48)) [[16, 0, 4 i tau], [0, 16, 0], [-4 i tau, 0, 16 + tau^2]]
-    on (|+1>, |0>, |-1>); trace is exactly one.
+    on (|+1>, |0>, |-1>), returned in the coupled basis with the singlet
+    row and column exactly zero; trace is exactly one.
     """
     m = np.array(
         [
@@ -467,7 +461,7 @@ def lamb_dicke_limit_state(tau: float) -> DensityMatrix:
         ],
         dtype=complex,
     )
-    return DensityMatrix(m / (tau**2 + 48.0), BasisTag.TRIPLET)
+    return _coupled_state(m / (tau**2 + 48.0))
 
 
 # Pade(m) coefficients b_k = (2m - k)! / (k! (m - k)!), up to a common

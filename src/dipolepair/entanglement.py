@@ -18,7 +18,7 @@ from . import tolerances as tol
 from .dynamics import DensityMatrix, _scaled_terms, _solve_blocks
 from .errors import InvalidState, NotNormalized, NotPSD, OutOfRange
 from .linalg import BasisTag, psd_sqrt
-from .model import SIGMA_Y, SINGLET_KET, TO_COUPLED
+from .model import SIGMA_Y, SINGLET_KET
 
 _YY = np.kron(SIGMA_Y, SIGMA_Y).real.astype(complex)  # real matrix
 # Y x Y in the coupled basis (|+1>, |0>, |-1>, |A>), written out exactly:
@@ -35,43 +35,6 @@ class ConcurrenceReport:
     lambdas: np.ndarray  # four nonnegative reals, descending
     concurrence: float
     eof: float
-
-
-def _with_yy(rho) -> tuple[np.ndarray, np.ndarray]:
-    """The 4x4 matrix of a state and Y x Y in the same basis.
-
-    A DensityMatrix was checked when it was built and is not checked
-    again: a coupled or computational state is used as it is stored, a
-    triplet state is padded with a zero singlet row and column into the
-    coupled basis (which adds only the eigenvalue 0). A raw 4x4 array is
-    taken in the computational basis and a raw 3x3 array as a triplet
-    state; either is checked once here.
-    """
-    if isinstance(rho, DensityMatrix):
-        m, basis = rho.matrix, rho.basis
-    else:
-        m = np.asarray(rho, dtype=complex)
-        if m.shape not in ((3, 3), (4, 4)):
-            raise InvalidState(f"expected a 4x4 or 3x3 density matrix, got {m.shape}")
-        basis = BasisTag.TRIPLET if m.shape == (3, 3) else BasisTag.COMPUTATIONAL
-        m = DensityMatrix(m, basis).matrix
-    if basis is BasisTag.COMPUTATIONAL:
-        return m, _YY
-    if basis is BasisTag.TRIPLET:
-        padded = np.zeros((4, 4), dtype=complex)
-        padded[:3, :3] = m
-        m = padded
-    return m, _YY_COUPLED
-
-
-def spin_flip(rho) -> np.ndarray:
-    """(Y x Y) rho* (Y x Y) in the computational basis."""
-    m, yy = _with_yy(rho)
-    flipped = yy @ m.conj() @ yy
-    if yy is _YY:
-        return flipped
-    # back from the coupled basis; TO_COUPLED is real, so rho* rotates as rho
-    return TO_COUPLED.T @ flipped @ TO_COUPLED
 
 
 def binary_entropy(x: float) -> float:
@@ -97,15 +60,19 @@ def spin_flip_spectrum(rho) -> np.ndarray:
     spectrum, but small values come out with absolute (not square-root)
     accuracy, which the pure-state cross checks need.
 
-    K is formed in the basis the state already carries (see _with_yy),
-    with Y x Y written in that basis: a real orthogonal change of basis U
-    takes sqrt(rho) to U sqrt(rho) U^T, its conjugate likewise, and K to
-    U K U^T, whose singular values are those of K. So no state is rotated
-    or checked again, and a coupled-basis steady state keeps its singlet
-    population p_A apart from the triplet block in the square root.
+    K is formed in the basis the state already carries, with Y x Y written
+    in that basis: a real orthogonal change of basis U takes sqrt(rho) to
+    U sqrt(rho) U^T, its conjugate likewise, and K to U K U^T, whose
+    singular values are those of K. So a DensityMatrix, checked when it
+    was built, is neither rotated nor checked again, and a coupled-basis
+    steady state keeps its singlet population p_A apart from the triplet
+    block in the square root. A raw array is a computational 4x4 state,
+    checked once here.
     """
-    m, yy = _with_yy(rho)
-    root = psd_sqrt(m)
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(rho, BasisTag.COMPUTATIONAL)
+    yy = _YY if rho.basis is BasisTag.COMPUTATIONAL else _YY_COUPLED
+    root = psd_sqrt(rho.matrix)
     k = root @ yy @ root.conj()
     return np.linalg.svd(k, compute_uv=False)
 
@@ -114,9 +81,8 @@ def wootters_concurrence(rho) -> ConcurrenceReport:
     """Concurrence and entanglement of formation of a two-qubit state.
 
     The spin-flip spectrum is taken in the state's own basis, which is
-    exact (see spin_flip_spectrum): coupled and computational states as
-    stored, triplet-sector states padded with a zero singlet row and
-    column, for which the fourth spin-flip eigenvalue is zero.
+    exact (see spin_flip_spectrum). For a triplet-sector state, one whose
+    singlet row and column are zero, the fourth spin-flip eigenvalue is zero.
     """
     lam = spin_flip_spectrum(rho)
     c = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
@@ -170,10 +136,10 @@ def steady_state_concurrences(delta, drive, omega, gamma12) -> np.ndarray:
 def _concurrence_law(terms) -> np.ndarray:
     """steady_state_concurrences on the terms of dynamics._scaled_terms."""
     (_, drive, _, g), _, coupled, _, e, r, q, a, den = terms
-    # NaN, as documented: a non-finite input makes e, r or q NaN, D = 0
-    # gives 0 / 0, and a negative drive and the dark line are set below
+    # NaN, as documented: a non-finite input makes e, r or q NaN, and so
+    # does D = 0 (where k = 0); a negative drive and the dark line are set below
     with np.errstate(invalid="ignore"):
-        conc = np.maximum(32.0 * e**2 * r * q - (1.0 + coupled) * a, 0.0) / den
+        conc = np.maximum(32.0 * (e * r) * (e * q) - (1.0 + coupled) * a, 0.0) / den
     conc[(drive < 0) | ((drive == 0) & (g == -1))] = np.nan
     return conc
 
@@ -233,14 +199,16 @@ def closed_form_concurrence(tau: float) -> float:
 def admixture_concurrence(p: float, rho_s: DensityMatrix) -> float:
     """Concurrence of p |A><A| + (1-p) rho_s for a triplet-sector rho_s.
 
-    The antisymmetric state is spin-flip invariant and orthogonal to the
-    triplet block, so the spectrum of the mixture is the triplet spectrum
-    scaled by q = 1 - p with p appended; the usual difference formula
-    applies to that list.
+    rho_s is triplet-sector when its singlet weight is exactly zero (a PSD
+    state then has no singlet coherence either); any other state raises
+    InvalidState. The antisymmetric state is spin-flip invariant and
+    orthogonal to the triplet block, so the spectrum of the mixture is the
+    triplet spectrum scaled by q = 1 - p with p appended; the usual
+    difference formula applies to that list.
     """
     if not 0.0 <= p <= 1.0:
         raise OutOfRange(f"weight p = {p!r} outside [0, 1]")
-    if rho_s.basis is not BasisTag.TRIPLET:
+    if rho_s.singlet_weight() != 0.0:
         raise InvalidState("admixture_concurrence expects a triplet-sector state")
     q = 1.0 - p
     lam = spin_flip_spectrum(rho_s)  # lam[3] == 0 for triplet support

@@ -11,7 +11,7 @@ import enum
 import numpy as np
 
 from . import tolerances as tol
-from .errors import NoNullSpace, NotHermitian, NotPSD
+from .errors import NoNullSpace, NotHermitian, NotPSD, OutOfRange
 
 
 class BasisTag(enum.Enum):
@@ -23,7 +23,6 @@ class BasisTag(enum.Enum):
 
     COMPUTATIONAL = "computational"  # |ee>, |eg>, |ge>, |gg>
     COUPLED = "coupled"              # |+1>, |0>, |-1>, |A>
-    TRIPLET = "triplet"              # |+1>, |0>, |-1>
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -42,6 +41,13 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
+def _require_finite(m: np.ndarray) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise OutOfRange("matrix entries must be finite")
+    return m
+
+
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     dev = np.abs(m - m.conj().T).max()
@@ -54,9 +60,10 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues real and sorted
-    descending; eigenvector i is the column ``v[:, i]``.
+    descending; eigenvector i is the column ``v[:, i]``. A non-finite
+    entry raises OutOfRange before any arithmetic on the matrix.
     """
-    m = _require_hermitian(m)
+    m = _require_hermitian(_require_finite(m))
     w, v = np.linalg.eigh(m)
     return w[::-1].copy(), v[:, ::-1].copy()
 
@@ -65,9 +72,10 @@ def general_eig(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a general complex matrix, dim <= 4.
 
     Sorted by descending real part, then descending imaginary part, so
-    repeated runs produce identical output.
+    repeated runs produce identical output. A non-finite entry raises
+    OutOfRange.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _require_finite(m)
     if m.shape[0] != m.shape[1] or m.shape[0] > 4:
         raise ValueError(f"expected a square matrix of dim <= 4, got {m.shape}")
     w = np.linalg.eigvals(m)

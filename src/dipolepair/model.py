@@ -52,9 +52,6 @@ TO_COUPLED = np.array(
     dtype=complex,
 )
 
-# columns of the triplet states in computational coordinates (4x3)
-TRIPLET_EMBED = TO_COUPLED.conj().T[:, :3].copy()
-
 SINGLET_KET = TO_COUPLED.conj().T[:, 3].copy()
 
 

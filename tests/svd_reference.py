@@ -82,9 +82,11 @@ def restrict_triplet(liouv: Liouvillian) -> np.ndarray:
 
 
 def triplet_steady_state(liouv: Liouvillian) -> DensityMatrix:
-    """Steady state of the triplet-restricted dynamics (singlet weight 0)."""
-    return DensityMatrix(_kernel_state(restrict_triplet(liouv), "no triplet kernel", None),
-                         BasisTag.TRIPLET)
+    """Steady state of the triplet-restricted dynamics, coupled basis, with
+    the singlet row and column exactly zero."""
+    state = np.zeros((4, 4), dtype=complex)
+    state[:3, :3] = _kernel_state(restrict_triplet(liouv), "no triplet kernel", None)
+    return DensityMatrix(state, BasisTag.COUPLED)
 
 
 def kron_loop_liouvillian(cfg, c) -> np.ndarray:

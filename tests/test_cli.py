@@ -94,6 +94,13 @@ def test_steady_at_a_non_unique_steady_state_names_it(capsys):
                        "--gamma12", "-1", "--delta", "-2")
     assert rc == 2 and out == ""
     assert err == "error: steady state not unique: |0> is dark at drive 0, gamma12 = -1\n"
+    # a tiny drive next to it has a unique state, diag(0, 1/2, 1/2, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "steady", "--efield", "1e-160", "--omega", "2",
+                           "--gamma12", "-1", "--delta", "-2")
+    assert rc == 0 and err == ""
+    assert "concurrence = 0.5\n" in out and "populations: +1=" in out
 
 
 def test_steady_json_format(capsys):
@@ -631,8 +638,13 @@ def test_sweep_exits_1_only_when_every_point_failed(capsys):
     ("fig1", "--tau", "nan", "--points", "3"),
     ("fig2", "--k0r-range", "0.1:inf", "--points", "3"),
     ("sweep", "--axis", "efield=1:inf:2", "--omega", "1"),
+    ("spectrum", "--omega", "inf", "--efield", "1"),
+    ("spectrum", "--omega", "nan", "--efield", "1"),
+    # finite options, but sqrt 2 E overflows in the triplet block
+    ("spectrum", "--omega", "1", "--efield", "1.5e308"),
 ], ids=["steady_lamb_dicke_efield", "steady_lamb_dicke_tau", "fig1_tau",
-        "fig2_range", "sweep_axis"])
+        "fig2_range", "sweep_axis", "spectrum_omega_inf", "spectrum_omega_nan",
+        "spectrum_efield_overflow"])
 def test_non_finite_option_is_a_usage_error(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -757,8 +769,8 @@ def test_check_detects_perturbed_steady_state(monkeypatch, capsys):
     exact = checks.analytic_steady_state
 
     def perturbed(omega, drive):
-        m = 0.999 * exact(omega, drive).matrix + 1e-3 * np.diag([1.0, 0.0, 0.0])
-        return DensityMatrix(m, BasisTag.TRIPLET)
+        m = 0.999 * exact(omega, drive).matrix + 1e-3 * np.diag([1.0, 0.0, 0.0, 0.0])
+        return DensityMatrix(m, BasisTag.COUPLED)
 
     monkeypatch.setattr(checks, "analytic_steady_state", perturbed)
     rc, out, _ = run(capsys, "check")

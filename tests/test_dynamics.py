@@ -18,7 +18,6 @@ from dipolepair import (
     lamb_dicke_limit_state,
     propagate,
     solve_steady_state,
-    unvec,
     vec,
     wootters_concurrence,
 )
@@ -36,6 +35,11 @@ RNG = np.random.default_rng(23)
 
 KET_A = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
 GROUND = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
+
+
+def unvec(v, n):
+    """Inverse of vec() for an n x n matrix (column stacking)."""
+    return np.asarray(v, dtype=complex).reshape((n, n), order="F")
 
 
 def random_density(n=4):
@@ -168,7 +172,9 @@ def test_singlet_weight_matches_the_rotated_state():
                    - rotated) <= 1e-15
         coupled = random_state(4)
         assert DensityMatrix(coupled, BasisTag.COUPLED).singlet_weight() == coupled[3, 3].real
-        assert DensityMatrix(random_state(3), BasisTag.TRIPLET).singlet_weight() == 0.0
+        triplet = np.zeros((4, 4), dtype=complex)
+        triplet[:3, :3] = random_state(3)
+        assert DensityMatrix(triplet, BasisTag.COUPLED).singlet_weight() == 0.0
 
 
 # ------------------------------------------------------- triplet restriction
@@ -181,8 +187,8 @@ def test_restriction_consistent_with_full_solution_when_singlet_empty():
     liouv = build_liouvillian(cfg, Couplings(omega=1.0, gamma12=0.3))
     full = steady_state_numeric(liouv).to_basis(BasisTag.COUPLED)
     restricted = triplet_steady_state(liouv)
-    assert np.abs(full.matrix[:3, :3] - restricted.matrix).max() < 1e-9
-    assert np.abs(restricted.matrix - np.diag([0.0, 0.0, 1.0])).max() < 1e-10
+    assert np.abs(full.matrix - restricted.matrix).max() < 1e-9
+    assert np.abs(restricted.matrix - np.diag([0.0, 0.0, 1.0, 0.0])).max() < 1e-10
 
 
 def test_restriction_preserves_triplet_trace_at_full_cross_decay():
@@ -208,13 +214,14 @@ def test_triplet_steady_state_matches_analytic():
 def test_analytic_state_weak_drive_limit():
     # off-diagonals vanish linearly in the drive
     state = analytic_steady_state(1.0, 1e-6)
-    assert np.abs(state.matrix - np.diag([0.0, 0.0, 1.0])).max() < 1e-5
+    assert np.abs(state.matrix - np.diag([0.0, 0.0, 1.0, 0.0])).max() < 1e-5
 
 
 def test_analytic_state_zero_drive_returns_ground_with_warning():
     with pytest.warns(InvalidRegimeWarning):
         state = analytic_steady_state(1.0, 0.0)
-    assert np.array_equal(state.matrix, np.diag([0.0, 0.0, 1.0]).astype(complex))
+    assert np.array_equal(state.matrix, np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex))
+    assert state.basis is BasisTag.COUPLED
 
 
 def test_analytic_state_in_triplet_kernel():
@@ -223,7 +230,7 @@ def test_analytic_state_in_triplet_kernel():
         drive = float(RNG.uniform(0.1, 10.0))
         cfg = AtomPairConfig(delta=0.0, drive=drive)
         l9 = restrict_triplet(build_liouvillian(cfg, Couplings(omega, 1.0)))
-        resid = np.abs(l9 @ vec(analytic_steady_state(omega, drive).matrix)).max()
+        resid = np.abs(l9 @ vec(analytic_steady_state(omega, drive).matrix[:3, :3])).max()
         assert resid < 1e-9
 
 
@@ -243,6 +250,18 @@ def test_analytic_state_approaches_strong_drive_form():
     assert d1000 < 0.15 * d100
 
 
+def test_closed_forms_are_coupled_states_with_an_empty_singlet():
+    tau = 9.21
+    limit = np.array([[16.0, 0.0, 4j * tau], [0.0, 16.0, 0.0], [-4j * tau, 0.0, 16.0 + tau**2]])
+    with pytest.warns(InvalidRegimeWarning):
+        ground = analytic_steady_state(1.0, 0.0)
+    for state in (analytic_steady_state(2.0, 1.0), lamb_dicke_limit_state(tau), ground):
+        assert state.basis is BasisTag.COUPLED and state.matrix.shape == (4, 4)
+        assert not state.matrix[3].any() and not state.matrix[:, 3].any()
+        assert state.singlet_weight() == 0.0
+    assert np.array_equal(lamb_dicke_limit_state(tau).matrix[:3, :3], limit / (tau**2 + 48.0))
+
+
 def test_limit_state_trace_exact():
     for tau in (0.5, 2.0, 9.21, 100.0):
         m = lamb_dicke_limit_state(tau).matrix
@@ -251,7 +270,7 @@ def test_limit_state_trace_exact():
 
 def test_limit_state_strong_tau_is_ground():
     m = lamb_dicke_limit_state(1e8).matrix
-    assert np.abs(m - np.diag([0.0, 0.0, 1.0])).max() < 1e-7
+    assert np.abs(m - np.diag([0.0, 0.0, 1.0, 0.0])).max() < 1e-7
 
 
 def test_limit_state_peak_concurrence():

@@ -222,9 +222,27 @@ def test_the_dark_line_fails_at_every_delta_and_its_neighbours_do_not():
         for delta in deltas:
             state = solve_steady_state(AtomPairConfig(delta=delta), Couplings(2.0, g))
             assert abs(state.matrix[2, 2] - 1.0) <= 1e-12
-    # one ulp off the drive: the batch off D = 0 (next to it, E^2 underflows)
-    states, errors = solve_steady_states([-3.0, -1.0, deltas[3]], 5e-324, 2.0, -1.0)
-    assert errors == [None] * 3 and np.isfinite(states).all()
+    # one ulp off the drive: a unique state, at D = 0 too (see the next test)
+    states, errors = solve_steady_states([-3.0, -1.0, -2.0, deltas[3]], 5e-324, 2.0, -1.0)
+    assert errors == [None] * 4 and np.isfinite(states).all()
+
+
+@pytest.mark.parametrize("drive", [1e-155, 1e-160, 1e-200, 1e-300, 5e-324])
+def test_a_tiny_drive_at_d_zero_keeps_its_state(drive):
+    # at delta = -omega, gamma12 = -1 the state tends to diag(0, 1/2, 1/2, 0)
+    # with C = 1/2 as the drive falls to 0; D ~ 64 s E^2 there, so the
+    # scale of the terms must follow E and not q, or D / k^4 underflows
+    args = (-2.0, drive, 2.0, -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (state,), errors = solve_steady_states(*args)
+        _, conc, _, grid_errors = steady_state_entanglement(*args)
+        law = steady_state_concurrences(*args)
+        report = wootters_concurrence(DensityMatrix(state, BasisTag.COUPLED))
+    assert errors == grid_errors == [None]
+    assert np.abs(state - np.diag([0.0, 0.5, 0.5, 0.0])).max() <= 1e-12
+    for c in (law[0], conc[0], report.concurrence):
+        assert abs(c - 0.5) <= 1e-12
 
 
 def test_an_overflow_from_finite_input_keeps_its_linalg_error():

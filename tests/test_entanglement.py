@@ -17,7 +17,6 @@ from dipolepair import (
     pure_concurrence,
     singlet_projector,
     solve_steady_state,
-    spin_flip,
     spin_flip_spectrum,
     steady_state_concurrences,
     wootters_concurrence,
@@ -53,6 +52,26 @@ def random_state(dim, rank):
     return m / np.trace(m).real
 
 
+def spin_flip(rho):
+    """(Y x Y) rho* (Y x Y) in the computational basis, formed in the basis
+    the state carries, as spin_flip_spectrum forms it."""
+    if not isinstance(rho, DensityMatrix):
+        return entanglement._YY @ np.conj(rho) @ entanglement._YY
+    if rho.basis is BasisTag.COMPUTATIONAL:
+        return spin_flip(rho.matrix)
+    yy = entanglement._YY_COUPLED
+    # back from the coupled basis; TO_COUPLED is real, so rho* rotates as rho
+    return TO_COUPLED.T @ (yy @ rho.matrix.conj() @ yy) @ TO_COUPLED
+
+
+def coupled_random(dim, rank):
+    """random_state(dim, rank) on the first dim coupled states, as a coupled 4x4 matrix
+    (dim = 3: a triplet-sector state)."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[:dim, :dim] = random_state(dim, rank)
+    return m
+
+
 def test_coupled_yy_is_the_rotated_yy():
     # exact in integers with the unnormalised coupled basis |eg> +- |ge>,
     # whose rows have squared norms (1, 2, 1, 2)
@@ -68,34 +87,28 @@ def test_coupled_yy_is_the_rotated_yy():
 
 
 def test_spin_flip_spectrum_is_the_same_in_every_basis():
-    # full-rank and rank-deficient states; the coupled ones carry
-    # triplet-singlet coherences, the triplet ones are padded
+    # full-rank and rank-deficient states; the 4x4 ones carry
+    # triplet-singlet coherences, the 3x3 ones have an empty singlet
     worst = 0.0
     for trial in range(1200):
         dim = 3 if trial % 4 == 0 else 4
-        m = random_state(dim, 1 + trial % dim)
-        if dim == 3:
-            state = DensityMatrix(m, BasisTag.TRIPLET)
-            forms = [m, state.to_basis(BasisTag.COUPLED), state.to_basis(BasisTag.COMPUTATIONAL)]
-        else:
-            state = DensityMatrix(m, BasisTag.COUPLED)
-            comp = state.to_basis(BasisTag.COMPUTATIONAL)
-            forms = [comp, comp.matrix]
+        state = DensityMatrix(coupled_random(dim, 1 + trial % dim), BasisTag.COUPLED)
+        comp = state.to_basis(BasisTag.COMPUTATIONAL)
         lam = spin_flip_spectrum(state)
-        for form in forms:
+        for form in (comp, comp.matrix):
             worst = max(worst, np.abs(spin_flip_spectrum(form) - lam).max())
     assert worst <= 1e-13
 
 
 def test_spin_flip_is_computational_in_every_basis():
     for dim in (3, 4):
-        m = random_state(dim, dim)
-        state = DensityMatrix(m, BasisTag.TRIPLET if dim == 3 else BasisTag.COUPLED)
+        state = DensityMatrix(coupled_random(dim, dim), BasisTag.COUPLED)
         comp = state.to_basis(BasisTag.COMPUTATIONAL).matrix
         expected = spin_flip(comp)
         assert np.abs(spin_flip(state) - expected).max() <= 1e-15
-        if dim == 3:
-            assert np.abs(spin_flip(m) - expected).max() <= 1e-15
+    # a raw array is a computational 4x4 state, nothing else
+    with pytest.raises(InvalidState, match="^expected 4x4, got \\(3, 3\\)$"):
+        spin_flip_spectrum(random_state(3, 3))
 
 
 def test_a_scalar_point_is_checked_once_and_never_rotated(monkeypatch):
@@ -288,6 +301,16 @@ def test_admixture_rejects_bad_weight():
 
 
 def test_admixture_requires_triplet_basis():
-    state = lamb_dicke_limit_state(5.0).to_basis(BasisTag.COUPLED)
-    with pytest.raises(InvalidState):
-        admixture_concurrence(0.1, state)
+    # triplet-sector means singlet weight exactly 0, whatever the tag
+    state = lamb_dicke_limit_state(5.0)
+    assert state.basis is BasisTag.COUPLED
+    admixture_concurrence(0.1, state)
+    mixed = DensityMatrix(0.9 * state.matrix + 0.1 * np.diag([0.0, 0.0, 0.0, 1.0]),
+                          BasisTag.COUPLED)
+    with pytest.raises(InvalidState, match="triplet-sector"):
+        admixture_concurrence(0.1, mixed)
+    with pytest.raises(InvalidState, match="triplet-sector"):
+        admixture_concurrence(0.1, mixed.to_basis(BasisTag.COMPUTATIONAL))
+    cfg = AtomPairConfig(delta=0.0, drive=2.0, k0r=0.5)
+    with pytest.raises(InvalidState, match="triplet-sector"):  # p_A = rho_{+1,+1} > 0
+        admixture_concurrence(0.1, solve_steady_state(cfg, couplings_from_geometry(cfg)))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from dipolepair import (
     null_vector,
     psd_sqrt,
 )
-from dipolepair.errors import NoNullSpace, NotHermitian, NotPSD
+from dipolepair.errors import NoNullSpace, NotHermitian, NotPSD, OutOfRange
 from dipolepair.model import I2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z
 
 EIGEN_RESIDUAL_ATOL = 1e-9  # ||m v - lam v|| for Hermitian eigenpairs
@@ -93,6 +95,18 @@ def test_hermitian_eig_reconstruction_and_orthonormality():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+def test_eigensolvers_reject_a_non_finite_entry_before_any_arithmetic(bad):
+    # a Hermitian matrix apart from the bad diagonal entry; the Hermiticity
+    # test on it would warn, and LAPACK would fail with its own message
+    m = np.array([[1.0, 2.0, 0.0], [2.0, bad, 0.5], [0.0, 0.5, -1.0]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solver in (hermitian_eig, general_eig):
+            with pytest.raises(OutOfRange, match="^matrix entries must be finite$"):
+                solver(m)
 
 
 # ---------------------------------------------------------------- general_eig

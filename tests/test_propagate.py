@@ -17,7 +17,6 @@ from dipolepair import (
     cross_decay,
     dipole_coupling,
     propagate,
-    unvec,
     vec,
 )
 from dipolepair import tolerances as tol
@@ -27,6 +26,11 @@ from dipolepair.model import TO_COUPLED
 
 GROUND = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
 EXCITED = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+
+
+def unvec(v, n):
+    """Inverse of vec() for an n x n matrix (column stacking)."""
+    return np.asarray(v, dtype=complex).reshape((n, n), order="F")
 
 
 def _rel_gap(a):

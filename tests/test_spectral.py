@@ -15,10 +15,12 @@ import pytest
 
 from dipolepair import hermitian_eig, pure_concurrence, triplet_block
 from dipolepair.errors import NotNormalized
-from dipolepair.model import TRIPLET_EMBED
+from dipolepair.model import TO_COUPLED
 
 RNG = np.random.default_rng(11)
 _SQ2 = math.sqrt(2.0)
+# columns of the triplet states in computational coordinates (4x3)
+TRIPLET_EMBED = TO_COUPLED.conj().T[:, :3]
 
 
 def embed(amps3):
