@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -235,25 +236,42 @@ def _check_states(states: np.ndarray, errors: list):
     return states, lowest, errors
 
 
+# The error of a point without a steady state, by _outside code; inside the
+# domain (code 0) only an overflow fails. On the dark line, drive 0 and
+# gamma12 = -1 exactly, the symmetric channel's rate (1 + gamma12) / 2 is 0
+# and the antisymmetric one annihilates |0>, so |0><0| and |-1><-1| are both
+# steady at every delta; D of steady_state_concurrences is 0 only there.
+_OUTSIDE = (partial(OutOfRange, "non-finite steady state"),
+            partial(OutOfRange, "inputs must be finite"),
+            partial(OutOfRange, "drive must be >= 0"),
+            partial(InvalidRegime,
+                    "steady state not unique: |0> is dark at drive 0, gamma12 = -1"))
+
+
+def _outside(finite, drive, gamma12):
+    """The domain rule, written once: the first rule broken as an _OUTSIDE code, 0 if none."""
+    return np.where(finite, 2 * (drive < 0) + 3 * ((drive == 0) & (gamma12 == -1)), 1)
+
+
 def _scaled_terms(delta, drive, omega, gamma12):
     """Magnitudes of the closed-form steady state at N points, over a common scale.
 
     With s = 1 + 16 delta^2, p = |4 (omega + delta) - i (1 + gamma12)| and
     q = |4 omega - i gamma12|, every entry of D rho (see
     solve_steady_states) and of the concurrence law has degree 4 in
-    (E, sqrt s, p, q). All four are divided by k = max(|E|, sqrt(sqrt s
-    max(p, min(q, |E|)))), and sqrt s E is formed before it is squared. So
-    E^4 is never formed, no step overflows unless an input comes within a
-    factor 4 of the largest double, and D / k^4 does not underflow next to
-    the dark line, where p and E are tiny: q enters only T, and D's leading
-    monomials are E^4, s E^2 and s p^2. k is 0 only at D = 0. Returns the
-    broadcast inputs (delta, drive, omega, gamma12), the mask of points
-    where all four are finite, the branch mask gamma12 != 1, k, E, sqrt s
-    and q over k, and A = 256 E^4 and D over k^4: the terms that both the
-    states and the law are built from.
+    (E, sqrt s, p, q). Their products are divided by k^2, k = max(|E|,
+    sqrt(sqrt s max(p, min(q, |E|)))), each factor meeting E / k <= 1 or
+    p / k first (sqrt s / k alone overflows at a subnormal drive next to
+    D = 0). So E^4 is never formed, no step overflows unless an input
+    comes within a factor 4 of the largest double, and D / k^4 does not
+    underflow next to the dark line, where p and E are tiny: q enters only
+    T, and D's leading monomials are E^4, s E^2 and s p^2. k is 0 only at
+    D = 0. Returns the broadcast inputs (delta, drive, omega, gamma12),
+    the _outside code of each point, the branch mask gamma12 != 1, k, E /
+    k, sqrt s E and q E over k^2, and A = 256 E^4 and D over k^4.
     """
     d, drive, w, g = _broadcast(delta, drive, omega, gamma12)
-    finite = np.isfinite((d, drive, w, g)).all(axis=0)
+    outside = _outside(np.isfinite((d, drive, w, g)).all(axis=0), drive, g)
     coupled = g != 1.0
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         r = np.hypot(4.0 * d, 1.0)  # sqrt s
@@ -261,11 +279,12 @@ def _scaled_terms(delta, drive, omega, gamma12):
         q = np.hypot(4.0 * w, g)
         size = np.abs(drive)  # a negative drive, which is rejected, does not overflow either
         k = np.maximum(size, np.sqrt(r) * np.sqrt(np.maximum(p, np.minimum(q, size))))
-        e, r, p, q = drive / k, r / k, p / k, q / k
+        e = drive / k
+        re, qe, rp = r * e / k, q * e / k, r * (p / k) / k
         e2 = e**2
         a = 256.0 * e2 * e2
-        den = (3.0 + coupled) * a + 64.0 * (r * e) ** 2 + (r * p) ** 2
-    return (d, drive, w, g), finite, coupled, k, e, r, q, a, den
+        den = (3.0 + coupled) * a + 64.0 * re**2 + rp**2
+    return (d, drive, w, g), outside, coupled, k, e, re, qe, a, den
 
 
 def solve_steady_states(delta, drive, omega, gamma12):
@@ -284,14 +303,12 @@ def solve_steady_states(delta, drive, omega, gamma12):
     steady_state_concurrences, and both are evaluated on the scaled terms
     of _scaled_terms. A Gram sum is PSD by construction; each state still
     gets the DensityMatrix checks. A point that fails does not stop the
-    others: a non-finite input (OutOfRange "inputs must be finite"), a
-    negative drive (OutOfRange "drive must be >= 0", as AtomPairConfig),
-    the dark line, where the steady state is not unique (InvalidRegime: no
-    drive and gamma12 = -1 exactly, at any delta), a non-finite state from
-    finite input, by overflow (LinAlgError), or a state failing the
-    DensityMatrix checks (InvalidState). Returns ``(states, errors)``:
-    an (N, 4, 4) array, NaN where a point failed, and a list holding per
-    point None or its typed error.
+    others: a non-finite input or a negative drive (OutOfRange), the dark
+    line, where the steady state is not unique (InvalidRegime: no drive
+    and gamma12 = -1 exactly, at any delta), a state that overflows
+    (OutOfRange), or one failing the DensityMatrix checks (InvalidState).
+    Returns ``(states, errors)``: an (N, 4, 4) array, NaN where a point
+    failed, and a list holding per point None or its typed error.
     """
     states, _, errors = _solve_blocks(_scaled_terms(delta, drive, omega, gamma12))
     return states, errors
@@ -309,12 +326,12 @@ def _closed_form_states(terms) -> np.ndarray:
     (d, _, om, g), _, coupled, k, e, _, _, a, den = terms
     n = len(d)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        x = np.empty(n, dtype=complex)  # x / k
-        x.real, x.imag = 4.0 * d / k, -1.0 / k
+        x = 4.0 * d - 1j
         y = np.empty(n, dtype=complex)  # (4 omega + 4 delta - i (1 + gamma12)) / k
         y.real, y.imag = 4.0 * (om + d) / k, -(1.0 + g) / k
-        b = -4.0 * _SQ2 * e * x
-        z = x * y
+        # x meets e or y before the division by k, as in _scaled_terms
+        b = -4.0 * _SQ2 * (e * x) / k
+        z = x * y / k
         c = 16.0 * e**2
         bb = b.real**2 + b.imag**2 + a  # |b|^2 + c^2, as c^2 == a
         rho = np.zeros((n, 4, 4), dtype=complex)
@@ -335,32 +352,11 @@ def _solve_blocks(terms):
     """solve_steady_states on the terms of _scaled_terms, plus the lowest
     eigenvalues from _check_states."""
     states = _closed_form_states(terms)
-    (_, drive, _, g), finite = terms[:2]
+    outside = terms[1]
     errors: list[Exception | None] = [None] * len(states)
-    failed = ~finite | (drive < 0) | ((drive == 0) & (g == -1))
-    for i in np.flatnonzero(failed | ~np.isfinite(states).all(axis=(1, 2))):
-        errors[i] = _point_error(finite[i], drive[i], g[i])
+    for i in np.flatnonzero((outside > 0) | ~np.isfinite(states).all(axis=(1, 2))):
+        errors[i] = _OUTSIDE[outside[i]]()
     return _check_states(states, errors)
-
-
-def _point_error(finite, drive, gamma12) -> Exception:
-    """Why a point of solve_steady_states has no state: its input is outside
-    the domain, it lies on the dark line, or (else) its state overflowed.
-
-    At drive 0 and gamma12 = -1 exactly, the symmetric decay channel has
-    rate (1 + gamma12) / 2 = 0 and the antisymmetric one annihilates |0>,
-    so |0> does not decay: |0><0| and |-1><-1| are both steady at every
-    delta. D = 1024 E^4 + s (64 E^2 + 16 (omega + delta)^2 + (1 +
-    gamma12)^2), s >= 1, vanishes only on that line (at delta = -omega).
-    """
-    if not finite:
-        return OutOfRange("inputs must be finite")
-    if drive < 0:
-        return OutOfRange("drive must be >= 0")
-    if drive == 0 and gamma12 == -1:
-        return InvalidRegime("steady state not unique: |0> is dark at drive 0, "
-                             "gamma12 = -1")
-    return np.linalg.LinAlgError("non-finite steady state")
 
 
 def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
@@ -378,19 +374,25 @@ def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
     singlet decouples, its population is conserved, and the solver returns
     the triplet-sector state (symmetric initial conditions, singlet weight
     exactly zero); any other gamma12, however close to gamma, keeps the
-    singlet weight. Raises InvalidRegime on the dark line drive 0, gamma12
-    = -1, as solve_steady_states, before the solve; LinAlgError for a
-    non-finite system or a singular one, and InvalidState for a state
-    failing the DensityMatrix checks.
+    singlet weight. A point outside the domain of solve_steady_states
+    raises its error before the solve; an overflowing generator raises
+    OutOfRange, a system singular in double precision InvalidRegime, and
+    a state failing the DensityMatrix checks InvalidState.
     """
-    if cfg.drive == 0 and c.gamma12 == -1:
-        raise _point_error(True, cfg.drive, c.gamma12)
+    finite = math.isfinite(c.omega) and math.isfinite(c.gamma12)  # cfg's are (AtomPairConfig)
+    if code := _outside(finite, cfg.drive, c.gamma12):
+        raise _OUTSIDE[code]()
     a = _TRIPLET_ROWS @ build_liouvillian(cfg, c).matrix @ _TRIPLET_COLS
     coupled = bool(c.gamma12 != 1.0)
     a[8] = _TRACE_ROWS[coupled]
     if not np.isfinite(a).all():
-        raise np.linalg.LinAlgError("non-finite generator")
-    x = np.linalg.solve(a, _TRACE_RHS)  # trace 1, other rows 0
+        raise OutOfRange("non-finite generator")
+    try:
+        x = np.linalg.solve(a, _TRACE_RHS)  # trace 1, other rows 0
+    except np.linalg.LinAlgError:
+        x = np.full(9, np.nan)
+    if not np.isfinite(x).all():
+        raise InvalidRegime("9x9 steady-state system singular in double precision")
     # unvec, then back to the normalised coupled basis
     rho = hermitian_part(x.reshape(3, 3).T * _NORMALISE)
     return _coupled_state(rho, coupled * rho[0, 0].real)
@@ -409,12 +411,12 @@ def analytic_steady_state(omega: float, drive: float) -> DensityMatrix:
 
     Hard-coded closed form on (|+1>, |0>, |-1>), normalized by its trace
     N = 192 E^4 + 16 E^2 + 4 W^2 + 1, returned in the coupled basis with
-    the singlet row and column exactly zero. At drive = 0 the matrix
-    degenerates to the ground state diag(0, 0, 1, 0), returned with a
-    warning.
+    the singlet row and column exactly zero; inputs outside the domain of
+    solve_steady_states raise its errors. At drive = 0 the matrix
+    degenerates to the ground state diag(0, 0, 1, 0), with a warning.
     """
-    if drive < 0:
-        raise InvalidRegime("drive must be > 0 for the closed-form steady state")
+    if code := _outside(math.isfinite(omega) and math.isfinite(drive), drive, 1.0):
+        raise _OUTSIDE[code]()
     if drive == 0.0:
         warnings.warn(
             "drive = 0: steady state degenerates to the ground state",
@@ -479,11 +481,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
     The lowest degree m in (3, 5, 7, 9) with ||a||_1 <= theta_m, unscaled;
     above theta_9 degree 13, scaled by 2^-s so that the norm is at most
-    theta_13, then squared s times.
+    theta_13, then squared s times. A non-finite entry raises OutOfRange.
     """
     norm = float(np.abs(a).sum(axis=0).max())
     if not math.isfinite(norm):
-        raise np.linalg.LinAlgError("exponential of a non-finite matrix")
+        raise OutOfRange("exponential of a non-finite matrix")
     m = next((m for m in (3, 5, 7, 9) if norm <= _THETA[m]), 13)
     s = math.ceil(math.log2(norm / _THETA[13])) if norm > _THETA[13] else 0
     if s:
@@ -527,12 +529,12 @@ def propagate(
     drift from one by at most TRACE_DRIFT_MAX (only a generator that does
     not preserve trace does that); normalized, it must pass the
     DensityMatrix checks. The first failing state raises InvalidState
-    naming its step.
+    naming its step; dt, t_final or a generator out of range OutOfRange.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if t_final < dt:
-        raise ValueError("t_final must be >= dt")
+    if not dt > 0:  # NaN fails too
+        raise OutOfRange("dt must be > 0")
+    if not dt <= t_final < math.inf:
+        raise OutOfRange("t_final must be finite and >= dt")
     if rho0.basis is not liouv.basis:
         raise InvalidState(
             f"cross-basis arithmetic: state is {rho0.basis}, generator {liouv.basis}"

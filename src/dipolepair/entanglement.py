@@ -125,22 +125,18 @@ def steady_state_concurrences(delta, drive, omega, gamma12) -> np.ndarray:
     D and T are evaluated on the scaled terms of dynamics._scaled_terms,
     which solve_steady_states builds its states from: E^4 is never formed,
     and no step overflows unless an input comes within a factor 4 of the
-    largest double. A non-finite input, a negative drive and the dark line
-    (drive 0, gamma12 = -1, where D = 0 lies) give NaN here, without an
-    error (solve_steady_states and steady_state_entanglement fail them:
-    OutOfRange, OutOfRange and InvalidRegime).
+    largest double. A point outside the domain of solve_steady_states
+    (where D = 0 lies) gives NaN here, without an error.
     """
     return _concurrence_law(_scaled_terms(delta, drive, omega, gamma12))
 
 
 def _concurrence_law(terms) -> np.ndarray:
     """steady_state_concurrences on the terms of dynamics._scaled_terms."""
-    (_, drive, _, g), _, coupled, _, e, r, q, a, den = terms
-    # NaN, as documented: a non-finite input makes e, r or q NaN, and so
-    # does D = 0 (where k = 0); a negative drive and the dark line are set below
+    _, outside, coupled, _, _, re, qe, a, den = terms
     with np.errstate(invalid="ignore"):
-        conc = np.maximum(32.0 * (e * r) * (e * q) - (1.0 + coupled) * a, 0.0) / den
-    conc[(drive < 0) | ((drive == 0) & (g == -1))] = np.nan
+        conc = np.maximum(32.0 * re * qe - (1.0 + coupled) * a, 0.0) / den
+    conc[outside > 0] = np.nan
     return conc
 
 

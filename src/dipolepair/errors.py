@@ -34,7 +34,7 @@ class OutOfRange(DipolePairError, ValueError):
 
 
 class InvalidRegime(DipolePairError):
-    """Closed-form result requested outside its regime of validity."""
+    """Result requested outside its regime of validity (closed form or solve)."""
 
 
 class InvalidRegimeWarning(UserWarning):

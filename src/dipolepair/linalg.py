@@ -48,6 +48,12 @@ def _require_finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _finite_eigenvalues(w: np.ndarray) -> np.ndarray:
+    if not np.isfinite(w).all():  # a finite matrix too large for its spectrum
+        raise OutOfRange("eigenvalues are not finite: matrix entries too large")
+    return w
+
+
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     dev = np.abs(m - m.conj().T).max()
@@ -61,24 +67,24 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (eigenvalues, eigenvectors) with eigenvalues real and sorted
     descending; eigenvector i is the column ``v[:, i]``. A non-finite
-    entry raises OutOfRange before any arithmetic on the matrix.
+    entry (checked before any arithmetic) or eigenvalue raises OutOfRange.
     """
     m = _require_hermitian(_require_finite(m))
     w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
+    return _finite_eigenvalues(w)[::-1].copy(), v[:, ::-1].copy()
 
 
 def general_eig(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a general complex matrix, dim <= 4.
 
     Sorted by descending real part, then descending imaginary part, so
-    repeated runs produce identical output. A non-finite entry raises
-    OutOfRange.
+    repeated runs produce identical output. A non-finite entry or
+    eigenvalue raises OutOfRange.
     """
     m = _require_finite(m)
     if m.shape[0] != m.shape[1] or m.shape[0] > 4:
         raise ValueError(f"expected a square matrix of dim <= 4, got {m.shape}")
-    w = np.linalg.eigvals(m)
+    w = _finite_eigenvalues(np.linalg.eigvals(m))
     order = np.lexsort((-w.imag, -w.real))
     return w[order]
 
@@ -102,9 +108,9 @@ def null_vector(m: np.ndarray) -> tuple[np.ndarray, bool]:
     Returns ``(v, degenerate)`` where v belongs to the smallest singular
     value and ``degenerate`` flags a second singular value under the same
     relative threshold (the caller decides what to do about it).
-    Raises NoNullSpace when the smallest singular value is not small.
+    Raises NoNullSpace when the smallest singular value is not small; OutOfRange on NaN or inf.
     """
-    m = np.asarray(m, dtype=complex)
+    m = _require_finite(m)
     _, s, vh = np.linalg.svd(m)
     smax = s[0]
     if s[-1] > tol.NULLSPACE_RTOL * smax:

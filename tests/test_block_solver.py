@@ -33,7 +33,7 @@ from dipolepair import (
 )
 from dipolepair import dynamics
 from dipolepair.cli import main
-from dipolepair.errors import InvalidRegime, InvalidState
+from dipolepair.errors import InvalidRegime, InvalidState, OutOfRange
 from dipolepair.model import TO_COUPLED
 
 TAU_STAR = 9.21
@@ -154,16 +154,19 @@ def test_short_distance_steady_command_exits_0(capsys):
     assert pops[3] == pops[0] > 0.0
 
 
-def test_singular_or_non_finite_generator_raises_linalgerror(monkeypatch):
-    # a non-finite block is rejected before the solve; a singular one gets
-    # numpy's own error from it
+def test_singular_or_non_finite_generator_raises_a_typed_error(monkeypatch):
+    # a non-finite block is rejected before the solve; numpy's error for a
+    # singular one becomes the package's
     cfg = AtomPairConfig(drive=1.0, k0r=0.5)
-    for generator, message in ((np.zeros((16, 16)), "Singular matrix"),
-                               (np.full((16, 16), np.nan), "non-finite generator")):
+    for generator, error, message in (
+            (np.zeros((16, 16)), InvalidRegime,
+             "9x9 steady-state system singular in double precision"),
+            (np.full((16, 16), np.nan), OutOfRange, "non-finite generator")):
         monkeypatch.setattr(dynamics, "build_liouvillian", lambda cfg, c: dynamics.Liouvillian(
             generator.astype(complex), BasisTag.COMPUTATIONAL))
-        with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+        with pytest.raises(error, match=f"^{message}$") as failure:
             solve_steady_state(cfg, couplings_from_geometry(cfg))
+        assert type(failure.value) is error
 
 
 def test_scalar_solve_fails_d_zero_with_the_batch_error(monkeypatch):

@@ -654,6 +654,20 @@ def test_non_finite_option_is_a_usage_error(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("spectrum", "--omega", "1", "--efield", "1e308"),
+     "eigenvalues are not finite: matrix entries too large"),
+    (("steady", "--efield", "1e308", "--omega", "1e308"), "non-finite steady state"),
+], ids=["spectrum", "steady"])
+def test_finite_options_that_overflow_are_one_package_error(capsys, argv, message):
+    # the triplet energies are +-inf, or 4 omega overflows in the state
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, *argv)
+    assert (rc, out, caught) == (2, "", [])
+    assert err == f"error: {message}\n"
+
+
 def test_sweep_non_finite_fixed_value_fails_per_point_without_warning(capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -94,9 +94,9 @@ def test_extreme_drive_gives_the_mixed_state_without_warnings():
         assert np.abs(state - np.diag(diagonal)).max() <= 1e-15
 
 
-def test_a_non_finite_state_fails_its_point_with_linalg_error():
+def test_a_non_finite_state_fails_its_point_with_out_of_range():
     # finite input whose state overflows (4 delta) gives a non-finite
-    # state: LinAlgError; non-finite input fails as OutOfRange before that,
+    # state: OutOfRange; non-finite input fails as OutOfRange before that,
     # and D = 0 (no drive, gamma12 = -1, omega + delta = 0), where the
     # steady state is not unique, as InvalidRegime
     with warnings.catch_warnings():
@@ -107,6 +107,7 @@ def test_a_non_finite_state_fails_its_point_with_linalg_error():
                                              [0.3, 0.3, 0.3, -1.0, 0.3])
     assert errors[0] is None and not np.isnan(states[0]).any()
     assert [type(e).__name__ for e in errors[1:]] == ["OutOfRange", "OutOfRange",
-                                                      "InvalidRegime", "LinAlgError"]
+                                                      "InvalidRegime", "OutOfRange"]
     assert "not unique" in str(errors[3])
+    assert str(errors[4]) == "non-finite steady state"
     assert np.isnan(states[1:]).all()

@@ -18,10 +18,11 @@ from dipolepair import (
     lamb_dicke_limit_state,
     propagate,
     solve_steady_state,
+    solve_steady_states,
     vec,
     wootters_concurrence,
 )
-from dipolepair.errors import InvalidRegimeWarning, InvalidState
+from dipolepair.errors import InvalidRegimeWarning, InvalidState, OutOfRange
 from dipolepair.model import SM1, SM2, SP1, SP2, TO_COUPLED
 from svd_reference import (
     DegenerateKernel,
@@ -222,6 +223,21 @@ def test_analytic_state_zero_drive_returns_ground_with_warning():
         state = analytic_steady_state(1.0, 0.0)
     assert np.array_equal(state.matrix, np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex))
     assert state.basis is BasisTag.COUPLED
+
+
+def test_analytic_state_rejects_inputs_outside_the_steady_state_domain():
+    # the error and message of AtomPairConfig and solve_steady_states
+    with pytest.raises(OutOfRange) as failure:
+        analytic_steady_state(1.0, -1.0)
+    with pytest.raises(OutOfRange) as config_error:
+        AtomPairConfig(drive=-1.0)
+    _, (batch_error,) = solve_steady_states(0.0, -1.0, 1.0, 1.0)
+    assert type(batch_error) is OutOfRange
+    assert (str(failure.value) == str(config_error.value) == str(batch_error)
+            == "drive must be >= 0")
+    for omega, drive in ((math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(OutOfRange, match="^inputs must be finite$"):
+            analytic_steady_state(omega, drive)
 
 
 def test_analytic_state_in_triplet_kernel():

@@ -1,0 +1,101 @@
+"""One failure contract: every failure the engine reports is a DipolePairError.
+
+Extreme inputs (magnitudes up to the largest double, subnormal drives,
+gamma12 at and next to +-1, NaN and inf) go through the batch, the scalar
+solve, propagation and the CLI. The batch reports each point's failure in
+its error slot; the scalar calls raise; the CLI prints one ``error:`` line.
+None of them may let numpy's LinAlgError, or any other exception, through.
+"""
+
+import contextlib
+import io
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dipolepair import (
+    AtomPairConfig,
+    BasisTag,
+    Couplings,
+    DensityMatrix,
+    build_liouvillian,
+    propagate,
+    solve_steady_state,
+    solve_steady_states,
+    steady_state_entanglement,
+)
+from dipolepair.cli import main
+from dipolepair.errors import DipolePairError
+
+BIG = [1.0, 2.0, 1e154, 1e300, 1e308, float(np.finfo(float).max), math.inf]
+SMALL = [0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-160]
+ANY = st.one_of(st.sampled_from(BIG + SMALL + [-x for x in BIG + SMALL] + [math.nan]),
+                st.floats())
+DRIVE = st.one_of(st.sampled_from(SMALL + BIG + [-5e-324, -1.0, -math.inf, math.nan]),
+                  st.floats(0.0, 1e-300), st.floats())
+GAMMA12 = st.one_of(
+    st.sampled_from([float(g) for g in (-1.0, np.nextafter(-1.0, 0.0), np.nextafter(-1.0, -2.0),
+                                        1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0))]
+                    + [0.0, math.nan, math.inf, -math.inf, 1e308]),
+    st.floats(-1.0, 1.0), st.floats())
+GROUND = DensityMatrix(np.diag([0.0, 0.0, 0.0, 1.0]), BasisTag.COMPUTATIONAL)
+
+
+def check_batch(errors, states):
+    assert all(e is None or isinstance(e, DipolePairError) for e in errors)
+    for err, state in zip(errors, states):
+        assert np.isnan(state).all() if err is not None else np.isfinite(state).all()
+
+
+def check_scalar(call):
+    try:
+        call()
+    except DipolePairError:
+        pass
+
+
+def check_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    text = err.getvalue()
+    assert "linear algebra failed" not in text
+    if rc == 2:
+        assert out.getvalue() == "" and text.startswith("error: ") and text.count("\n") == 1
+    else:
+        assert rc in (0, 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(delta=ANY, drive=DRIVE, omega=ANY, gamma12=GAMMA12, resonant=st.booleans())
+def test_every_failure_is_a_dipole_pair_error(delta, drive, omega, gamma12, resonant):
+    if resonant:  # delta = -omega: D = 0 on the dark line, and p = 0 next to it
+        omega = -delta
+    with warnings.catch_warnings():
+        # the scalar generator may overflow on the way to its typed error
+        warnings.simplefilter("ignore", RuntimeWarning)
+        states, errors = solve_steady_states(delta, drive, omega, gamma12)
+        check_batch(errors, states)
+        states, conc, eof, errors = steady_state_entanglement(delta, drive, omega, gamma12)
+        check_batch(errors, states)
+        assert np.isnan(conc[0]) == np.isnan(eof[0]) == (errors[0] is not None)
+        try:
+            cfg = AtomPairConfig(delta=delta, drive=drive)
+        except DipolePairError:
+            cfg = None
+        if cfg is not None:
+            c = Couplings(omega, gamma12)
+            check_scalar(lambda: solve_steady_state(cfg, c))
+            check_scalar(lambda: propagate(build_liouvillian(cfg, c), GROUND, 0.5, 0.1))
+        point = [f"--delta={delta!r}", f"--efield={drive!r}", f"--omega={omega!r}"]
+        for argv in (["steady", *point, f"--gamma12={gamma12!r}"],
+                     ["spectrum", *point, f"--gamma12={gamma12!r}"],
+                     ["sweep", "--axis", "gamma12=-1:1:3", *point]):
+            check_cli(argv)

@@ -15,7 +15,7 @@ from dipolepair import (
     psd_sqrt,
 )
 from dipolepair.errors import NoNullSpace, NotHermitian, NotPSD, OutOfRange
-from dipolepair.model import I2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z
+from dipolepair.model import I2, SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z, triplet_block
 
 EIGEN_RESIDUAL_ATOL = 1e-9  # ||m v - lam v|| for Hermitian eigenpairs
 GENERAL_EIG_ATOL = 1e-8  # characteristic-polynomial agreement
@@ -109,6 +109,18 @@ def test_eigensolvers_reject_a_non_finite_entry_before_any_arithmetic(bad):
                 solver(m)
 
 
+def test_eigensolvers_reject_eigenvalues_that_overflow():
+    # finite entries whose spectrum leaves the doubles: the triplet block at
+    # E = 1e308 has eigenvalues +-inf, which no caller may take for energies
+    m = triplet_block(0.0, 1.0, 1e308)
+    assert np.isfinite(m).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solver in (hermitian_eig, general_eig):
+            with pytest.raises(OutOfRange, match="^eigenvalues are not finite"):
+                solver(m)
+
+
 # ---------------------------------------------------------------- general_eig
 
 
@@ -199,6 +211,12 @@ def test_psd_sqrt_rejects_indefinite():
 
 
 # ---------------------------------------------------------------- null_vector
+
+
+def test_null_vector_rejects_a_non_finite_entry():
+    # the SVD would fail with LAPACK's own message
+    with pytest.raises(OutOfRange, match="^matrix entries must be finite$"):
+        null_vector(np.diag([1.0, np.nan]).astype(complex))
 
 
 def test_null_vector_simple():

@@ -21,7 +21,7 @@ from dipolepair import (
 )
 from dipolepair import tolerances as tol
 from dipolepair.dynamics import _THETA, _density_errors, _expm
-from dipolepair.errors import InvalidState
+from dipolepair.errors import InvalidState, OutOfRange
 from dipolepair.model import TO_COUPLED
 
 GROUND = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
@@ -84,11 +84,20 @@ def test_expm_on_both_sides_of_the_scaling_threshold(norm):
 def test_expm_rejects_non_finite_matrix():
     a = np.zeros((16, 16), dtype=complex)
     a[3, 5] = np.nan
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(OutOfRange, match="^exponential of a non-finite matrix$"):
         _expm(a)
 
 
 # ------------------------------------------------------- propagation
+
+
+@pytest.mark.parametrize("t_final, dt", [(1.0, 0.0), (1.0, math.nan), (math.nan, 0.1),
+                                         (math.inf, 0.1), (0.05, 0.1)])
+def test_a_step_or_length_out_of_range_is_out_of_range(t_final, dt):
+    cfg = AtomPairConfig(drive=1.0, k0r=0.5)
+    liouv = build_liouvillian(cfg, couplings_from_geometry(cfg))
+    with pytest.raises(OutOfRange):
+        propagate(liouv, DensityMatrix(GROUND, BasisTag.COMPUTATIONAL), t_final, dt)
 
 
 @pytest.mark.parametrize("k0r", [0.15, 0.5, 1.0])
