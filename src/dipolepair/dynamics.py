@@ -111,14 +111,17 @@ def build_liouvillian(cfg: AtomPairConfig, c: Couplings) -> Liouvillian:
     """Superoperator of the master equation, computational basis.
 
     Generates -i[H, rho] plus the correlated decay of both atoms, with
-    channel rates (gamma/2, gamma12/2) as described in the module
-    docstring. Trace is preserved: vec(I) is a left null vector.
+    channel rates (gamma/2, gamma12/2) as in the module docstring. Trace is
+    preserved: vec(I) is a left null vector. An overflow raises OutOfRange.
     """
-    h = build_hamiltonian(cfg, c.omega)
-    rates = (0.5 * float(cfg.gamma), 0.5 * float(c.gamma12))
-    lm = -1j * (kron(_I4, h) - kron(h.T, _I4))
-    for cross, sp_j_t, sm_i, a in _CHANNELS:
-        lm += 0.5 * rates[cross] * (2.0 * kron(sp_j_t, sm_i) - kron(_I4, a) - kron(a.T, _I4))
+    with np.errstate(all="ignore"):
+        h = build_hamiltonian(cfg, c.omega)
+        rates = (0.5 * float(cfg.gamma), 0.5 * float(c.gamma12))
+        lm = -1j * (kron(_I4, h) - kron(h.T, _I4))
+        for cross, sp_j_t, sm_i, a in _CHANNELS:
+            lm += 0.5 * rates[cross] * (2.0 * kron(sp_j_t, sm_i) - kron(_I4, a) - kron(a.T, _I4))
+    if not np.isfinite(lm).all():
+        raise OutOfRange("non-finite generator")
     return Liouvillian(lm, BasisTag.COMPUTATIONAL)
 
 
@@ -382,7 +385,8 @@ def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
     finite = math.isfinite(c.omega) and math.isfinite(c.gamma12)  # cfg's are (AtomPairConfig)
     if code := _outside(finite, cfg.drive, c.gamma12):
         raise _OUTSIDE[code]()
-    a = _TRIPLET_ROWS @ build_liouvillian(cfg, c).matrix @ _TRIPLET_COLS
+    with np.errstate(all="ignore"):  # a finite generator can overflow in the projection
+        a = _TRIPLET_ROWS @ build_liouvillian(cfg, c).matrix @ _TRIPLET_COLS
     coupled = bool(c.gamma12 != 1.0)
     a[8] = _TRACE_ROWS[coupled]
     if not np.isfinite(a).all():
@@ -527,19 +531,22 @@ def propagate(
     and P^m is squared to P^2m. Returns (times, states) at every step
     including t = 0. Every state is Hermitized and checked: its trace may
     drift from one by at most TRACE_DRIFT_MAX (only a generator that does
-    not preserve trace does that); normalized, it must pass the
-    DensityMatrix checks. The first failing state raises InvalidState
-    naming its step; dt, t_final or a generator out of range OutOfRange.
+    not preserve trace does that); normalized, it must pass the DensityMatrix
+    checks. The first failing state raises InvalidState naming its step; dt,
+    t_final, over MAX_STEPS steps or a generator out of range OutOfRange.
     """
     if not dt > 0:  # NaN fails too
         raise OutOfRange("dt must be > 0")
     if not dt <= t_final < math.inf:
         raise OutOfRange("t_final must be finite and >= dt")
+    steps = float(t_final) / float(dt)  # inf when it overflows, on Python floats
+    if not steps - 1e-9 <= tol.MAX_STEPS:
+        raise OutOfRange(f"t_final / dt = {steps:.3g} exceeds {tol.MAX_STEPS} steps")
     if rho0.basis is not liouv.basis:
         raise InvalidState(
             f"cross-basis arithmetic: state is {rho0.basis}, generator {liouv.basis}"
         )
-    nsteps = int(math.ceil(t_final / dt - 1e-9))
+    nsteps = math.ceil(steps - 1e-9)
     times = dt * np.arange(nsteps + 1)
     power = _expm(liouv.matrix * dt).T  # P^m, transposed: the states are rows
     v = np.empty((nsteps + 1, 16), dtype=complex)

@@ -41,6 +41,10 @@ _SQ2 = math.sqrt(2.0)
 # the largest double below 1, the cap of cross_decay
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
+# c_k = 3 (-1)^k (2k + 2) / (2k + 3)! of cross_decay's series, highest first: within
+# 1 ulp below SMALL_X, where the first omitted term is below 1e-17 of the sum
+_CROSS_SERIES = [3 * (-1) ** k * (2 * k + 2) / math.factorial(2 * k + 3) for k in range(10)][::-1]
+
 # computational -> coupled basis change; rows are |+1>, |0>, |-1>, |A>
 TO_COUPLED = np.array(
     [
@@ -108,8 +112,7 @@ def _distance(k0r):
     """k0r as a float array, or a numpy float for a scalar (whose x**3 can round
     unlike np.power); InvalidGeometry unless every entry is finite and > 0."""
     x = np.asarray(k0r, dtype=float)[()]
-    ok = (x > 0) & (x < math.inf)  # NaN fails both
-    if not (ok.all() if x.ndim else ok):  # a 0-d x without a reduction, as in _any
+    if _any(~((x > 0) & (x < math.inf))):  # NaN fails both
         raise InvalidGeometry("k0r must be finite and > 0")
     return x
 
@@ -120,12 +123,11 @@ def dipole_coupling(k0r, mu_dot_rhat: float = 0.0):
     Omega/gamma = (3/4) [ -(1-|mu.r|^2) cos x / x
                           + (1-3|mu.r|^2) (sin x / x^2 + cos x / x^3) ]
 
-    Below x = 1e-3 the bracket is evaluated by series to avoid the 1/x^3
-    cancellations; the series is only summed when some x needs it. At
-    large x the powers of x that overflow enter as 1/inf = 0, the limit
-    of their terms. Accepts scalars or arrays, with the same values for
-    both; a k0r that is not finite and > 0, or so small that Omega
-    overflows (below about 2e-103), raises InvalidGeometry for the whole call.
+    One formula at every x: at short distance its 1/x^3 term leads, so it
+    needs no series. At large x the powers of x that overflow enter as
+    1/inf = 0, the limit of their terms. Scalars and arrays give the same
+    values; a k0r that is not finite and > 0, or so small that Omega
+    overflows (below about 2e-103), raises InvalidGeometry for the call.
     """
     x = _distance(k0r)
     a = 1.0 - mu_dot_rhat**2
@@ -133,44 +135,33 @@ def dipole_coupling(k0r, mu_dot_rhat: float = 0.0):
     with np.errstate(all="ignore"):
         cos = np.cos(x)
         out = 0.75 * (-a * cos / x + b * (np.sin(x) / (x * x) + cos / np.power(x, 3)))
-        if _any(x < tol.SMALL_X):
-            x = np.asarray(x)  # the series' powers as for array input
-            series = np.zeros_like(x)
-            for k in range(9):
-                f2k = math.factorial(2 * k)
-                f2k1 = math.factorial(2 * k + 1)
-                series += (-1.0) ** k * (
-                    b * x ** (2 * k - 3) / f2k + x ** (2 * k - 1) * (b / f2k1 - a / f2k)
-                )
-            series *= 0.75
-            out = np.where(x < tol.SMALL_X, series, out)
-            if _any(~np.isfinite(out)):
-                raise InvalidGeometry("k0r below about 2e-103: the dipole coupling overflows")
+    if _any(~np.isfinite(out)):
+        raise InvalidGeometry("k0r below about 2e-103: the dipole coupling overflows")
     return float(out) if np.isscalar(k0r) else out
 
 
 def cross_decay(k0r):
     """Cross decay rate Gamma12/gamma at distance x = k0r.
 
-    Gamma12/gamma = -3 [ cos x / x^2 - sin x / x^3 ], evaluated by series
-    below x = 1e-3 (the two terms cancel to O(1) there). Tends to 1 as
-    x -> 0 but stays below it: the value is capped at the largest double
-    below 1, since gamma12 == gamma exactly selects the decoupled-singlet
-    branch of the steady-state solver, which no distance reaches. Accepts
-    scalars or arrays, with the same values for both; a k0r that is not
-    finite and > 0 raises InvalidGeometry. At large x the powers of x
-    that overflow enter as 1/inf = 0, the limit of their terms.
+    Gamma12/gamma = -3 [ cos x / x^2 - sin x / x^3 ], whose terms cancel as
+    x -> 0, so below x = SMALL_X it is the series sum_k c_k x^2k of
+    _CROSS_SERIES. Tends to 1 as x -> 0 but stays below it: the value is
+    capped at the largest double below 1, since gamma12 == gamma exactly
+    selects the decoupled-singlet branch of the steady-state solver, which
+    no distance reaches. Scalars and arrays give the same values; a k0r
+    that is not finite and > 0 raises InvalidGeometry. At large x the
+    powers of x that overflow enter as 1/inf = 0, the limit of their terms.
     """
     x = _distance(k0r)
     with np.errstate(all="ignore"):
         out = -3.0 * (np.cos(x) / (x * x) - np.sin(x) / np.power(x, 3))
-        if _any(x < tol.SMALL_X):
-            x = np.asarray(x)  # the series' powers as for array input
-            series = np.zeros_like(x)
-            for k in range(1, 8):
-                series += (-1.0) ** k * (2 * k) * x ** (2 * k - 2) / math.factorial(2 * k + 1)
-            series *= -3.0
-            out = np.where(x < tol.SMALL_X, series, out)
+        small = x < tol.SMALL_X
+        if _any(small):
+            x2 = x * x
+            series = _CROSS_SERIES[0]
+            for c in _CROSS_SERIES[1:]:  # Horner, from the highest power
+                series = series * x2 + c
+            out = np.where(small, series, out) if x.ndim else series  # a 0-d x is small
     out = np.minimum(out, _BELOW_ONE)
     return float(out) if np.isscalar(k0r) else out
 

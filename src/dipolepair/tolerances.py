@@ -15,7 +15,8 @@ STATE_NORM_ATOL = 1e-10
 
 # dynamics
 TRACE_DRIFT_MAX = 1e-6        # propagate(): trace drift of a generator that loses trace
+MAX_STEPS = 10**6             # propagate(): most steps of one trajectory (256 B of state each)
 # (the singlet decouples only at gamma12 == gamma exactly: a branch, not a tolerance)
 
 # geometry factors
-SMALL_X = 1e-3                # switch to series evaluation below this k0r
+SMALL_X = 1.4                 # cross_decay: series below this k0r, closed form above

@@ -2,9 +2,9 @@
 
 ``steady_state_concurrences`` is checked against Wootters' concurrence of
 the 50-digit 16x16 steady state in ``mp_oracle``, against its strong-drive
-limits, and, with sympy, against the 9x9 block generators it is derived
-from. ``steady_state_entanglement`` must keep every check of the numeric
-path it replaced, once per state.
+limits, and, with sympy, against the master equation it is derived from.
+``steady_state_entanglement`` must keep every check of the numeric path it
+replaced, once per state.
 """
 
 import math
@@ -101,48 +101,59 @@ def test_non_finite_input_gives_nan_without_warnings():
     assert conc[0] > 0.0 and np.isnan(conc[1:]).all()
 
 
-def test_law_rederived_from_the_block_generators():
+def test_law_rederived_from_the_master_equation():
     sp = pytest.importorskip("sympy")
+    DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
     d, e, w, g = sp.symbols("delta E Omega gamma12", real=True)
+    # the 16x16 generator, built here from the master equation alone:
+    # H = sum_i [(delta/2) sz_i + E (sp_i + sm_i)] + Omega (sp_1 sm_2 + sm_1 sp_2) and
+    # decay channels (i, j) at rate 1/2 (i == j) or gamma12/2 (i != j),
+    # basis |ee>, |eg>, |ge>, |gg>, column-stacked
+    lower = sp.Matrix([[0, 0], [1, 0]])  # |g><e| on (|e>, |g>)
+    sm = [sp.kronecker_product(lower, sp.eye(2)), sp.kronecker_product(sp.eye(2), lower)]
+    spl = [m.T for m in sm]
+    ham = sum((d / 2 * (spl[i] * sm[i] * 2 - sp.eye(4)) + e * (spl[i] + sm[i])
+               for i in range(2)), sp.zeros(4, 4)) + w * (spl[0] * sm[1] + sm[0] * spl[1])
+    rates = [[sp.Rational(1, 2), g / 2], [g / 2, sp.Rational(1, 2)]]
 
-    def block(delta=0.0, drive=0.0, omega=0.0, gamma12=0.0):
-        """The 9x9 triplet block of build_liouvillian, with exact entries."""
-        lm = build_liouvillian(AtomPairConfig(delta=delta, drive=drive),
-                               Couplings(omega, gamma12)).matrix
-        m = dynamics._TRIPLET_ROWS @ lm @ dynamics._TRIPLET_COLS
-        # every entry is a dyadic rational, so Rational is exact
-        return sp.Matrix(9, 9, lambda i, j: sp.Rational(m[i, j].real)
-                         + sp.I * sp.Rational(m[i, j].imag))
+    def generator(rho):
+        out = -sp.I * (ham * rho - rho * ham)
+        for i in range(2):
+            for j in range(2):
+                a = spl[i] * sm[j]
+                out += rates[i][j] / 2 * (2 * sm[i] * rho * spl[j] - a * rho - rho * a)
+        return out
 
-    # the generator is affine in its parameters: slopes from unit inputs
-    b0 = block()
-    gen = (b0 + d * (block(delta=1.0) - b0) + e * (block(drive=1.0) - b0)
-           + w * (block(omega=1.0) - b0) + g * (block(gamma12=1.0) - b0))
+    def vec(m):
+        return [m[i, j] for j in range(4) for i in range(4)]
+
+    gen = sp.zeros(16, 16)
+    for col in range(16):
+        unit = sp.zeros(4, 4)
+        unit[col % 4, col // 4] = 1
+        gen[:, col] = sp.Matrix(vec(generator(unit)))
+    # D rho in the coupled basis (|+1>, |0>, |-1>, |A>), then in the computational one
     a = 256 * e**4
     u = sp.Matrix([16 * e**2, -8 * e * (4 * d - sp.I) / sp.sqrt(2),
-                   (4 * d - sp.I) * (4 * w + 4 * d - sp.I * (1 + g))])
-    v = sp.Matrix([0, 16 * e**2, -4 * sp.sqrt(2) * e * (4 * d - sp.I)])
-    rho = u * u.H + v * v.H + sp.diag(0, 0, a)  # D times the triplet block
-    # the block acts on the unnormalised basis |0'> = sqrt 2 |0>, column-stacked
-    scale = [1, sp.sqrt(2), 1]
-    x = sp.Matrix([rho[i, j] * scale[i] * scale[j] for j in range(3) for i in range(3)])
-    # rows 0-7 are the generator's own equations (row 8, the one p_A enters,
-    # is redundant and replaced by the trace): the candidate is stationary
-    assert all(sp.expand(r) == 0 for r in gen[:8, :] * x)
-    # the trace row, tr rho_T plus p_A = rho_{+1,+1} when coupled, gives D
-    trace_row = sp.Matrix([[2, 0, 0, 0, sp.Rational(1, 2), 0, 0, 0, 1]])
+                   (4 * d - sp.I) * (4 * w + 4 * d - sp.I * (1 + g)), 0])
+    v = sp.Matrix([0, 16 * e**2, -4 * sp.sqrt(2) * e * (4 * d - sp.I), 0])
+    rho = u * u.H + v * v.H + sp.diag(0, 0, a, a)
+    r = 1 / sp.sqrt(2)  # rows: the coupled states in the computational basis
+    to_coupled = sp.Matrix([[1, 0, 0, 0], [0, r, r, 0], [0, 0, 0, 1], [0, r, -r, 0]])
+    rho = to_coupled.T * rho * to_coupled
+    # the candidate is stationary, its trace is D, and the state is unique
+    assert all(sp.expand(r) == 0 for r in gen * sp.Matrix(vec(rho)))
     big_d = 1024 * e**4 + (1 + 16 * d**2) * (64 * e**2 + 16 * (w + d)**2 + (1 + g)**2)
-    assert sp.expand((trace_row * x)[0] - big_d) == 0
-    # and the system with that row is nonsingular, so the state is unique
-    system = gen[:8, :].col_join(trace_row)
+    assert sp.expand(rho.trace() - big_d) == 0
     point = {d: sp.Rational(1, 3), e: sp.Rational(2, 7), w: sp.Rational(5, 3),
              g: sp.Rational(1, 5)}
-    assert system.subs(point).det() != 0
+    # exact rank over the Gaussian rationals; Matrix.rank takes seconds here
+    assert DomainMatrix.from_Matrix(gen.subs(point)).rank() == 15
     # Wootters' matrix psi_i^T (Y x Y) psi_j of u, v, sqrt(A) |-1>, sqrt(A) |A>
     flip = TO_COUPLED @ np.kron(SIGMA_Y, SIGMA_Y) @ TO_COUPLED.T
     assert np.abs(flip - np.round(flip.real)).max() < 1e-15
     psi = sp.zeros(4, 4)
-    psi[:3, 0], psi[:3, 1] = u, v
+    psi[:, 0], psi[:, 1] = u, v
     psi[2, 2] = psi[3, 3] = 16 * e**2
     m = (psi.T * sp.Matrix(np.round(flip.real).astype(int)) * psi).applyfunc(sp.expand)
     tau = m[0, 0]

@@ -32,7 +32,7 @@ from dipolepair import (
     steady_state_entanglement,
 )
 from dipolepair.cli import main
-from dipolepair.errors import DipolePairError
+from dipolepair.errors import DipolePairError, OutOfRange
 
 BIG = [1.0, 2.0, 1e154, 1e300, 1e308, float(np.finfo(float).max), math.inf]
 SMALL = [0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-160]
@@ -79,8 +79,7 @@ def test_every_failure_is_a_dipole_pair_error(delta, drive, omega, gamma12, reso
     if resonant:  # delta = -omega: D = 0 on the dark line, and p = 0 next to it
         omega = -delta
     with warnings.catch_warnings():
-        # the scalar generator may overflow on the way to its typed error
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         states, errors = solve_steady_states(delta, drive, omega, gamma12)
         check_batch(errors, states)
         states, conc, eof, errors = steady_state_entanglement(delta, drive, omega, gamma12)
@@ -93,9 +92,25 @@ def test_every_failure_is_a_dipole_pair_error(delta, drive, omega, gamma12, reso
         if cfg is not None:
             c = Couplings(omega, gamma12)
             check_scalar(lambda: solve_steady_state(cfg, c))
-            check_scalar(lambda: propagate(build_liouvillian(cfg, c), GROUND, 0.5, 0.1))
+            with warnings.catch_warnings():
+                # exp(L dt) of a huge finite generator may overflow on the way to InvalidState
+                warnings.simplefilter("ignore", RuntimeWarning)
+                check_scalar(lambda: propagate(build_liouvillian(cfg, c), GROUND, 0.5, 0.1))
         point = [f"--delta={delta!r}", f"--efield={drive!r}", f"--omega={omega!r}"]
         for argv in (["steady", *point, f"--gamma12={gamma12!r}"],
                      ["spectrum", *point, f"--gamma12={gamma12!r}"],
                      ["sweep", "--axis", "gamma12=-1:1:3", *point]):
             check_cli(argv)
+
+
+@pytest.mark.parametrize("delta, drive", [(1e308, 3.0), (0.0, 1e308)])
+def test_huge_finite_inputs_raise_out_of_range_without_a_warning(delta, drive):
+    # the generator (delta) or its triplet projection (drive) overflows
+    cfg = AtomPairConfig(delta=delta, drive=drive)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="^non-finite generator$"):
+            solve_steady_state(cfg, Couplings(0.0, 0.0))
+        if delta:
+            with pytest.raises(OutOfRange, match="^non-finite generator$"):
+                build_liouvillian(cfg, Couplings(0.0, 0.0))

@@ -109,6 +109,30 @@ def test_dipole_coupling_rejects_a_distance_where_it_overflows(k0r):
     assert math.isfinite(dipole_coupling(2.3e-103, 1.0))
 
 
+def omega_exact(x, mu):
+    """Omega at k0r = x to 60 digits, a and b rounded to doubles as the package rounds them."""
+    mp = pytest.importorskip("mpmath").mp
+    a, b = 1.0 - mu**2, 1.0 - 3.0 * mu**2
+    with mp.workdps(60):
+        x = mp.mpf(x)
+        c = mp.cos(x)
+        return 0.75 * (-a * c / x + b * (mp.sin(x) / x**2 + c / x**3))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.5, 0.5773502691896258, 0.57735, 0.9, 1.0])
+def test_dipole_coupling_is_one_formula_within_1e_15_of_mpmath(mu):
+    # no series at short distance: the closed form holds down to the overflow,
+    # also where b / x^3 nearly balances a / x (|mu.r| = 0.57735, x ~ 1e-3)
+    for x in np.geomspace(2e-103, 1e-3, 1500).tolist():
+        exact = omega_exact(x, mu)
+        try:
+            got = dipole_coupling(x, mu)
+        except InvalidGeometry:  # only within a factor 4/3 of the largest double
+            assert abs(exact) > 0.74 * np.finfo(float).max, (x, mu)
+            continue
+        assert abs(got - exact) <= 1e-15 * abs(exact), (x, mu, got)
+
+
 # ------------------------------------------------------- cross decay
 
 
@@ -134,6 +158,25 @@ def test_cross_decay_stays_below_one_at_every_distance():
     g = cross_decay(x)
     assert (g < 1.0).all() and g[:5].tolist() == [np.nextafter(1.0, 0.0)] * 5
     assert g.tolist() == [cross_decay(float(v)) for v in x]
+
+
+def test_cross_decay_within_one_ulp_below_the_switch_and_the_closed_form_above():
+    # the closed form cancels well above x = 1e-3 (millions of ulp at 1e-2, 19 at 0.5)
+    mp = pytest.importorskip("mpmath").mp
+    below = np.concatenate([np.geomspace(1e-8, SMALL_X, 3000, endpoint=False),
+                            np.linspace(0.9 * SMALL_X, SMALL_X, 500, endpoint=False),
+                            [1.001e-3, np.nextafter(SMALL_X, 0.0)]])
+    with mp.workdps(60):
+        for x in below.tolist():
+            y = mp.mpf(x)
+            exact = 3 * (mp.sin(y) - y * mp.cos(y)) / y**3
+            got = cross_decay(x)
+            assert abs(got - exact) <= np.spacing(float(exact)), (x, got)
+    above = np.concatenate([[SMALL_X], np.geomspace(SMALL_X, 1e3, 2000)])
+    closed = -3.0 * (np.cos(above) / (above * above) - np.sin(above) / np.power(above, 3))
+    assert np.array_equal(cross_decay(above), closed)
+    # the singlet decay 1 - Gamma12 that `spectrum --k0r 1.001e-3` prints
+    assert 1.0 - cross_decay(1.001e-3) == pytest.approx(1.00200096414e-07, rel=1e-9)
 
 
 # ------------------------------------------------------- small-x series guard
@@ -177,10 +220,9 @@ def test_small_x_series_agreement():
 
 
 def test_coupling_branches_agree_at_series_switch():
-    # both evaluation branches sit on the same Taylor oracle right at the
-    # switch point (the direct branch carries ~1e-10 cancellation noise)
-    x_lo = 1e-3 * (1 - 1e-9)   # series branch
-    x_hi = 1e-3 * (1 + 1e-9)   # direct branch
+    # both factors sit on the Taylor oracle just either side of x = 1e-3
+    x_lo = 1e-3 * (1 - 1e-9)
+    x_hi = 1e-3 * (1 + 1e-9)
     for x in (x_lo, x_hi):
         assert abs(cross_decay(x) - _gamma_taylor6(x)) <= 2e-10
         ref = _omega_taylor6(x, 0.0)

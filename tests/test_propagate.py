@@ -19,6 +19,7 @@ from dipolepair import (
     propagate,
     vec,
 )
+from dipolepair import dynamics
 from dipolepair import tolerances as tol
 from dipolepair.dynamics import _THETA, _density_errors, _expm
 from dipolepair.errors import InvalidState, OutOfRange
@@ -97,6 +98,18 @@ def test_a_step_or_length_out_of_range_is_out_of_range(t_final, dt):
     cfg = AtomPairConfig(drive=1.0, k0r=0.5)
     liouv = build_liouvillian(cfg, couplings_from_geometry(cfg))
     with pytest.raises(OutOfRange):
+        propagate(liouv, DensityMatrix(GROUND, BasisTag.COMPUTATIONAL), t_final, dt)
+
+
+@pytest.mark.parametrize("t_final, dt", [(1.0, 1e-300), (1.0, 1e-20), (1e300, 1e-10),
+                                         (1.0, 1.0 / (tol.MAX_STEPS + 1))])
+def test_more_steps_than_the_cap_is_out_of_range_before_any_work(monkeypatch, t_final, dt):
+    # unbounded, these asked numpy for an array too large (ValueError) or
+    # converted an infinite step count to int (OverflowError)
+    cfg = AtomPairConfig(drive=1.0, k0r=0.5)
+    liouv = build_liouvillian(cfg, couplings_from_geometry(cfg))
+    monkeypatch.setattr(dynamics, "_expm", None)  # reached only after the cap
+    with pytest.raises(OutOfRange, match=f"exceeds {tol.MAX_STEPS} steps$"):
         propagate(liouv, DensityMatrix(GROUND, BasisTag.COMPUTATIONAL), t_final, dt)
 
 
