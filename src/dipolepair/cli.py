@@ -298,7 +298,8 @@ def _mesh(ns, config, axes=(), drive=None, limit=False):
     if (efield < 0).any():
         raise UsageError("drive must be >= 0")
     if "tau" in params:
-        params["omega"] = params["tau"] * efield**2
+        with np.errstate(over="ignore", invalid="ignore"):  # fails its point as non-finite
+            params["omega"] = params["tau"] * efield**2
     elif "k0r" in params:
         k0r = params["k0r"]
         # one call per mesh, which rejects a k0r that is not finite and > 0;
@@ -388,10 +389,12 @@ def _cmd_spectrum(ns, config) -> int:
     roots, _ = hermitian_eig(triplet_block(cfg.delta, couplings.omega, cfg.drive))
     heff = build_effective_hamiltonian(cfg, couplings)
     heff_evals = general_eig(heff)
+    # the singlet line, exact: -omega and 1 - gamma12 (+ 0.0 turns a zero decay's -0 into 0)
+    singlet = float(heff[3, 3].real), -2.0 * float(heff[3, 3].imag) + 0.0
     fmt = _resolve(ns, config, "format", "text")
     with _output(ns, config) as out:
         rows = [("triplet", float(r), float("nan")) for r in roots]
-        rows.append(("singlet", -couplings.omega, cfg.gamma - couplings.gamma12))
+        rows.append(("singlet", *singlet))
         rows += [("damped", v.real, -2.0 * v.imag) for v in heff_evals]
         if fmt == "json":
             payload = [
@@ -405,10 +408,7 @@ def _cmd_spectrum(ns, config) -> int:
                 out.write(f"{b},{_fmt(e)},{_fmt(d)}\n")
         else:
             out.write(f"triplet eigenvalues: {'  '.join(_fmt(float(r)) for r in roots)}\n")
-            out.write(
-                f"singlet eigenvalue:  {_fmt(-couplings.omega)}"
-                f"  (decay {_fmt(cfg.gamma - couplings.gamma12)})\n"
-            )
+            out.write(f"singlet eigenvalue:  {_fmt(singlet[0])}  (decay {_fmt(singlet[1])})\n")
             out.write("damped spectrum (energy, decay rate):\n")
             for v in heff_evals:
                 out.write(f"  {_fmt(v.real):>18}  {_fmt(-2.0 * v.imag):>18}\n")

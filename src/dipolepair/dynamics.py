@@ -12,14 +12,13 @@ matrix sits at flat index i + n*j, and vec(A X B) = kron(B.T, A) vec(X).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import tolerances as tol
-from .errors import InvalidRegime, InvalidRegimeWarning, InvalidState, OutOfRange
+from .errors import InvalidRegime, InvalidState, OutOfRange
 from .linalg import BasisTag, hermitian_part, kron
 from .model import (
     SM1,
@@ -111,12 +110,12 @@ def build_liouvillian(cfg: AtomPairConfig, c: Couplings) -> Liouvillian:
     """Superoperator of the master equation, computational basis.
 
     Generates -i[H, rho] plus the correlated decay of both atoms, with
-    channel rates (gamma/2, gamma12/2) as in the module docstring. Trace is
+    channel rates (1/2, gamma12/2) as in the module docstring. Trace is
     preserved: vec(I) is a left null vector. An overflow raises OutOfRange.
     """
     with np.errstate(all="ignore"):
         h = build_hamiltonian(cfg, c.omega)
-        rates = (0.5 * float(cfg.gamma), 0.5 * float(c.gamma12))
+        rates = (0.5, 0.5 * float(c.gamma12))
         lm = -1j * (kron(_I4, h) - kron(h.T, _I4))
         for cross, sp_j_t, sm_i, a in _CHANNELS:
             lm += 0.5 * rates[cross] * (2.0 * kron(sp_j_t, sm_i) - kron(_I4, a) - kron(a.T, _I4))
@@ -411,45 +410,34 @@ def _coupled_state(block: np.ndarray, p_a: float = 0.0) -> DensityMatrix:
 
 
 def analytic_steady_state(omega: float, drive: float) -> DensityMatrix:
-    """Exact steady state in the triplet sector for gamma12 = gamma, delta = 0.
+    """Exact steady state in the triplet sector for gamma12 = 1, delta = 0.
 
     Hard-coded closed form on (|+1>, |0>, |-1>), normalized by its trace
     N = 192 E^4 + 16 E^2 + 4 W^2 + 1, returned in the coupled basis with
-    the singlet row and column exactly zero; inputs outside the domain of
-    solve_steady_states raise its errors. At drive = 0 the matrix
-    degenerates to the ground state diag(0, 0, 1, 0), with a warning.
+    the singlet row and column exactly zero. At drive = 0 it is the ground
+    state diag(0, 0, 1, 0) (its last entry to within an ulp, from the
+    division). Inputs outside the domain of solve_steady_states raise its
+    errors, and so does a state that overflows (from E ~ 3.1e76 or
+    |W| ~ 6.7e153).
     """
     if code := _outside(math.isfinite(omega) and math.isfinite(drive), drive, 1.0):
         raise _OUTSIDE[code]()
-    if drive == 0.0:
-        warnings.warn(
-            "drive = 0: steady state degenerates to the ground state",
-            InvalidRegimeWarning,
-            stacklevel=2,
-        )
-        return _coupled_state(np.diag([0.0, 0.0, 1.0]))
     e, w = drive, omega
-    m = np.array(
-        [
-            [
-                64.0 * e**4,
-                -16j * e**3 * _SQ2,
-                8.0 * e**2 * (2j * w - 1.0),
-            ],
-            [
-                16j * e**3 * _SQ2,
-                8.0 * e**2 * (1.0 + 8.0 * e**2),
-                -2.0 * e * _SQ2 * (2.0 * w + 1j + 8j * e**2),
-            ],
-            [
-                -8.0 * e**2 * (2j * w + 1.0),
-                -2.0 * e * _SQ2 * (2.0 * w - 1j - 8j * e**2),
-                4.0 * (w**2 + 2.0 * e**2 + 16.0 * e**4) + 1.0,
-            ],
-        ],
-        dtype=complex,
-    )
-    return _coupled_state(m / np.trace(m).real)
+    try:  # Python floats: a power beyond the largest double raises OverflowError
+        m = np.array([
+            [64.0 * e**4, -16j * e**3 * _SQ2, 8.0 * e**2 * (2j * w - 1.0)],
+            [16j * e**3 * _SQ2, 8.0 * e**2 * (1.0 + 8.0 * e**2),
+             -2.0 * e * _SQ2 * (2.0 * w + 1j + 8j * e**2)],
+            [-8.0 * e**2 * (2j * w + 1.0), -2.0 * e * _SQ2 * (2.0 * w - 1j - 8j * e**2),
+             4.0 * (w**2 + 2.0 * e**2 + 16.0 * e**4) + 1.0],
+        ], dtype=complex)
+    except OverflowError:
+        raise _OUTSIDE[0]() from None
+    with np.errstate(over="ignore"):
+        trace = np.trace(m).real  # a sum of entries >= 0 that bound the others
+    if not math.isfinite(trace):  # a product, or the sum, overflowed to inf
+        raise _OUTSIDE[0]()
+    return _coupled_state(m / trace)
 
 
 def lamb_dicke_limit_state(tau: float) -> DensityMatrix:
@@ -457,17 +445,19 @@ def lamb_dicke_limit_state(tau: float) -> DensityMatrix:
 
     (1 / (tau^2 + 48)) [[16, 0, 4 i tau], [0, 16, 0], [-4 i tau, 0, 16 + tau^2]]
     on (|+1>, |0>, |-1>), returned in the coupled basis with the singlet
-    row and column exactly zero; trace is exactly one.
+    row and column exactly zero; trace is exactly one. A tau that is not
+    finite, or whose square overflows (|tau| above about 1.3e154), raises
+    the OutOfRange of solve_steady_states.
     """
-    m = np.array(
-        [
-            [16.0, 0.0, 4j * tau],
-            [0.0, 16.0, 0.0],
-            [-4j * tau, 0.0, 16.0 + tau**2],
-        ],
-        dtype=complex,
-    )
-    return _coupled_state(m / (tau**2 + 48.0))
+    if not math.isfinite(tau):
+        raise _OUTSIDE[1]()
+    try:  # a Python float: its square beyond the largest double raises OverflowError
+        tau2 = tau**2
+    except OverflowError:
+        raise _OUTSIDE[0]() from None
+    m = np.array([[16.0, 0.0, 4j * tau], [0.0, 16.0, 0.0], [-4j * tau, 0.0, 16.0 + tau2]],
+                 dtype=complex)
+    return _coupled_state(m / (tau2 + 48.0))
 
 
 # Pade(m) coefficients b_k = (2m - k)! / (k! (m - k)!), up to a common
@@ -485,7 +475,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
     The lowest degree m in (3, 5, 7, 9) with ||a||_1 <= theta_m, unscaled;
     above theta_9 degree 13, scaled by 2^-s so that the norm is at most
-    theta_13, then squared s times. A non-finite entry raises OutOfRange.
+    theta_13, then squared s times. A non-finite entry, or a result that
+    overflows, raises OutOfRange.
     """
     norm = float(np.abs(a).sum(axis=0).max())
     if not math.isfinite(norm):
@@ -515,8 +506,12 @@ def _expm(a: np.ndarray) -> np.ndarray:
     v.reshape(-1)[:: len(a) + 1] += b[0]
     u = a @ u
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    if s:  # the squarings of a huge generator's step can overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(s):
+                r = r @ r
+        if not np.isfinite(r).all():
+            raise OutOfRange("exponential overflows")
     return r
 
 

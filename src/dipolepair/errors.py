@@ -35,7 +35,3 @@ class OutOfRange(DipolePairError, ValueError):
 
 class InvalidRegime(DipolePairError):
     """Result requested outside its regime of validity (closed form or solve)."""
-
-
-class InvalidRegimeWarning(UserWarning):
-    """Closed form evaluated at a degenerate boundary; limit value returned."""

@@ -37,6 +37,7 @@ SM2 = kron(I2, SIGMA_MINUS)
 _EXCHANGE = SP1 @ SM2 + SM1 @ SP2  # sp_1 sm_2 + sm_1 sp_2, of the dipole coupling
 
 _SQ2 = math.sqrt(2.0)
+_DIAG = np.diag_indices(4)
 
 # the largest double below 1, the cap of cross_decay
 _BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -67,10 +68,10 @@ class AtomPairConfig:
     drive:       classical drive amplitude, >= 0
     k0r:         dimensionless interatomic distance, finite and > 0
     mu_dot_rhat: |mu . r| in [0, 1], dipole projection on the axis
-    gamma:       the rate unit, fixed to 1
 
-    A k0r outside its domain, nan and inf included, raises InvalidGeometry
-    with the message of the geometry factors; any other non-finite or
+    gamma, the single-atom decay rate, is the unit and not a field. A k0r
+    outside its domain, nan and inf included, raises InvalidGeometry with
+    the message of the geometry factors; any other non-finite or
     out-of-range field raises OutOfRange.
     """
 
@@ -78,10 +79,9 @@ class AtomPairConfig:
     drive: float = 0.0
     k0r: float = 1.0
     mu_dot_rhat: float = 0.0
-    gamma: float = 1.0
 
     def __post_init__(self):
-        values = (self.delta, self.drive, self.mu_dot_rhat, self.gamma)
+        values = (self.delta, self.drive, self.mu_dot_rhat)
         if not all(map(math.isfinite, values)):
             raise OutOfRange(f"inputs must be finite, got {self}")
         if self.drive < 0:
@@ -90,8 +90,6 @@ class AtomPairConfig:
             raise InvalidGeometry("k0r must be finite and > 0")
         if not 0.0 <= self.mu_dot_rhat <= 1.0:
             raise OutOfRange("mu_dot_rhat must lie in [0, 1]")
-        if self.gamma != 1.0:
-            raise OutOfRange("gamma is the rate unit and is fixed to 1")
 
 
 @dataclass(frozen=True)
@@ -133,8 +131,10 @@ def dipole_coupling(k0r, mu_dot_rhat: float = 0.0):
     a = 1.0 - mu_dot_rhat**2
     b = 1.0 - 3.0 * mu_dot_rhat**2
     with np.errstate(all="ignore"):
-        cos = np.cos(x)
-        out = 0.75 * (-a * cos / x + b * (np.sin(x) / (x * x) + cos / np.power(x, 3)))
+        # 3 (T / 4) for (3/4) T: the quarter, exact, comes first, where T alone
+        # overflows at an Omega that does not
+        cos, sin = 0.25 * np.cos(x), 0.25 * np.sin(x)
+        out = 3.0 * (-a * cos / x + b * (sin / (x * x) + cos / np.power(x, 3)))
     if _any(~np.isfinite(out)):
         raise InvalidGeometry("k0r below about 2e-103: the dipole coupling overflows")
     return float(out) if np.isscalar(k0r) else out
@@ -201,20 +201,18 @@ def triplet_block(delta: float, omega: float, drive: float) -> np.ndarray:
 def build_effective_hamiltonian(cfg: AtomPairConfig, c: Couplings) -> np.ndarray:
     """Non-Hermitian no-jump Hamiltonian, coupled basis (|+1>,|0>,|-1>,|A>).
 
-    The singlet row and column are zero off the diagonal for every
-    parameter value; its decay rate vanishes when gamma12 = gamma.
+    triplet_block plus the singlet energy -omega, less i/2 times the decay
+    rates (2, 1 + gamma12, 0, 1 - gamma12) on the diagonal. The singlet row
+    and column are zero off the diagonal for every parameter value; its
+    decay rate vanishes when gamma12 = 1. The rates enter the imaginary
+    parts in real arithmetic: a complex product would turn an infinite
+    rate into NaN in the energies.
     """
-    g, g12 = cfg.gamma, c.gamma12
-    e = _SQ2 * cfg.drive
-    return np.array(
-        [
-            [cfg.delta - 1j * g, e, 0.0, 0.0],
-            [e, c.omega - 0.5j * (g + g12), e, 0.0],
-            [0.0, e, -cfg.delta, 0.0],
-            [0.0, 0.0, 0.0, -c.omega - 0.5j * (g - g12)],
-        ],
-        dtype=complex,
-    )
+    h = np.zeros((4, 4), dtype=complex)
+    h[:3, :3] = triplet_block(cfg.delta, c.omega, cfg.drive)
+    h[3, 3] = -c.omega
+    h.imag[_DIAG] -= 0.5 * np.array([2.0, 1.0 + c.gamma12, 0.0, 1.0 - c.gamma12])
+    return h
 
 
 def tau_of_geometry(k0r: float, q_factor: float, nbar_v: float) -> float:

@@ -101,7 +101,7 @@ def kron_loop_liouvillian(cfg, c) -> np.ndarray:
     h = h + c.omega * (SP1 @ SM2 + SM1 @ SP2)
     lops_minus = (SM1, SM2)
     lops_plus = (SP1, SP2)
-    rates = 0.5 * np.array([[cfg.gamma, c.gamma12], [c.gamma12, cfg.gamma]], dtype=float)
+    rates = 0.5 * np.array([[1.0, c.gamma12], [c.gamma12, 1.0]], dtype=float)
     lm = -1j * (kron(_i4, h) - kron(h.T, _i4))
     for i in range(2):
         for j in range(2):

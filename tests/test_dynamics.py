@@ -22,7 +22,7 @@ from dipolepair import (
     vec,
     wootters_concurrence,
 )
-from dipolepair.errors import InvalidRegimeWarning, InvalidState, OutOfRange
+from dipolepair.errors import InvalidState, OutOfRange
 from dipolepair.model import SM1, SM2, SP1, SP2, TO_COUPLED
 from svd_reference import (
     DegenerateKernel,
@@ -80,7 +80,7 @@ def test_liouvillian_matches_direct_evaluation():
     h = build_hamiltonian(cfg, c.omega)
     for _ in range(20):
         rho = random_density()
-        direct = lindblad_rhs(h, cfg.gamma, c.gamma12, rho)
+        direct = lindblad_rhs(h, 1.0, c.gamma12, rho)
         assert np.abs(unvec(liouv.matrix @ vec(rho), 4) - direct).max() < 1e-12
 
 
@@ -218,11 +218,20 @@ def test_analytic_state_weak_drive_limit():
     assert np.abs(state.matrix - np.diag([0.0, 0.0, 1.0, 0.0])).max() < 1e-5
 
 
-def test_analytic_state_zero_drive_returns_ground_with_warning():
-    with pytest.warns(InvalidRegimeWarning):
-        state = analytic_steady_state(1.0, 0.0)
-    assert np.array_equal(state.matrix, np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex))
-    assert state.basis is BasisTag.COUPLED
+def test_analytic_state_zero_drive_returns_ground_without_warning():
+    # the paper's formula itself: every entry but [-1, -1] is 0 at drive 0, and
+    # that one is (4 W^2 + 1) over itself, which the division rounds by an ulp
+    ground = np.diag([0.0, 0.0, 1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for omega in (0.0, 1.0, -3.0, 1e150):
+            state = analytic_steady_state(omega, 0.0)
+            assert state.basis is BasisTag.COUPLED
+            m = state.matrix
+            assert not m.imag.any() and np.array_equal(m.real != 0.0, ground != 0.0)
+            if omega in (0.0, 1.0):
+                assert np.array_equal(m, ground)
+            assert m[2, 2].real in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)), omega
 
 
 def test_analytic_state_rejects_inputs_outside_the_steady_state_domain():
@@ -269,8 +278,7 @@ def test_analytic_state_approaches_strong_drive_form():
 def test_closed_forms_are_coupled_states_with_an_empty_singlet():
     tau = 9.21
     limit = np.array([[16.0, 0.0, 4j * tau], [0.0, 16.0, 0.0], [-4j * tau, 0.0, 16.0 + tau**2]])
-    with pytest.warns(InvalidRegimeWarning):
-        ground = analytic_steady_state(1.0, 0.0)
+    ground = analytic_steady_state(1.0, 0.0)
     for state in (analytic_steady_state(2.0, 1.0), lamb_dicke_limit_state(tau), ground):
         assert state.basis is BasisTag.COUPLED and state.matrix.shape == (4, 4)
         assert not state.matrix[3].any() and not state.matrix[:, 3].any()

@@ -2,8 +2,9 @@
 
 Extreme inputs (magnitudes up to the largest double, subnormal drives,
 gamma12 at and next to +-1, NaN and inf) go through the batch, the scalar
-solve, propagation and the CLI. The batch reports each point's failure in
-its error slot; the scalar calls raise; the CLI prints one ``error:`` line.
+solve, the closed forms, propagation and the CLI. The batch reports each
+point's failure in its error slot; the scalar calls raise; the CLI prints
+one ``error:`` line.
 None of them may let numpy's LinAlgError, or any other exception, through.
 """
 
@@ -25,7 +26,9 @@ from dipolepair import (
     BasisTag,
     Couplings,
     DensityMatrix,
+    analytic_steady_state,
     build_liouvillian,
+    lamb_dicke_limit_state,
     propagate,
     solve_steady_state,
     solve_steady_states,
@@ -92,14 +95,16 @@ def test_every_failure_is_a_dipole_pair_error(delta, drive, omega, gamma12, reso
         if cfg is not None:
             c = Couplings(omega, gamma12)
             check_scalar(lambda: solve_steady_state(cfg, c))
-            with warnings.catch_warnings():
-                # exp(L dt) of a huge finite generator may overflow on the way to InvalidState
-                warnings.simplefilter("ignore", RuntimeWarning)
-                check_scalar(lambda: propagate(build_liouvillian(cfg, c), GROUND, 0.5, 0.1))
+            check_scalar(lambda: propagate(build_liouvillian(cfg, c), GROUND, 0.5, 0.1))
+        # the closed forms, with omega standing in for tau
+        check_scalar(lambda: analytic_steady_state(omega, drive))
+        check_scalar(lambda: lamb_dicke_limit_state(omega))
         point = [f"--delta={delta!r}", f"--efield={drive!r}", f"--omega={omega!r}"]
         for argv in (["steady", *point, f"--gamma12={gamma12!r}"],
                      ["spectrum", *point, f"--gamma12={gamma12!r}"],
-                     ["sweep", "--axis", "gamma12=-1:1:3", *point]):
+                     ["sweep", "--axis", "gamma12=-1:1:3", *point],
+                     ["steady", f"--tau={omega!r}"],
+                     ["steady", f"--tau={omega!r}", f"--efield={drive!r}"]):
             check_cli(argv)
 
 
@@ -114,3 +119,41 @@ def test_huge_finite_inputs_raise_out_of_range_without_a_warning(delta, drive):
         if delta:
             with pytest.raises(OutOfRange, match="^non-finite generator$"):
                 build_liouvillian(cfg, Couplings(0.0, 0.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: analytic_steady_state(1e200, 1.0),  # W^2 raises OverflowError on Python floats
+    lambda: analytic_steady_state(1.0, 1e80),  # E^4 too
+    lambda: analytic_steady_state(1.0, 1.2e77),  # 64 E^4 overflows to inf
+    lambda: analytic_steady_state(1.0, 3.5e76),  # the entries are finite, their sum is not
+    lambda: analytic_steady_state(1e154, 1.0),  # 4 W^2 too
+    lambda: lamb_dicke_limit_state(1e200),  # tau^2
+    lambda: lamb_dicke_limit_state(-1.4e154),
+], ids=["W=1e200", "E=1e80", "E=1.2e77", "E=3.5e76", "W=1e154", "tau=1e200", "tau=-1.4e154"])
+def test_closed_forms_that_overflow_raise_the_batch_error_without_a_warning(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="^non-finite steady state$"):
+            call()
+
+
+def test_an_overflowing_step_raises_out_of_range_without_a_warning():
+    # exp(L dt) of a huge finite generator overflows in the squaring
+    liouv = build_liouvillian(AtomPairConfig(delta=1.0), Couplings(1e154, -1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="^exponential overflows$"):
+            propagate(liouv, GROUND, 0.5, 0.1)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["steady", "--tau", "1e200"], "error: non-finite steady state\n"),
+    (["steady", "--tau", "3", "--efield", "1e200"], "error: inputs must be finite\n"),
+])
+def test_steady_at_a_huge_tau_or_drive_prints_one_error_line(argv, message):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert out.getvalue() == "" and err.getvalue() == message

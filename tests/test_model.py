@@ -122,13 +122,14 @@ def omega_exact(x, mu):
 @pytest.mark.parametrize("mu", [0.0, 0.3, 0.5, 0.5773502691896258, 0.57735, 0.9, 1.0])
 def test_dipole_coupling_is_one_formula_within_1e_15_of_mpmath(mu):
     # no series at short distance: the closed form holds down to the overflow,
-    # also where b / x^3 nearly balances a / x (|mu.r| = 0.57735, x ~ 1e-3)
-    for x in np.geomspace(2e-103, 1e-3, 1500).tolist():
+    # also where b / x^3 nearly balances a / x (|mu.r| = 0.57735, x ~ 1e-3);
+    # at 2.19e-103 Omega(1) = -1.428e308, where (3/4) T overflows and 3 (T / 4) does not
+    for x in np.geomspace(2e-103, 1e-3, 1500).tolist() + [2.19e-103]:
         exact = omega_exact(x, mu)
         try:
             got = dipole_coupling(x, mu)
-        except InvalidGeometry:  # only within a factor 4/3 of the largest double
-            assert abs(exact) > 0.74 * np.finfo(float).max, (x, mu)
+        except InvalidGeometry:  # only where Omega is beyond the largest double
+            assert abs(exact) > np.finfo(float).max, (x, mu)
             continue
         assert abs(got - exact) <= 1e-15 * abs(exact), (x, mu, got)
 
@@ -318,6 +319,52 @@ def test_effective_hamiltonian_singlet_row_column_zero():
         assert np.abs(heff[:3, 3]).max() == 0.0
 
 
+def written_out_effective_hamiltonian(cfg, c):
+    """H_eff with every entry written out, in complex arithmetic."""
+    g12, e = c.gamma12, math.sqrt(2.0) * cfg.drive
+    return np.array(
+        [
+            [cfg.delta - 1j, e, 0.0, 0.0],
+            [e, c.omega - 0.5j * (1.0 + g12), e, 0.0],
+            [0.0, e, -cfg.delta, 0.0],
+            [0.0, 0.0, 0.0, -c.omega - 0.5j * (1.0 - g12)],
+        ],
+        dtype=complex,
+    )
+
+
+def test_effective_hamiltonian_is_the_written_out_matrix_bit_for_bit():
+    # over |gamma12| <= 1, the cross decay's range, zeros and gamma12 = +-1 included;
+    # the two differ only in the sign of a zero energy when |gamma12| > 1
+    rng = np.random.default_rng(24)
+
+    def signed(n):
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+        values = np.where(rng.random(n) < 0.2, rng.uniform(-3.0, 3.0, n), values)
+        values[rng.random(n) < 0.05] = 0.0
+        return values.tolist()
+
+    n = 20000
+    gamma12 = np.where(rng.random(n) < 0.1, rng.choice([-1.0, 0.0, 1.0], n),
+                       rng.uniform(-1.0, 1.0, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delta, drive, omega, g12 in zip(signed(n), np.abs(signed(n)).tolist(), signed(n),
+                                            gamma12.tolist()):
+            cfg, c = AtomPairConfig(delta=delta, drive=drive), Couplings(omega, g12)
+            got = build_effective_hamiltonian(cfg, c)
+            expected = written_out_effective_hamiltonian(cfg, c)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (cfg, c)
+        # an infinite or NaN rate stays in the imaginary parts: no NaN energy, no warning
+        cfg = AtomPairConfig(delta=0.5, drive=1.0)
+        for g12 in (math.inf, -math.inf, math.nan):
+            heff = build_effective_hamiltonian(cfg, Couplings(2.0, g12))
+            assert heff.real.tolist() == written_out_effective_hamiltonian(
+                cfg, Couplings(2.0, 0.0)).real.tolist()
+            assert heff[0, 0].imag == -1.0 and heff[2, 2].imag == 0.0
+            np.testing.assert_equal(-2.0 * heff.imag[[1, 3], [1, 3]], [1.0 + g12, 1.0 - g12])
+
+
 # ------------------------------------------------------- tau and geometry
 
 
@@ -403,12 +450,12 @@ def test_config_validation():
         AtomPairConfig(k0r=0.0)
     with pytest.raises(ValueError):
         AtomPairConfig(mu_dot_rhat=1.5)
-    with pytest.raises(ValueError):
-        AtomPairConfig(gamma=2.0)
+    with pytest.raises(TypeError):  # gamma is the rate unit, not a field
+        AtomPairConfig(gamma=1.0)
 
 
 @pytest.mark.parametrize("fields", [{"drive": -0.1}, {"mu_dot_rhat": 1.5},
-                                    {"mu_dot_rhat": -0.1}, {"gamma": 2.0}])
+                                    {"mu_dot_rhat": -0.1}, {"drive": -5e-324}])
 def test_config_range_errors_are_typed(fields):
     with pytest.raises(OutOfRange) as info:
         AtomPairConfig(**fields)
@@ -416,7 +463,7 @@ def test_config_range_errors_are_typed(fields):
 
 
 def test_config_rejects_non_finite_fields():
-    for field in ("delta", "drive", "mu_dot_rhat", "gamma"):
+    for field in ("delta", "drive", "mu_dot_rhat"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(OutOfRange, match="finite"):
                 AtomPairConfig(**{field: bad})
