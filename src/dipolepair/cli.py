@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -27,7 +28,8 @@ from collections import Counter
 import numpy as np
 
 from .dynamics import DensityMatrix, _broadcast, lamb_dicke_limit_state
-from .entanglement import TAU_PEAK, steady_state_entanglement, wootters_concurrence
+from .entanglement import (TAU_PEAK, _eofs, _steady_concurrence, steady_state_entanglement,
+                           wootters_concurrence)
 from .errors import DipolePairError
 from .linalg import BasisTag, general_eig, hermitian_eig
 from .model import (
@@ -82,7 +84,7 @@ def _write_rows(columns, rows, fmt: str, out) -> None:
 
 
 def _output(ns, config):
-    """Context manager of the output: the --out file, closed on exit, or stdout."""
+    """Context manager of the output: the --out file, written on exit, or stdout."""
     path = _resolve(ns, config, "out", None)
     if path is None:
         return contextlib.nullcontext(sys.stdout)
@@ -90,23 +92,28 @@ def _output(ns, config):
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    return _written_in_place(os.fdopen(fd, "w"))
+    return _written_in_place(fd)
 
 
 @contextlib.contextmanager
-def _written_in_place(out):
-    """Yield ``out``, opened without truncation; on exit cut a regular file to length.
+def _written_in_place(fd):
+    """Yield a text buffer; on exit write it to ``fd``, opened without
+    truncation, cut a regular file to length and close ``fd``.
 
     The bytes on disk end up those of open(path, "w"), without its
     truncation of the old contents first, which costs far more than the
     write on some file systems. Devices and FIFOs are never truncated.
     """
-    with out:
-        try:
-            yield out
-        finally:
-            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-                out.truncate()  # flushes, then cuts at the written length
+    text = io.StringIO()
+    try:
+        yield text
+    finally:
+        with open(fd, "wb", buffering=0) as raw:
+            data = memoryview(text.getvalue().encode())
+            while data:
+                data = data[raw.write(data):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                raw.truncate()  # at the written length
 
 
 def _print_matrix(m: np.ndarray, labels, out) -> None:
@@ -246,14 +253,15 @@ def _mesh(ns, config, axes=(), drive=None, limit=False):
     Each of POINT_FLAGS (flag over config) fixes one value on every point.
     A distance k0r gives omega = dipole_coupling(k0r, mu) and gamma12 =
     cross_decay(k0r); --omega takes --gamma12, default 0; tau with a drive
-    gives omega = tau efield^2 and gamma12 = 1 and needs delta = 0;
-    --lamb-dicke fixes gamma12 = 1 and delta = 0. ``drive`` is the drive
-    when none is given (None: one must be). With ``limit``, tau without a
-    drive stands for the strong-drive limit state, and only its tau, delta
-    and gamma12 are returned. Every usage error is raised here, before any
-    solve. Returns (columns, fixed): the flat columns by name, delta,
-    efield, omega and gamma12 as solved, then k0r or tau when given, and
-    the names fixed on every point.
+    gives omega = tau efield^2 (tau efield times efield where efield^2
+    overflows) and gamma12 = 1 and needs delta = 0; --lamb-dicke fixes
+    gamma12 = 1 and delta = 0. ``drive`` is the drive when none is given
+    (None: one must be). With ``limit``, tau without a drive stands for
+    the strong-drive limit state, and only its tau, delta and gamma12 are
+    returned. Every usage error is raised here, before any solve. Returns
+    (columns, fixed): the flat columns by name (np.meshgrid(...,
+    indexing="ij") ravelled), delta, efield, omega and gamma12 as solved,
+    then k0r or tau when given, and the names fixed on every point.
     """
     names = [name for name, _ in axes]
     fixed = {key: float(value) for key in POINT_FLAGS
@@ -277,9 +285,12 @@ def _mesh(ns, config, axes=(), drive=None, limit=False):
     if not 0.0 <= mu <= 1.0:
         raise UsageError("--mu-dot-rhat must lie in [0, 1]")
 
-    grids = np.meshgrid(*(values for _, values in axes), indexing="ij")
-    n = grids[0].size if grids else 1
-    params = {name: grid.ravel() for name, grid in zip(names, grids)}
+    # row-major: each value repeated over the later axes, that block over the earlier ones
+    n = math.prod(len(values) for _, values in axes)
+    params, inner = {}, n
+    for name, values in axes:
+        inner //= len(values)
+        params[name] = values.repeat(inner)[None].repeat(n // (inner * len(values)), 0).ravel()
     params.update((key, np.full(n, value)) for key, value in fixed.items())
     delta = params.setdefault("delta", np.zeros(n))
     if "tau" in params:
@@ -299,7 +310,8 @@ def _mesh(ns, config, axes=(), drive=None, limit=False):
         raise UsageError("drive must be >= 0")
     if "tau" in params:
         with np.errstate(over="ignore", invalid="ignore"):  # fails its point as non-finite
-            params["omega"] = params["tau"] * efield**2
+            tau, e2 = params["tau"], efield**2  # (tau E) E where only E^2 overflows
+            params["omega"] = np.where(np.isinf(e2), tau * efield * efield, tau * e2)
     elif "k0r" in params:
         k0r = params["k0r"]
         # one call per mesh, which rejects a k0r that is not finite and > 0;
@@ -439,24 +451,23 @@ def _solve_grid(delta, drive, omega, gamma12):
     """Steady states and concurrence of every point of a parameter mesh.
 
     The arguments broadcast to one length N. Points go through
-    steady_state_entanglement in stacks of GRID_CHUNK, so the work arrays
-    stay bounded on large grids. Returns (coupled-basis
-    populations (N, 4), concurrence, eof, errors), NaN where a point failed
-    and its typed error in the list.
+    steady_state_entanglement, without its EoF (_steady_concurrence), in
+    stacks of GRID_CHUNK, so the work arrays stay bounded on large grids.
+    Returns (coupled-basis populations (N, 4), concurrence, errors), NaN
+    where a point failed and its typed error in the list; a command that
+    prints the EoF takes entanglement._eofs of the concurrence.
     """
     args = _broadcast(delta, drive, omega, gamma12)
     n = len(args[0])
     pops = np.empty((n, 4))
     conc = np.empty(n)
-    eof = np.empty(n)
     errors = []
     for lo in range(0, n, GRID_CHUNK):
         part = slice(lo, lo + GRID_CHUNK)
-        states, conc[part], eof[part], errs = steady_state_entanglement(
-            *(a[part] for a in args))
+        states, conc[part], errs = _steady_concurrence(*(a[part] for a in args))
         pops[part] = states.diagonal(axis1=1, axis2=2).real
         errors += errs
-    return pops, conc, eof, errors
+    return pops, conc, errors
 
 
 def _report_failures(errors) -> bool:
@@ -507,7 +518,7 @@ def _cmd_fig2(ns, config) -> int:
             _axis("efield", str(_resolve(ns, config, "efield_range", "0.0:10.0")), points,
                   "--efield-range")]
     p, _ = _mesh(ns, config, axes)
-    _, conc, _, errors = _solve_grid(p["delta"], p["efield"], p["omega"], p["gamma12"])
+    _, conc, errors = _solve_grid(p["delta"], p["efield"], p["omega"], p["gamma12"])
     columns = ("k0r", "efield", "omega", "gamma12")
     rows = np.column_stack([p[k] for k in columns] + [conc])
     return _write_grid(ns, config, columns + ("concurrence",), rows, errors)
@@ -526,8 +537,8 @@ def _cmd_sweep(ns, config) -> int:
     p, fixed = _mesh(ns, config, axes)
     input_cols = names + [k for k in ("k0r", "delta", "efield", "omega", "gamma12", "tau")
                           if k in fixed]
-    pops, conc, eof, errors = _solve_grid(p["delta"], p["efield"], p["omega"], p["gamma12"])
-    rows = np.column_stack([p[k] for k in input_cols] + [pops, conc, eof])
+    pops, conc, errors = _solve_grid(p["delta"], p["efield"], p["omega"], p["gamma12"])
+    rows = np.column_stack([p[k] for k in input_cols] + [pops, conc, _eofs(conc)])
     out_cols = ("pop_plus1", "pop_zero", "pop_minus1", "singlet_weight",
                 "concurrence", "eof")
     return _write_grid(ns, config, tuple(input_cols) + out_cols, rows, errors)

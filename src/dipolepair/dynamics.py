@@ -150,25 +150,23 @@ def _density_errors(m: np.ndarray, lowest=_UNSCREENED) -> list[InvalidState | No
     DENSITY_TRACE_ATOL, lowest eigenvalue at least DENSITY_EVAL_FLOOR.
     The last is screened by _below_floor, or ``lowest`` is its result at
     a floor at least as strict. The stack is decided by one comparison
-    per check; messages are built per matrix only when some matrix fails.
+    per check (|m - m^+| by one maximum over the stack); per-matrix
+    reductions and messages are made only when some matrix fails.
     """
     if not len(m):
         return []
-    # a non-finite entry makes its matrix's dev NaN or inf, which fails
-    # the Hermiticity test: a stack that passes it is finite
-    with np.errstate(invalid="ignore"):
-        dev = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        tr = m.trace(axis1=1, axis2=2).real
-    if len(m) == 1:  # on one matrix, Python floats cost less than numpy calls
-        passed = (dev.item() <= tol.DENSITY_HERM_ATOL
-                  and abs(tr.item() - 1.0) <= tol.DENSITY_TRACE_ATOL)
-    else:
-        passed = (dev.max() <= tol.DENSITY_HERM_ATOL
-                  and np.abs(tr - 1.0).max() <= tol.DENSITY_TRACE_ATOL)
     if lowest is _UNSCREENED:
         lowest = _below_floor(m, tol.DENSITY_EVAL_FLOOR)
-    if passed and lowest is None:
+    # a non-finite entry makes |m - m^+| NaN or inf, which fails the
+    # Hermiticity test: a stack that passes it is finite
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(m - m.conj().swapaxes(1, 2))  # made after the screen: less peak memory
+        tr = m.trace(axis1=1, axis2=2).real
+    # on one matrix, a Python float costs less than numpy calls
+    off = abs(tr.item() - 1.0) if len(m) == 1 else np.abs(tr - 1.0).max()
+    if dev.max() <= tol.DENSITY_HERM_ATOL and off <= tol.DENSITY_TRACE_ATOL and lowest is None:
         return [None] * len(m)
+    dev = dev.max(axis=(1, 2))
     low = [False] * len(m) if lowest is None else lowest < tol.DENSITY_EVAL_FLOOR
     return [
         None if d <= tol.DENSITY_HERM_ATOL and abs(t - 1.0) <= tol.DENSITY_TRACE_ATOL and not lo
@@ -251,8 +249,9 @@ _OUTSIDE = (partial(OutOfRange, "non-finite steady state"),
 
 
 def _outside(finite, drive, gamma12):
-    """The domain rule, written once: the first rule broken as an _OUTSIDE code, 0 if none."""
-    return np.where(finite, 2 * (drive < 0) + 3 * ((drive == 0) & (gamma12 == -1)), 1)
+    """The domain rule, written once: the first rule broken as an _OUTSIDE code, 0 if none
+    (arithmetic on the masks, so a plain int on Python scalars)."""
+    return (1 - finite) + finite * (2 * (drive < 0.0) + 3 * ((drive == 0.0) & (gamma12 == -1.0)))
 
 
 def _scaled_terms(delta, drive, omega, gamma12):

@@ -159,8 +159,14 @@ def steady_state_entanglement(delta, drive, omega, gamma12):
     (OutOfRange); states and concurrence share one evaluation of the
     scaled terms. A point that fails does not stop the others. Returns
     ``(states, concurrence, eof, errors)``, NaN where a point failed and
-    its typed error in the list.
+    its typed error in the list; _steady_concurrence is all but the EoF.
     """
+    states, conc, errors = _steady_concurrence(delta, drive, omega, gamma12)
+    return states, conc, _eofs(conc), errors
+
+
+def _steady_concurrence(delta, drive, omega, gamma12):
+    """steady_state_entanglement with every check, without the EoF: (states, conc, errors)."""
     terms = _scaled_terms(delta, drive, omega, gamma12)
     states, lowest, errors = _solve_blocks(terms)
     conc = _concurrence_law(terms)
@@ -173,7 +179,7 @@ def steady_state_entanglement(delta, drive, omega, gamma12):
                          else OutOfRange(f"concurrence {float(conc[i])!r} outside [0, 1]"))
     if errors.count(None) < len(errors):
         conc[[e is not None for e in errors]] = np.nan
-    return states, conc, _eofs(conc), errors
+    return states, conc, errors
 
 
 # maximiser of closed_form_concurrence and its value, about 9.21 and 0.434

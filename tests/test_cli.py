@@ -343,6 +343,18 @@ def test_sweep_two_axes_row_major(capsys):
     assert header[:2] == ["omega", "efield"]
     assert [r[0] for r in rows] == [1.0, 1.0, 2.0, 2.0]
     assert [r[1] for r in rows] == [0.5, 1.0, 0.5, 1.0]
+    # the mesh columns are np.meshgrid(..., indexing="ij") ravelled, bit for bit
+    parse = cli._build_parser().parse_args
+    one, two = parse(["sweep", "--omega", "1.5"]), parse(["sweep", "--gamma12", "0.5"])
+    for m in range(2, 8):
+        for k in range(2, 8):
+            omega = ("omega", np.linspace(1.0, 2.3, m))
+            efield = ("efield", np.linspace(0.1, 0.7, k))
+            for ns, axes in ((one, [efield]), (two, [omega, efield]), (two, [efield, omega])):
+                columns, _ = cli._mesh(ns, {}, axes)
+                grids = np.meshgrid(*(values for _, values in axes), indexing="ij")
+                for (name, _), grid in zip(axes, grids):
+                    assert columns[name].tobytes() == grid.ravel().tobytes()
 
 
 def test_sweep_tau_axis_matches_closed_form(capsys):
@@ -716,6 +728,30 @@ def test_config_value_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys, comma
     rc, out, err = run(capsys, command, "--config", str(cfgfile))
     assert rc == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("tau, omega", [("1e-200", "1e+200"), ("0", "0")])
+def test_steady_takes_a_representable_tau_e2_where_e2_overflows(capsys, tau, omega):
+    # omega = (tau E) E where E^2 alone is beyond the doubles
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, "steady", "--tau", tau, "--efield", "1e200")
+    assert (rc, err, caught) == (0, "", [])
+    assert f"omega = {omega}\n" in out
+
+
+def test_sweep_keeps_tau_e2_bits_and_takes_the_drives_whose_square_overflows(capsys):
+    argv = ["sweep", "--axis", "efield=1e150:1e200:3", "--tau", "1e-200"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, *argv)
+    assert (rc, err, caught) == (0, "", []) and "NaN" not in out
+    columns, _ = cli._mesh(cli._build_parser().parse_args(argv), {},
+                           [cli._parse_axis(argv[2])])
+    tau, efield = 1e-200, columns["efield"]
+    assert columns["omega"][0] == (tau * efield[:1] ** 2)[0]  # E^2 finite: the bits of tau E^2
+    assert list(columns["omega"][1:]) == [tau * e * e for e in efield[1:]]
+    assert np.isfinite(columns["omega"]).all()
 
 
 @pytest.mark.parametrize("word, switch", [

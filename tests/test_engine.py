@@ -29,6 +29,7 @@ from dipolepair import (
 from dipolepair import cli
 from dipolepair import tolerances as tol
 from dipolepair.dynamics import _density_errors
+from dipolepair.entanglement import _eofs
 from dipolepair.errors import (
     DipolePairError,
     InvalidRegime,
@@ -113,20 +114,22 @@ def test_result_does_not_depend_on_batch_position_or_chunks():
     omega = dipole_coupling(k0r)
     gamma12 = cross_decay(k0r)
     delta[RNG.choice(n, 9, replace=False)] = math.nan  # failures mixed in
-    pops, conc, eof, errors = cli._solve_grid(delta, drive, omega, gamma12)
+    pops, conc, errors = cli._solve_grid(delta, drive, omega, gamma12)
+    eof = _eofs(conc)
     assert sum(type(e) is OutOfRange for e in errors) == 9
     perm = RNG.permutation(n)
-    pops_p, conc_p, eof_p, errors_p = cli._solve_grid(
+    pops_p, conc_p, errors_p = cli._solve_grid(
         delta[perm], drive[perm], omega[perm], gamma12[perm]
     )
     assert np.array_equal(pops_p, pops[perm], equal_nan=True)
     assert np.array_equal(conc_p, conc[perm], equal_nan=True)
-    assert np.array_equal(eof_p, eof[perm], equal_nan=True)
+    assert np.array_equal(_eofs(conc_p), eof[perm], equal_nan=True)
     assert [type(e) for e in errors_p] == [type(errors[i]) for i in perm]
     for k in RNG.choice(n, 40, replace=False):
-        _, c, _, errs = steady_state_entanglement(delta[k], drive[k], omega[k], gamma12[k])
+        _, c, e, errs = steady_state_entanglement(delta[k], drive[k], omega[k], gamma12[k])
         assert type(errs[0]) is type(errors[k])
         assert np.array_equal(c[0], conc[k], equal_nan=True)
+        assert np.array_equal(e[0], eof[k], equal_nan=True)
 
 
 def test_engine_keeps_going_past_a_non_finite_point():
