@@ -27,7 +27,7 @@ from collections import Counter
 
 import numpy as np
 
-from .dynamics import DensityMatrix, _broadcast, lamb_dicke_limit_state
+from .dynamics import _FAILURES, DensityMatrix, _broadcast, lamb_dicke_limit_state
 from .entanglement import (TAU_PEAK, _eofs, _steady_concurrence, steady_state_entanglement,
                            wootters_concurrence)
 from .errors import DipolePairError
@@ -302,8 +302,7 @@ def _mesh(ns, config, axes=(), drive=None, limit=False):
             _require_finite(tau=fixed["tau"])
             return {key: params[key] for key in ("tau", "delta", "gamma12")}, fixed.keys()
         if drive is None or "tau" in params:
-            raise UsageError("supply --efield or --tau" if limit
-                             else "supply --efield or an efield axis")
+            raise UsageError("supply --efield or an efield axis" if axes else "supply --efield")
         params["efield"] = np.full(n, drive)
     efield = params["efield"]
     if (efield < 0).any():
@@ -451,34 +450,34 @@ def _solve_grid(delta, drive, omega, gamma12):
     """Steady states and concurrence of every point of a parameter mesh.
 
     The arguments broadcast to one length N. Points go through
-    steady_state_entanglement, without its EoF (_steady_concurrence), in
-    stacks of GRID_CHUNK, so the work arrays stay bounded on large grids.
-    Returns (coupled-basis populations (N, 4), concurrence, errors), NaN
-    where a point failed and its typed error in the list; a command that
-    prints the EoF takes entanglement._eofs of the concurrence.
+    steady_state_entanglement without its EoF and error list
+    (_steady_concurrence), in stacks of GRID_CHUNK to bound the work arrays.
+    Returns (coupled-basis populations (N, 4), concurrence, codes), NaN and
+    a dynamics._FAILURES code (0: none) where a point failed; a command
+    that prints the EoF takes entanglement._eofs of the concurrence.
     """
     args = _broadcast(delta, drive, omega, gamma12)
     n = len(args[0])
     pops = np.empty((n, 4))
     conc = np.empty(n)
-    errors = []
+    codes = np.empty(n, dtype=int)
     for lo in range(0, n, GRID_CHUNK):
         part = slice(lo, lo + GRID_CHUNK)
-        states, conc[part], errs = _steady_concurrence(*(a[part] for a in args))
+        states, conc[part], codes[part], _ = _steady_concurrence(*(a[part] for a in args))
         pops[part] = states.diagonal(axis1=1, axis2=2).real
-        errors += errs
-    return pops, conc, errors
+    return pops, conc, codes
 
 
-def _report_failures(errors) -> bool:
-    """Warn on stderr about failed points, by error class; True if all failed."""
-    failed = Counter(type(e).__name__ for e in errors if e is not None)
+def _report_failures(codes) -> bool:
+    """Warn on stderr about failed points, by error class (the classes of their
+    _FAILURES codes, in order of first failure); True if all failed."""
+    failed = Counter(_FAILURES[code][0].__name__ for code in codes[codes > 0].tolist())
     count = sum(failed.values())
     if count:
         kinds = ", ".join(f"{name}: {k}" for name, k in failed.most_common())
         print(f"warning: {count} grid point(s) failed, recorded as NaN ({kinds})",
               file=sys.stderr)
-    return count == len(errors)
+    return count == len(codes)
 
 
 def _parse_axis(text: str):
@@ -499,9 +498,9 @@ def _parse_axis(text: str):
     return _axis(name, bounds, count, f"--axis {name}")
 
 
-def _write_grid(ns, config, columns, rows, errors) -> int:
+def _write_grid(ns, config, columns, rows, codes) -> int:
     """Report failed points, then write the rows; exit 1 if every point failed."""
-    if _report_failures(errors):
+    if _report_failures(codes):
         return 1
     with _output(ns, config) as out:
         _write_rows(columns, rows, _resolve(ns, config, "format", "csv"), out)
@@ -518,10 +517,10 @@ def _cmd_fig2(ns, config) -> int:
             _axis("efield", str(_resolve(ns, config, "efield_range", "0.0:10.0")), points,
                   "--efield-range")]
     p, _ = _mesh(ns, config, axes)
-    _, conc, errors = _solve_grid(p["delta"], p["efield"], p["omega"], p["gamma12"])
+    _, conc, codes = _solve_grid(p["delta"], p["efield"], p["omega"], p["gamma12"])
     columns = ("k0r", "efield", "omega", "gamma12")
     rows = np.column_stack([p[k] for k in columns] + [conc])
-    return _write_grid(ns, config, columns + ("concurrence",), rows, errors)
+    return _write_grid(ns, config, columns + ("concurrence",), rows, codes)
 
 
 def _cmd_sweep(ns, config) -> int:
@@ -537,11 +536,11 @@ def _cmd_sweep(ns, config) -> int:
     p, fixed = _mesh(ns, config, axes)
     input_cols = names + [k for k in ("k0r", "delta", "efield", "omega", "gamma12", "tau")
                           if k in fixed]
-    pops, conc, errors = _solve_grid(p["delta"], p["efield"], p["omega"], p["gamma12"])
+    pops, conc, codes = _solve_grid(p["delta"], p["efield"], p["omega"], p["gamma12"])
     rows = np.column_stack([p[k] for k in input_cols] + [pops, conc, _eofs(conc)])
     out_cols = ("pop_plus1", "pop_zero", "pop_minus1", "singlet_weight",
                 "concurrence", "eof")
-    return _write_grid(ns, config, tuple(input_cols) + out_cols, rows, errors)
+    return _write_grid(ns, config, tuple(input_cols) + out_cols, rows, codes)
 
 
 # ---------------------------------------------------------------- self check

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import tolerances as tol
-from .errors import InvalidRegime, InvalidState, OutOfRange
+from .errors import InvalidRegime, InvalidState, NotPSD, OutOfRange
 from .linalg import BasisTag, hermitian_part, kron
 from .model import (
     SM1,
@@ -56,7 +55,7 @@ class DensityMatrix:
     """Finite, Hermitian, trace-one, PSD 4x4 matrix with a basis tag.
 
     Violating any invariant raises InvalidState at construction (the
-    checks of _density_errors).
+    checks of _density_codes).
     """
 
     matrix: np.ndarray
@@ -67,13 +66,13 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         if m.shape != (4, 4):
             raise InvalidState(f"expected 4x4, got {m.shape}")
-        (err,) = _density_errors(m[None])
-        if err is not None:
-            raise err
+        failed = _density_codes(m[None], _below_floor(m[None], tol.DENSITY_EVAL_FLOOR))
+        if failed is not None:
+            raise _failure(failed[0][0], failed[1][0])
 
     @classmethod
     def _checked(cls, stack: np.ndarray, basis: BasisTag) -> list["DensityMatrix"]:
-        """Wrap each matrix of a stack that has just passed _density_errors,
+        """Wrap each matrix of a stack that has just passed _density_codes,
         without checking again."""
         states = [object.__new__(cls) for _ in range(len(stack))]
         for state, m in zip(states, stack):
@@ -133,30 +132,60 @@ def _broadcast(*args) -> list[np.ndarray]:
 
 # ------------------------------------------------------- steady-state engine
 #
-# Every stage works on a stack of matrices and returns, beside its output,
-# one entry per matrix: None, or the typed error that the one-point call
-# raises for it. A failed point never stops the others.
+# Every stage works on a stack of matrices and marks the points it fails in
+# one array of _FAILURES codes (0: none), the first failure winning. A failed
+# point never stops the others; typed errors are made for failed points only.
+
+(_NON_FINITE_INPUT, _NEGATIVE_DRIVE, _DARK_LINE, _OVERFLOW, _NON_FINITE_ENTRIES,
+ _NOT_HERMITIAN, _BAD_TRACE, _NEGATIVE_EIGENVALUE, _BELOW_PSD_FLOOR, _CONCURRENCE) = range(1, 11)
+
+# The error type and message of each code; a message may quote the point's
+# value (a trace, an eigenvalue or a concurrence). On the dark line, drive 0
+# and gamma12 = -1 exactly, the symmetric channel's rate (1 + gamma12) / 2 is
+# 0 and the antisymmetric one annihilates |0>, so |0><0| and |-1><-1| are
+# both steady at every delta; D of steady_state_concurrences is 0 only there.
+_FAILURES = {
+    _NON_FINITE_INPUT: (OutOfRange, "inputs must be finite"),
+    _NEGATIVE_DRIVE: (OutOfRange, "drive must be >= 0"),
+    _DARK_LINE: (InvalidRegime, "steady state not unique: |0> is dark at drive 0, gamma12 = -1"),
+    _OVERFLOW: (OutOfRange, "non-finite steady state"),
+    _NON_FINITE_ENTRIES: (InvalidState, "entries are not finite"),
+    _NOT_HERMITIAN: (InvalidState, "not Hermitian within tolerance"),
+    _BAD_TRACE: (InvalidState, "trace {!r} is not 1"),
+    _NEGATIVE_EIGENVALUE: (InvalidState, "negative eigenvalue beyond tolerance"),
+    _BELOW_PSD_FLOOR: (NotPSD, "eigenvalue {:.3e} below PSD floor"),
+    _CONCURRENCE: (OutOfRange, "concurrence {!r} outside [0, 1]"),
+}
+
+
+def _failure(code, value=math.nan):
+    """The typed error of a _FAILURES code, quoting ``value`` where its message does."""
+    kind, message = _FAILURES[code]
+    return kind(message.format(float(value)))
+
+
+def _errors(codes, quoted) -> list:
+    """One entry per point: None, or the typed error of its code quoting its value."""
+    return [_failure(c, v) if c else None for c, v in zip(codes.tolist(), quoted.tolist())]
 
 
 # each floor times the identity
 _FLOOR_EYE = {f: f * np.eye(4) for f in (tol.DENSITY_EVAL_FLOOR, tol.PSD_EVAL_FLOOR)}
-_UNSCREENED = object()  # _density_errors screens the stack itself
 
 
-def _density_errors(m: np.ndarray, lowest=_UNSCREENED) -> list[InvalidState | None]:
+def _density_codes(m: np.ndarray, lowest):
     """DensityMatrix's checks, in its order, on an (N, 4, 4) stack.
 
     Every entry finite, Hermitian to DENSITY_HERM_ATOL, trace 1 to
     DENSITY_TRACE_ATOL, lowest eigenvalue at least DENSITY_EVAL_FLOOR.
-    The last is screened by _below_floor, or ``lowest`` is its result at
-    a floor at least as strict. The stack is decided by one comparison
-    per check (|m - m^+| by one maximum over the stack); per-matrix
-    reductions and messages are made only when some matrix fails.
+    The last is screened: ``lowest`` is the result of _below_floor at
+    DENSITY_EVAL_FLOOR or a stricter floor. The stack is decided by one
+    comparison per check (|m - m^+| by one maximum over the stack): None
+    if it passes, else (codes, traces), the code of each matrix's first
+    failed check (0: none) and the traces that the trace message quotes.
     """
     if not len(m):
-        return []
-    if lowest is _UNSCREENED:
-        lowest = _below_floor(m, tol.DENSITY_EVAL_FLOOR)
+        return None
     # a non-finite entry makes |m - m^+| NaN or inf, which fails the
     # Hermiticity test: a stack that passes it is finite
     with np.errstate(invalid="ignore"):
@@ -165,18 +194,15 @@ def _density_errors(m: np.ndarray, lowest=_UNSCREENED) -> list[InvalidState | No
     # on one matrix, a Python float costs less than numpy calls
     off = abs(tr.item() - 1.0) if len(m) == 1 else np.abs(tr - 1.0).max()
     if dev.max() <= tol.DENSITY_HERM_ATOL and off <= tol.DENSITY_TRACE_ATOL and lowest is None:
-        return [None] * len(m)
-    dev = dev.max(axis=(1, 2))
-    low = [False] * len(m) if lowest is None else lowest < tol.DENSITY_EVAL_FLOOR
-    return [
-        None if d <= tol.DENSITY_HERM_ATOL and abs(t - 1.0) <= tol.DENSITY_TRACE_ATOL and not lo
-        else InvalidState(
-            "entries are not finite" if not np.isfinite(m[i]).all()
-            else "not Hermitian within tolerance" if d > tol.DENSITY_HERM_ATOL
-            else f"trace {t!r} is not 1" if abs(t - 1.0) > tol.DENSITY_TRACE_ATOL
-            else "negative eigenvalue beyond tolerance")
-        for i, (d, t, lo) in enumerate(zip(dev.tolist(), tr.tolist(), low))
-    ]
+        return None
+    codes = np.zeros(len(m), dtype=int)
+    for code, fails in ((_NON_FINITE_ENTRIES, ~np.isfinite(m).all(axis=(1, 2))),
+                        (_NOT_HERMITIAN, dev.max(axis=(1, 2)) > tol.DENSITY_HERM_ATOL),
+                        (_BAD_TRACE, np.abs(tr - 1.0) > tol.DENSITY_TRACE_ATOL),
+                        (_NEGATIVE_EIGENVALUE,
+                         lowest is not None and lowest < tol.DENSITY_EVAL_FLOOR)):
+        codes[fails & (codes == 0)] = code
+    return codes, tr
 
 
 def _below_floor(m: np.ndarray, floor: float) -> np.ndarray | None:
@@ -213,44 +239,9 @@ _TRACE_RHS = np.eye(9, 1, -8)[:, 0]
 _TRACE_ROWS = tuple(np.array([1.0 + p, 0, 0, 0, 0.5, 0, 0, 0, 1.0]) for p in (0, 1))
 
 
-def _check_states(states: np.ndarray, errors: list):
-    """The DensityMatrix checks on each state of an (N, 4, 4) stack without an error.
-
-    Those are finite (_solve_blocks fails the rest). One _below_floor
-    screen at PSD_EVAL_FLOOR, the stricter floor, clears both floors of
-    steady_state_entanglement for a clean stack. A state that fails, then
-    or now, becomes NaN. Returns (states, lowest, errors), lowest as
-    _below_floor's, NaN where a point had failed before.
-    """
-    solved = [i for i, e in enumerate(errors) if e is None]
-    checked = states if len(solved) == len(states) else states[solved]
-    low = _below_floor(checked, tol.PSD_EVAL_FLOOR)
-    for i, err in zip(solved, _density_errors(checked, low)):
-        errors[i] = err
-    if errors.count(None) < len(errors):
-        states[[e is not None for e in errors]] = np.nan
-    lowest = low
-    if low is not None and checked is not states:
-        lowest = np.full(len(states), np.nan)
-        lowest[solved] = low
-    return states, lowest, errors
-
-
-# The error of a point without a steady state, by _outside code; inside the
-# domain (code 0) only an overflow fails. On the dark line, drive 0 and
-# gamma12 = -1 exactly, the symmetric channel's rate (1 + gamma12) / 2 is 0
-# and the antisymmetric one annihilates |0>, so |0><0| and |-1><-1| are both
-# steady at every delta; D of steady_state_concurrences is 0 only there.
-_OUTSIDE = (partial(OutOfRange, "non-finite steady state"),
-            partial(OutOfRange, "inputs must be finite"),
-            partial(OutOfRange, "drive must be >= 0"),
-            partial(InvalidRegime,
-                    "steady state not unique: |0> is dark at drive 0, gamma12 = -1"))
-
-
 def _outside(finite, drive, gamma12):
-    """The domain rule, written once: the first rule broken as an _OUTSIDE code, 0 if none
-    (arithmetic on the masks, so a plain int on Python scalars)."""
+    """The domain rule, written once: the _FAILURES code of the first rule broken, 0 if
+    none (arithmetic on the masks, so a plain int on Python scalars)."""
     return (1 - finite) + finite * (2 * (drive < 0.0) + 3 * ((drive == 0.0) & (gamma12 == -1.0)))
 
 
@@ -309,10 +300,10 @@ def solve_steady_states(delta, drive, omega, gamma12):
     and gamma12 = -1 exactly, at any delta), a state that overflows
     (OutOfRange), or one failing the DensityMatrix checks (InvalidState).
     Returns ``(states, errors)``: an (N, 4, 4) array, NaN where a point
-    failed, and a list holding per point None or its typed error.
+    failed, and a list holding per point None or its failure code's error.
     """
-    states, _, errors = _solve_blocks(_scaled_terms(delta, drive, omega, gamma12))
-    return states, errors
+    states, codes, quoted = _solve_blocks(_scaled_terms(delta, drive, omega, gamma12))
+    return states, _errors(codes, quoted)
 
 
 def _closed_form_states(terms) -> np.ndarray:
@@ -350,14 +341,28 @@ def _closed_form_states(terms) -> np.ndarray:
 
 
 def _solve_blocks(terms):
-    """solve_steady_states on the terms of _scaled_terms, plus the lowest
-    eigenvalues from _check_states."""
+    """solve_steady_states on the terms of _scaled_terms: (states, codes, quoted),
+    each point's _FAILURES code (0: none) and the value its message quotes.
+
+    The states not failed before get the DensityMatrix checks; the others
+    are set to 0 to stay out of the screen. One _below_floor screen at
+    PSD_EVAL_FLOOR, the stricter floor, clears both floors of
+    steady_state_entanglement for a clean stack; where no check quotes a
+    value, ``quoted`` holds the lowest eigenvalue if the screen failed,
+    else NaN. A failed state becomes NaN.
+    """
     states = _closed_form_states(terms)
-    outside = terms[1]
-    errors: list[Exception | None] = [None] * len(states)
-    for i in np.flatnonzero((outside > 0) | ~np.isfinite(states).all(axis=(1, 2))):
-        errors[i] = _OUTSIDE[outside[i]]()
-    return _check_states(states, errors)
+    codes = terms[1].copy()
+    codes[~np.isfinite(states).all(axis=(1, 2)) & (codes == 0)] = _OVERFLOW
+    states[codes > 0] = 0.0
+    lowest = _below_floor(states, tol.PSD_EVAL_FLOOR)
+    quoted = np.full(len(codes), np.nan) if lowest is None else lowest
+    failed = _density_codes(states, lowest)
+    if failed is not None:
+        fails = (failed[0] > 0) & (codes == 0)
+        codes[fails], quoted[fails] = failed[0][fails], failed[1][fails]
+    states[codes > 0] = np.nan
+    return states, codes, quoted
 
 
 def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
@@ -382,7 +387,7 @@ def solve_steady_state(cfg: AtomPairConfig, c: Couplings) -> DensityMatrix:
     """
     finite = math.isfinite(c.omega) and math.isfinite(c.gamma12)  # cfg's are (AtomPairConfig)
     if code := _outside(finite, cfg.drive, c.gamma12):
-        raise _OUTSIDE[code]()
+        raise _failure(code)
     with np.errstate(all="ignore"):  # a finite generator can overflow in the projection
         a = _TRIPLET_ROWS @ build_liouvillian(cfg, c).matrix @ _TRIPLET_COLS
     coupled = bool(c.gamma12 != 1.0)
@@ -420,7 +425,7 @@ def analytic_steady_state(omega: float, drive: float) -> DensityMatrix:
     |W| ~ 6.7e153).
     """
     if code := _outside(math.isfinite(omega) and math.isfinite(drive), drive, 1.0):
-        raise _OUTSIDE[code]()
+        raise _failure(code)
     e, w = drive, omega
     try:  # Python floats: a power beyond the largest double raises OverflowError
         m = np.array([
@@ -431,11 +436,11 @@ def analytic_steady_state(omega: float, drive: float) -> DensityMatrix:
              4.0 * (w**2 + 2.0 * e**2 + 16.0 * e**4) + 1.0],
         ], dtype=complex)
     except OverflowError:
-        raise _OUTSIDE[0]() from None
+        raise _failure(_OVERFLOW) from None
     with np.errstate(over="ignore"):
         trace = np.trace(m).real  # a sum of entries >= 0 that bound the others
     if not math.isfinite(trace):  # a product, or the sum, overflowed to inf
-        raise _OUTSIDE[0]()
+        raise _failure(_OVERFLOW)
     return _coupled_state(m / trace)
 
 
@@ -449,11 +454,11 @@ def lamb_dicke_limit_state(tau: float) -> DensityMatrix:
     the OutOfRange of solve_steady_states.
     """
     if not math.isfinite(tau):
-        raise _OUTSIDE[1]()
+        raise _failure(_NON_FINITE_INPUT)
     try:  # a Python float: its square beyond the largest double raises OverflowError
         tau2 = tau**2
     except OverflowError:
-        raise _OUTSIDE[0]() from None
+        raise _failure(_OVERFLOW) from None
     m = np.array([[16.0, 0.0, 4j * tau], [0.0, 16.0, 0.0], [-4j * tau, 0.0, 16.0 + tau2]],
                  dtype=complex)
     return _coupled_state(m / (tau2 + 48.0))
@@ -558,9 +563,10 @@ def propagate(
     over = np.flatnonzero(~(drift <= tol.TRACE_DRIFT_MAX))  # NaN drift fails too
     end = over[0] if len(over) else nsteps
     rho = rho[:end] / tr[:end, None, None]
-    for k, err in enumerate(_density_errors(rho)):
-        if err is not None:
-            raise InvalidState(f"step {k + 1}: {err}")
+    failed = _density_codes(rho, _below_floor(rho, tol.DENSITY_EVAL_FLOOR))
+    if failed is not None:
+        k = np.flatnonzero(failed[0])[0]
+        raise InvalidState(f"step {k + 1}: {_failure(failed[0][k], failed[1][k])}")
     if len(over):
         raise InvalidState(f"step {end + 1}: trace drift {drift[end]:.3e} "
                            f"exceeds {tol.TRACE_DRIFT_MAX:.0e}")

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .dynamics import DensityMatrix, _scaled_terms, _solve_blocks
-from .errors import InvalidState, NotNormalized, NotPSD, OutOfRange
+from .dynamics import (_BELOW_PSD_FLOOR, _CONCURRENCE, DensityMatrix, _errors, _scaled_terms,
+                       _solve_blocks)
+from .errors import InvalidState, NotNormalized, OutOfRange
 from .linalg import BasisTag, psd_sqrt
 from .model import SIGMA_Y, SINGLET_KET
 
@@ -159,27 +160,24 @@ def steady_state_entanglement(delta, drive, omega, gamma12):
     (OutOfRange); states and concurrence share one evaluation of the
     scaled terms. A point that fails does not stop the others. Returns
     ``(states, concurrence, eof, errors)``, NaN where a point failed and
-    its typed error in the list; _steady_concurrence is all but the EoF.
+    the typed error of its failure code in the list.
     """
-    states, conc, errors = _steady_concurrence(delta, drive, omega, gamma12)
-    return states, conc, _eofs(conc), errors
+    states, conc, codes, quoted = _steady_concurrence(delta, drive, omega, gamma12)
+    return states, conc, _eofs(conc), _errors(codes, quoted)
 
 
 def _steady_concurrence(delta, drive, omega, gamma12):
-    """steady_state_entanglement with every check, without the EoF: (states, conc, errors)."""
+    """steady_state_entanglement without the EoF and the error list: (states, conc,
+    codes, quoted) as _solve_blocks marks them, then the PSD floor and C <= 1."""
     terms = _scaled_terms(delta, drive, omega, gamma12)
-    states, lowest, errors = _solve_blocks(terms)
+    states, codes, quoted = _solve_blocks(terms)
     conc = _concurrence_law(terms)
-    # the checks' lowest eigenvalues: None where they cleared the PSD floor, NaN where failed
-    psd = np.full(len(conc), True) if lowest is None else lowest >= tol.PSD_EVAL_FLOOR
-    in_range = conc <= 1.0 + 1e-12
-    for i in np.flatnonzero(~(psd & in_range)):
-        if errors[i] is None:
-            errors[i] = (NotPSD(f"eigenvalue {lowest[i]:.3e} below PSD floor") if not psd[i]
-                         else OutOfRange(f"concurrence {float(conc[i])!r} outside [0, 1]"))
-    if errors.count(None) < len(errors):
-        conc[[e is not None for e in errors]] = np.nan
-    return states, conc, errors
+    # a point without a failure quotes its lowest eigenvalue, NaN if it cleared the screen
+    codes[(quoted < tol.PSD_EVAL_FLOOR) & (codes == 0)] = _BELOW_PSD_FLOOR
+    fails = ~(conc <= 1.0 + 1e-12) & (codes == 0)
+    codes[fails], quoted[fails] = _CONCURRENCE, conc[fails]
+    conc[codes > 0] = np.nan
+    return states, conc, codes, quoted
 
 
 # maximiser of closed_form_concurrence and its value, about 9.21 and 0.434

@@ -12,9 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dipolepair import BasisTag, DensityMatrix, checks, cli, entanglement
+from dipolepair import BasisTag, DensityMatrix, checks, cli, dynamics, entanglement
 from dipolepair.cli import main
-from dipolepair.errors import InvalidState, NotPSD
 
 
 def run(capsys, *argv):
@@ -24,15 +23,16 @@ def run(capsys, *argv):
 
 
 def inject_failures(monkeypatch, failures):
-    """Make the grid engine fail with failures[k] at point k of each stack."""
+    """Make the grid engine fail with the dynamics._FAILURES code failures[k]
+    at point k of each stack."""
     solve = entanglement._solve_blocks
 
     def failing(terms):
-        states, lowest, errors = solve(terms)
-        for k, exc in failures.items():
+        states, codes, quoted = solve(terms)
+        for k, code in failures.items():
             states[k] = np.nan
-            errors[k] = exc
-        return states, lowest, errors
+            codes[k] = code
+        return states, codes, quoted
 
     monkeypatch.setattr(entanglement, "_solve_blocks", failing)
 
@@ -247,8 +247,8 @@ def test_fig2_failure_warning_names_error_classes(capsys, monkeypatch):
     _, rows = parse_csv(out)
     assert len(rows) == 144 and not any(math.isnan(r[4]) for r in rows)
     # failures at known points: NaN concurrence there, a breakdown by class
-    inject_failures(monkeypatch, {3: InvalidState("x"), 7: NotPSD("y"),
-                                  8: InvalidState("z")})
+    inject_failures(monkeypatch, {3: dynamics._NEGATIVE_EIGENVALUE,
+                                  7: dynamics._BELOW_PSD_FLOOR, 8: dynamics._NOT_HERMITIAN})
     rc, out, err = run(capsys, *band)
     assert rc == 0
     _, failed_rows = parse_csv(out)
@@ -457,7 +457,8 @@ def test_fig2_lamb_dicke_fixes_unit_cross_decay_and_zero_detuning(capsys):
     (("spectrum", "--tau", "3", "--omega", "1", "--efield", "1"),
      "tau conflicts with --k0r/--omega/--gamma12"),
     (("steady", "--tau", "9.21", "--delta", "0.5"), "tau requires delta = 0"),
-    (("spectrum", "--tau", "3"), "supply --efield or an efield axis"),
+    (("spectrum", "--tau", "3"), "supply --efield"),
+    (("steady", "--omega", "1"), "supply --efield"),
     (("steady", "--efield", "1", "--gamma12", "0.3"), "supply one of --k0r, --omega or --tau"),
     (("steady", "--efield", "1", "--k0r", "1", "--mu-dot-rhat", "1.5"),
      "--mu-dot-rhat must lie in [0, 1]"),
@@ -472,7 +473,8 @@ def test_fig2_lamb_dicke_fixes_unit_cross_decay_and_zero_detuning(capsys):
         "sweep_omega_geometric", "sweep_tau_k0r", "sweep_k0r_omega", "steady_k0r_omega",
         "fig2_efield_tau", "fig2_k0r", "fig2_tau", "sweep_delta_axis_lamb_dicke",
         "steady_tau_omega", "steady_tau_omega_lamb_dicke", "spectrum_tau_omega",
-        "steady_tau_delta", "spectrum_tau_without_drive", "steady_no_coupling",
+        "steady_tau_delta", "spectrum_tau_without_drive", "steady_omega_without_drive",
+        "steady_no_coupling",
         "steady_mu", "spectrum_mu", "fig2_k0r_range", "steady_mu_omega", "steady_mu_tau"])
 def test_grid_commands_reject_couplings_fixed_next_to_a_distance(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
@@ -622,7 +624,7 @@ def test_sweep_records_failed_point_as_nan_row(capsys, monkeypatch):
     assert not np.isnan(rows).any()
     assert all(row[i + 3] == row[i] > 0.0 for row in rows)
     # a failure at the efield = 2 point: a NaN row, named in the warning
-    inject_failures(monkeypatch, {3: InvalidState("x")})
+    inject_failures(monkeypatch, {3: dynamics._NOT_HERMITIAN})
     rc, out, err = run(capsys, *sweep)
     assert rc == 0
     assert "1 grid point(s) failed, recorded as NaN (InvalidState: 1)" in err

@@ -9,6 +9,7 @@ replaced, once per state.
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,19 +24,24 @@ from test_block_solver import corner_grid
 
 from dipolepair import (
     AtomPairConfig,
+    BasisTag,
     Couplings,
+    DensityMatrix,
+    analytic_steady_state,
     build_liouvillian,
     closed_form_concurrence,
     cross_decay,
     dipole_coupling,
     eof_from_concurrence,
+    solve_steady_state,
     solve_steady_states,
     steady_state_concurrences,
     steady_state_entanglement,
+    wootters_concurrence,
 )
 from dipolepair import cli, dynamics, entanglement
 from dipolepair import tolerances as tol
-from dipolepair.errors import InvalidState, NotPSD, OutOfRange
+from dipolepair.errors import DipolePairError, InvalidState, NotPSD, OutOfRange
 from dipolepair.model import SIGMA_Y, TO_COUPLED
 
 
@@ -213,6 +219,46 @@ def test_grid_concurrence_outside_the_unit_interval_fails_its_point(monkeypatch)
     assert type(errors[1]) is OutOfRange and "outside [0, 1]" in str(errors[1])
     assert errors[0] is None and errors[2] is None
     assert np.isnan(conc[1]) and np.isnan(eof[1]) and not np.isnan(conc[[0, 2]]).any()
+
+
+def test_cli_report_and_error_list_agree_with_the_one_point_raise_sites(monkeypatch, capsys):
+    # one batch with every kind of failure: the CLI warning counts the kinds
+    # of the public error list, in order of first failure, and each error
+    # is the one its one-point call raises
+    delta = np.zeros(9)
+    drive = np.array([0.5, 1.0, -1.0, 0.0, 1.0, 1.0, 1.5, 2.0, 2.5])
+    omega = np.array([20.0, math.nan, 20.0, 2.0, 1e308, 20.0, 20.0, 20.0, 20.0])
+    gamma12 = np.array([0.3, 0.3, 0.3, -1.0, 1.0, 0.3, 0.3, 0.3, 0.3])
+    # NotPSD (the higher code) before InvalidState: a sort by code would swap them
+    not_psd, invalid = ((0.25, 0.5 - low, low, 0.25) for low in (-5e-10, -2e-9))
+    corrupt(monkeypatch, {5: not_psd, 6: invalid})
+    above_one = np.zeros(9)
+    above_one[7] = 1.0
+    law = entanglement._concurrence_law
+    monkeypatch.setattr(entanglement, "_concurrence_law", lambda terms: law(terms) + above_one)
+    one_point = {
+        1: lambda: solve_steady_state(AtomPairConfig(drive=1.0), Couplings(math.nan, 0.3)),
+        2: lambda: AtomPairConfig(drive=-1.0),
+        3: lambda: solve_steady_state(AtomPairConfig(drive=0.0), Couplings(2.0, -1.0)),
+        4: lambda: analytic_steady_state(1e308, 1.0),
+        5: lambda: wootters_concurrence(DensityMatrix(np.diag(not_psd), BasisTag.COUPLED)),
+        6: lambda: DensityMatrix(np.diag(invalid), BasisTag.COUPLED),
+        7: lambda: eof_from_concurrence(
+            float(steady_state_concurrences(0.0, 2.0, 20.0, 0.3)[0]) + 1.0),
+    }
+    _, _, _, errors = steady_state_entanglement(delta, drive, omega, gamma12)
+    assert [k for k, e in enumerate(errors) if e is not None] == list(one_point)
+    for k, call in one_point.items():
+        with pytest.raises(DipolePairError) as raised:
+            call()
+        assert type(errors[k]) is type(raised.value) and str(errors[k]) == str(raised.value)
+    assert not cli._report_failures(cli._solve_grid(delta, drive, omega, gamma12)[2])
+    kinds = Counter(type(e).__name__ for e in errors if e is not None).most_common()
+    assert kinds == [("OutOfRange", 4), ("InvalidRegime", 1), ("NotPSD", 1),
+                     ("InvalidState", 1)]
+    assert capsys.readouterr().err == (
+        "warning: 7 grid point(s) failed, recorded as NaN ("
+        + ", ".join(f"{name}: {count}" for name, count in kinds) + ")\n")
 
 
 def inject_once(monkeypatch, stack, k, state):

@@ -28,7 +28,7 @@ from dipolepair import (
 )
 from dipolepair import cli
 from dipolepair import tolerances as tol
-from dipolepair.dynamics import _density_errors
+from dipolepair.dynamics import _FAILURES, _below_floor, _density_codes, _errors
 from dipolepair.entanglement import _eofs
 from dipolepair.errors import (
     DipolePairError,
@@ -114,20 +114,20 @@ def test_result_does_not_depend_on_batch_position_or_chunks():
     omega = dipole_coupling(k0r)
     gamma12 = cross_decay(k0r)
     delta[RNG.choice(n, 9, replace=False)] = math.nan  # failures mixed in
-    pops, conc, errors = cli._solve_grid(delta, drive, omega, gamma12)
+    pops, conc, codes = cli._solve_grid(delta, drive, omega, gamma12)
     eof = _eofs(conc)
-    assert sum(type(e) is OutOfRange for e in errors) == 9
+    assert sum(_FAILURES[c][0] is OutOfRange for c in codes if c) == 9
     perm = RNG.permutation(n)
-    pops_p, conc_p, errors_p = cli._solve_grid(
+    pops_p, conc_p, codes_p = cli._solve_grid(
         delta[perm], drive[perm], omega[perm], gamma12[perm]
     )
     assert np.array_equal(pops_p, pops[perm], equal_nan=True)
     assert np.array_equal(conc_p, conc[perm], equal_nan=True)
     assert np.array_equal(_eofs(conc_p), eof[perm], equal_nan=True)
-    assert [type(e) for e in errors_p] == [type(errors[i]) for i in perm]
+    assert np.array_equal(codes_p, codes[perm])
     for k in RNG.choice(n, 40, replace=False):
         _, c, e, errs = steady_state_entanglement(delta[k], drive[k], omega[k], gamma12[k])
-        assert type(errs[0]) is type(errors[k])
+        assert type(errs[0]) is (_FAILURES[codes[k]][0] if codes[k] else type(None))
         assert np.array_equal(c[0], conc[k], equal_nan=True)
         assert np.array_equal(e[0], eof[k], equal_nan=True)
 
@@ -286,7 +286,8 @@ def test_density_errors_agree_with_density_matrix_checks():
     one_nan = np.diag([math.nan, 0.0, 0.0, 1.0]).astype(complex)
     all_nan = np.full((4, 4), math.nan, dtype=complex)
     stack = np.array([good, not_herm, 2.0 * good, indefinite, one_nan, all_nan])
-    for m, err in zip(stack, _density_errors(stack)):
+    lowest = _below_floor(stack, tol.DENSITY_EVAL_FLOOR)
+    for m, err in zip(stack, _errors(*_density_codes(stack, lowest))):
         try:
             DensityMatrix(m, BasisTag.COMPUTATIONAL)
         except Exception as exc:
@@ -311,7 +312,8 @@ def test_density_checks_reject_non_finite_entries_first():
         for m in bad:
             with pytest.raises(InvalidState, match="^entries are not finite$"):
                 DensityMatrix(m, BasisTag.COMPUTATIONAL)
-        errors = _density_errors(np.array([good] + bad))
+        stack = np.array([good] + bad)
+        errors = _errors(*_density_codes(stack, _below_floor(stack, tol.DENSITY_EVAL_FLOOR)))
     assert errors[0] is None
     assert [str(e) for e in errors[1:]] == ["entries are not finite"] * 4
 

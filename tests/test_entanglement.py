@@ -113,18 +113,18 @@ def test_spin_flip_is_computational_in_every_basis():
 
 def test_a_scalar_point_is_checked_once_and_never_rotated(monkeypatch):
     counts = {"checks": 0, "rotations": 0}
-    density_errors = dynamics._density_errors
+    density_codes = dynamics._density_codes
     to_basis = DensityMatrix.to_basis
 
     def counted_checks(*args, **kwargs):
         counts["checks"] += 1
-        return density_errors(*args, **kwargs)
+        return density_codes(*args, **kwargs)
 
     def counted_rotation(*args, **kwargs):
         counts["rotations"] += 1
         return to_basis(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "_density_errors", counted_checks)
+    monkeypatch.setattr(dynamics, "_density_codes", counted_checks)
     monkeypatch.setattr(DensityMatrix, "to_basis", counted_rotation)
     cfg = AtomPairConfig(delta=-0.2, drive=1.3, k0r=0.7, mu_dot_rhat=0.4)
     c = couplings_from_geometry(cfg)

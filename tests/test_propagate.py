@@ -21,7 +21,7 @@ from dipolepair import (
 )
 from dipolepair import dynamics
 from dipolepair import tolerances as tol
-from dipolepair.dynamics import _THETA, _density_errors, _expm
+from dipolepair.dynamics import _THETA, _below_floor, _density_codes, _errors, _expm
 from dipolepair.errors import InvalidState, OutOfRange
 from dipolepair.model import TO_COUPLED
 
@@ -214,7 +214,8 @@ def test_density_checks_at_the_eigenvalue_floor(basis):
     with pytest.raises(InvalidState, match="^step 1: negative eigenvalue beyond tolerance$"):
         propagate(zero, bad, 0.02, 0.01)
     # one failing matrix in a stack fails alone
-    errors = _density_errors(np.array([passing, failing, passing]))
+    stack = np.array([passing, failing, passing])
+    errors = _errors(*_density_codes(stack, _below_floor(stack, tol.DENSITY_EVAL_FLOOR)))
     assert [str(e) if e else None for e in errors] == [
         None, "negative eigenvalue beyond tolerance", None]
 
