@@ -469,15 +469,13 @@ def _solve_grid(delta, drive, omega, gamma12):
 
 
 def _report_failures(codes) -> bool:
-    """Warn on stderr about failed points, by error class (the classes of their
-    _FAILURES codes, in order of first failure); True if all failed."""
+    """Warn on stderr about failed points by error class, first seen first; True if all failed."""
     failed = Counter(_FAILURES[code][0].__name__ for code in codes[codes > 0].tolist())
-    count = sum(failed.values())
-    if count:
+    if failed:
         kinds = ", ".join(f"{name}: {k}" for name, k in failed.most_common())
-        print(f"warning: {count} grid point(s) failed, recorded as NaN ({kinds})",
+        print(f"warning: {failed.total()} grid point(s) failed, recorded as NaN ({kinds})",
               file=sys.stderr)
-    return count == len(codes)
+    return failed.total() == len(codes)
 
 
 def _parse_axis(text: str):

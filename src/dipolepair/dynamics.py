@@ -66,7 +66,7 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         if m.shape != (4, 4):
             raise InvalidState(f"expected 4x4, got {m.shape}")
-        failed = _density_codes(m[None], _below_floor(m[None], tol.DENSITY_EVAL_FLOOR))
+        failed = _density_codes(m[None])
         if failed is not None:
             raise _failure(failed[0][0], failed[1][0])
 
@@ -171,29 +171,32 @@ def _errors(codes, quoted) -> list:
 
 # each floor times the identity
 _FLOOR_EYE = {f: f * np.eye(4) for f in (tol.DENSITY_EVAL_FLOOR, tol.PSD_EVAL_FLOOR)}
+_UNSCREENED = object()  # _density_codes screens the stack itself
 
 
-def _density_codes(m: np.ndarray, lowest):
+def _density_codes(m: np.ndarray, lowest=_UNSCREENED):
     """DensityMatrix's checks, in its order, on an (N, 4, 4) stack.
 
     Every entry finite, Hermitian to DENSITY_HERM_ATOL, trace 1 to
     DENSITY_TRACE_ATOL, lowest eigenvalue at least DENSITY_EVAL_FLOOR.
-    The last is screened: ``lowest`` is the result of _below_floor at
-    DENSITY_EVAL_FLOOR or a stricter floor. The stack is decided by one
-    comparison per check (|m - m^+| by one maximum over the stack): None
-    if it passes, else (codes, traces), the code of each matrix's first
-    failed check (0: none) and the traces that the trace message quotes.
+    The last is screened by _below_floor, or ``lowest`` is its result at
+    a floor at least as strict. The stack is decided by one comparison
+    per check (|m - m^+| by one maximum over the stack): None if every
+    matrix passes (also when the screen fails but eigvalsh clears each),
+    else (codes, traces), the code of each matrix's first failed check
+    (0: none) and the traces that the trace message quotes.
     """
-    if not len(m):
-        return None
+    if lowest is _UNSCREENED:
+        lowest = _below_floor(m, tol.DENSITY_EVAL_FLOOR)
     # a non-finite entry makes |m - m^+| NaN or inf, which fails the
     # Hermiticity test: a stack that passes it is finite
     with np.errstate(invalid="ignore"):
         dev = np.abs(m - m.conj().swapaxes(1, 2))  # made after the screen: less peak memory
         tr = m.trace(axis1=1, axis2=2).real
-    # on one matrix, a Python float costs less than numpy calls
-    off = abs(tr.item() - 1.0) if len(m) == 1 else np.abs(tr - 1.0).max()
-    if dev.max() <= tol.DENSITY_HERM_ATOL and off <= tol.DENSITY_TRACE_ATOL and lowest is None:
+    # on one matrix, a Python float costs less than numpy calls; an empty stack passes
+    off = abs(tr.item() - 1.0) if len(m) == 1 else np.abs(tr - 1.0).max(initial=0.0)
+    if (dev.max(initial=0.0) <= tol.DENSITY_HERM_ATOL and off <= tol.DENSITY_TRACE_ATOL
+            and lowest is None):
         return None
     codes = np.zeros(len(m), dtype=int)
     for code, fails in ((_NON_FINITE_ENTRIES, ~np.isfinite(m).all(axis=(1, 2))),
@@ -202,7 +205,7 @@ def _density_codes(m: np.ndarray, lowest):
                         (_NEGATIVE_EIGENVALUE,
                          lowest is not None and lowest < tol.DENSITY_EVAL_FLOOR)):
         codes[fails & (codes == 0)] = code
-    return codes, tr
+    return (codes, tr) if codes.any() else None
 
 
 def _below_floor(m: np.ndarray, floor: float) -> np.ndarray | None:
@@ -345,22 +348,22 @@ def _solve_blocks(terms):
     each point's _FAILURES code (0: none) and the value its message quotes.
 
     The states not failed before get the DensityMatrix checks; the others
-    are set to 0 to stay out of the screen. One _below_floor screen at
-    PSD_EVAL_FLOOR, the stricter floor, clears both floors of
-    steady_state_entanglement for a clean stack; where no check quotes a
-    value, ``quoted`` holds the lowest eigenvalue if the screen failed,
-    else NaN. A failed state becomes NaN.
+    are set to I / 4, which passes them, to keep the fast path. One
+    _below_floor screen at PSD_EVAL_FLOOR, the stricter floor, clears both
+    floors of steady_state_entanglement for a clean stack. A failed state
+    becomes NaN. _steady_concurrence's PSD floor relies on ``quoted`` at a
+    code-0 point: the screen's lowest eigenvalue if it failed, else NaN.
     """
     states = _closed_form_states(terms)
     codes = terms[1].copy()
     codes[~np.isfinite(states).all(axis=(1, 2)) & (codes == 0)] = _OVERFLOW
-    states[codes > 0] = 0.0
+    states[codes > 0] = _I4 / 4.0
     lowest = _below_floor(states, tol.PSD_EVAL_FLOOR)
     quoted = np.full(len(codes), np.nan) if lowest is None else lowest
     failed = _density_codes(states, lowest)
-    if failed is not None:
-        fails = (failed[0] > 0) & (codes == 0)
-        codes[fails], quoted[fails] = failed[0][fails], failed[1][fails]
+    if failed is not None:  # at code-0 points only, as I / 4 passes
+        codes += failed[0]
+        quoted[codes == _BAD_TRACE] = failed[1][codes == _BAD_TRACE]
     states[codes > 0] = np.nan
     return states, codes, quoted
 
@@ -563,7 +566,7 @@ def propagate(
     over = np.flatnonzero(~(drift <= tol.TRACE_DRIFT_MAX))  # NaN drift fails too
     end = over[0] if len(over) else nsteps
     rho = rho[:end] / tr[:end, None, None]
-    failed = _density_codes(rho, _below_floor(rho, tol.DENSITY_EVAL_FLOOR))
+    failed = _density_codes(rho)
     if failed is not None:
         k = np.flatnonzero(failed[0])[0]
         raise InvalidState(f"step {k + 1}: {_failure(failed[0][k], failed[1][k])}")

@@ -28,7 +28,7 @@ from dipolepair import (
 )
 from dipolepair import cli
 from dipolepair import tolerances as tol
-from dipolepair.dynamics import _FAILURES, _below_floor, _density_codes, _errors
+from dipolepair.dynamics import _FAILURES, _density_codes, _errors
 from dipolepair.entanglement import _eofs
 from dipolepair.errors import (
     DipolePairError,
@@ -286,8 +286,7 @@ def test_density_errors_agree_with_density_matrix_checks():
     one_nan = np.diag([math.nan, 0.0, 0.0, 1.0]).astype(complex)
     all_nan = np.full((4, 4), math.nan, dtype=complex)
     stack = np.array([good, not_herm, 2.0 * good, indefinite, one_nan, all_nan])
-    lowest = _below_floor(stack, tol.DENSITY_EVAL_FLOOR)
-    for m, err in zip(stack, _errors(*_density_codes(stack, lowest))):
+    for m, err in zip(stack, _errors(*_density_codes(stack))):
         try:
             DensityMatrix(m, BasisTag.COMPUTATIONAL)
         except Exception as exc:
@@ -313,7 +312,7 @@ def test_density_checks_reject_non_finite_entries_first():
             with pytest.raises(InvalidState, match="^entries are not finite$"):
                 DensityMatrix(m, BasisTag.COMPUTATIONAL)
         stack = np.array([good] + bad)
-        errors = _errors(*_density_codes(stack, _below_floor(stack, tol.DENSITY_EVAL_FLOOR)))
+        errors = _errors(*_density_codes(stack))
     assert errors[0] is None
     assert [str(e) for e in errors[1:]] == ["entries are not finite"] * 4
 

@@ -215,9 +215,15 @@ def test_density_checks_at_the_eigenvalue_floor(basis):
         propagate(zero, bad, 0.02, 0.01)
     # one failing matrix in a stack fails alone
     stack = np.array([passing, failing, passing])
-    errors = _errors(*_density_codes(stack, _below_floor(stack, tol.DENSITY_EVAL_FLOOR)))
+    errors = _errors(*_density_codes(stack))
     assert [str(e) if e else None for e in errors] == [
         None, "negative eigenvalue beyond tolerance", None]
+    # exactly at the floor the Cholesky screen fails, and eigvalsh clears every matrix
+    at_floor = np.diag([1.0 - tol.DENSITY_EVAL_FLOOR, 0.0, 0.0, tol.DENSITY_EVAL_FLOOR])
+    assert _below_floor(at_floor[None], tol.DENSITY_EVAL_FLOOR) is not None
+    assert _density_codes(np.array([passing, at_floor])) is None
+    _, out = propagate(zero, DensityMatrix(at_floor, basis), 0.02, 0.01)
+    assert len(out) == 3
 
 
 def test_generator_breaking_positivity_raises():
