@@ -522,19 +522,40 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
+# Real coordinates of a Hermitian 4x4: the diagonal, then Re and Im of the upper
+# triangle. Column a of _FROM_REAL is vec of the Hermitian matrix that coordinate a
+# multiplies. _TO_REAL L _FROM_REAL sums exact products in pairs whose imaginary
+# parts cancel exactly if L[ji, lk] = conj L[ij, kl] bit for bit, as for every
+# build_liouvillian output. _TO_STACK gives the row-major (Re, Im) pairs of rho.
+_ROW = np.array([0, 1, 2, 3] + [0, 0, 0, 1, 1, 2] * 2)  # the diagonal, the upper triangle twice
+_COL = np.array([0, 1, 2, 3] + [1, 2, 3, 2, 3, 3] * 2)
+_UNIT = np.repeat([1.0, 1.0, 1j], [4, 6, 6])
+_FROM_REAL = np.zeros((16, 16), dtype=complex)
+_FROM_REAL[_COL + 4 * _ROW, np.arange(16)] = _UNIT.conj()  # overwritten on the diagonal
+_FROM_REAL[_ROW + 4 * _COL, np.arange(16)] = _UNIT
+# the inverse: the columns of _FROM_REAL are orthogonal, of squared norm 1 or 2
+_TO_REAL = _FROM_REAL.conj().T / np.repeat([1.0, 2.0], [4, 12])[:, None]
+_TO_STACK = _FROM_REAL[np.arange(16).reshape(4, 4).T.ravel()].T.copy().view(float)
+
+
 def propagate(
     liouv: Liouvillian, rho0: DensityMatrix, t_final: float, dt: float
 ) -> tuple[np.ndarray, list[DensityMatrix]]:
     """Exact solution of rho' = L rho on the grid t = 0, dt, 2 dt, ...
 
-    The step P = exp(L dt) is computed once, so the step size sets only
-    the sampling. The states come from about log2(steps) block products:
-    with the states up to step m known, P^m maps them to steps m ... 2m - 1,
+    L runs in the 16 real coordinates of a Hermitian 4x4, the diagonal and
+    then Re and Im of the upper triangle, so each state is Hermitian by
+    construction and rho0 enters as its Hermitian part. The step
+    P = exp(L dt) is computed once, so the step size sets only the
+    sampling. The states come from about log2(steps) block products: with
+    the states up to step m known, P^m maps them to steps m ... 2m - 1,
     and P^m is squared to P^2m. Returns (times, states) at every step
-    including t = 0. Every state is Hermitized and checked: its trace may
-    drift from one by at most TRACE_DRIFT_MAX (only a generator that does
-    not preserve trace does that); normalized, it must pass the DensityMatrix
-    checks. The first failing state raises InvalidState naming its step; dt,
+    including t = 0. A state's trace may drift from one by at most
+    TRACE_DRIFT_MAX (only a generator that does not preserve trace does
+    that); normalized, it must pass the DensityMatrix checks. The first
+    failing state raises InvalidState naming its step, and a generator whose
+    imaginary part in real coordinates exceeds HERMITICITY_RTOL of its
+    largest entry (it does not preserve Hermiticity) InvalidState; dt,
     t_final, over MAX_STEPS steps or a generator out of range OutOfRange.
     """
     if not dt > 0:  # NaN fails too
@@ -548,11 +569,19 @@ def propagate(
         raise InvalidState(
             f"cross-basis arithmetic: state is {rho0.basis}, generator {liouv.basis}"
         )
+    with np.errstate(all="ignore"):  # a huge generator's conversion can overflow
+        r = _TO_REAL @ liouv.matrix @ _FROM_REAL
+    if r.imag.any():  # 0 for every build_liouvillian output; NaN is not
+        size = np.abs(r).max()
+        if not size < math.inf:  # NaN fails too; out of range comes first
+            raise OutOfRange("exponential of a non-finite matrix")
+        if np.abs(r.imag).max() > tol.HERMITICITY_RTOL * size:
+            raise InvalidState("generator does not preserve Hermiticity")
     nsteps = math.ceil(steps - 1e-9)
     times = dt * np.arange(nsteps + 1)
-    power = _expm(liouv.matrix * dt).T  # P^m, transposed: the states are rows
-    v = np.empty((nsteps + 1, 16), dtype=complex)
-    v[0] = vec(rho0.matrix)
+    power = _expm(r.real * dt).T  # P^m, transposed: the states are rows
+    v = np.empty((nsteps + 1, 16))
+    v[0] = (_TO_REAL @ vec(rho0.matrix)).real
     done = 1  # states known: steps 0 ... done - 1
     while done <= nsteps:
         k = min(done, nsteps + 1 - done)
@@ -560,12 +589,11 @@ def propagate(
         done += k
         if done <= nsteps:
             power = power @ power
-    rho = hermitian_part(v[1:].reshape(nsteps, 4, 4).swapaxes(1, 2))  # unvec per row
-    tr = rho.trace(axis1=1, axis2=2).real
+    tr = v[1:, :4].sum(axis=1)
     drift = np.abs(tr - 1.0)
     over = np.flatnonzero(~(drift <= tol.TRACE_DRIFT_MAX))  # NaN drift fails too
     end = over[0] if len(over) else nsteps
-    rho = rho[:end] / tr[:end, None, None]
+    rho = ((v[1:end + 1] / tr[:end, None]) @ _TO_STACK).view(complex).reshape(end, 4, 4)
     failed = _density_codes(rho)
     if failed is not None:
         k = np.flatnonzero(failed[0])[0]

@@ -48,7 +48,7 @@ def binary_entropy(x: float) -> float:
 def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation in ebits for a two-qubit concurrence."""
     if not -1e-12 <= c <= 1.0 + 1e-12:
-        raise OutOfRange(f"concurrence {c!r} outside [0, 1]")
+        raise OutOfRange(f"concurrence {float(c)!r} outside [0, 1]")
     c = min(max(c, 0.0), 1.0)
     return binary_entropy((1.0 - math.sqrt(1.0 - c * c)) / 2.0)
 
@@ -98,7 +98,7 @@ def pure_concurrence(state: np.ndarray) -> float:
     psi = np.asarray(state, dtype=complex).ravel()
     if psi.shape != (4,):
         raise ValueError("expected a 4-component state vector")
-    n = np.linalg.norm(psi)
+    n = float(np.linalg.norm(psi))
     if abs(n - 1.0) > tol.STATE_NORM_ATOL:
         raise NotNormalized(f"state norm {n!r}")
     return float(2.0 * abs(psi[0] * psi[3] - psi[1] * psi[2]))
@@ -207,7 +207,7 @@ def admixture_concurrence(p: float, rho_s: DensityMatrix) -> float:
     difference formula applies to that list.
     """
     if not 0.0 <= p <= 1.0:
-        raise OutOfRange(f"weight p = {p!r} outside [0, 1]")
+        raise OutOfRange(f"weight p = {float(p)!r} outside [0, 1]")
     if rho_s.singlet_weight() != 0.0:
         raise InvalidState("admixture_concurrence expects a triplet-sector state")
     q = 1.0 - p

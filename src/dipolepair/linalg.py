@@ -7,6 +7,7 @@ mutated. All numerics are double precision.
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -25,15 +26,23 @@ class BasisTag(enum.Enum):
     COUPLED = "coupled"              # |+1>, |0>, |-1>, |A>
 
 
+@functools.cache
+def _kron_index(m: int, n: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a (m x n) and b (p x q) of each entry of kron(a, b)."""
+    row_a, row_b, col_a, col_b = np.indices((m, p, n, q)).reshape(4, m * p, n * q)
+    return row_a * n + col_a, row_b * q + col_b
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices; dimensions multiply.
 
-    The same products as np.kron, without its general-rank set-up.
+    The same products as np.kron, from one gather of each factor by flat
+    indices cached per pair of shapes.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    ia, ib = _kron_index(*a.shape, *b.shape)
+    return a.ravel()[ia] * b.ravel()[ib]
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

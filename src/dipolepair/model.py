@@ -83,7 +83,8 @@ class AtomPairConfig:
     def __post_init__(self):
         values = (self.delta, self.drive, self.mu_dot_rhat)
         if not all(map(math.isfinite, values)):
-            raise OutOfRange(f"inputs must be finite, got {self}")
+            fields = ", ".join(f"{k}={float(v)!r}" for k, v in vars(self).items())
+            raise OutOfRange(f"inputs must be finite, got AtomPairConfig({fields})")
         if self.drive < 0:
             raise OutOfRange("drive must be >= 0")
         if not 0.0 < self.k0r < math.inf:  # NaN fails too

@@ -15,7 +15,8 @@ STATE_NORM_ATOL = 1e-10
 
 # dynamics
 TRACE_DRIFT_MAX = 1e-6        # propagate(): trace drift of a generator that loses trace
-MAX_STEPS = 10**6             # propagate(): most steps of one trajectory (256 B of state each)
+HERMITICITY_RTOL = 1e-10      # propagate(): max |Im| / max |entry| of the generator, real coords
+MAX_STEPS = 10**6             # propagate(): most steps (128 B doubling buffer, 256 B state each)
 # (the singlet decouples only at gamma12 == gamma exactly: a branch, not a tolerance)
 
 # geometry factors

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from dipolepair import BasisTag, DensityMatrix, Liouvillian, hermitian_part, kron
+from dipolepair import BasisTag, DensityMatrix, Liouvillian, hermitian_part
 from dipolepair import tolerances as tol
 from dipolepair.errors import DipolePairError, NoNullSpace
 from dipolepair.model import I2, SIGMA_X, SIGMA_Z, SM1, SM2, SP1, SP2, TO_COUPLED
@@ -26,7 +26,7 @@ KERNEL_EXACT_RTOL = 1e-12  # below this the kernel is genuinely multi-dimensiona
 _TRIPLET_IDX = np.array([i + 4 * j for j in range(3) for i in range(3)])
 
 # computational -> coupled basis change of column-stacked 4x4s
-_TO_COUPLED_SUPER = kron(TO_COUPLED.conj(), TO_COUPLED)
+_TO_COUPLED_SUPER = np.kron(TO_COUPLED.conj(), TO_COUPLED)
 
 
 class DegenerateKernel(DipolePairError):
@@ -92,22 +92,23 @@ def triplet_steady_state(liouv: Liouvillian) -> DensityMatrix:
 def kron_loop_liouvillian(cfg, c) -> np.ndarray:
     """The 16x16 generator of build_liouvillian, Hamiltonian included.
 
-    Every operator product is formed where it is used, the rates come
-    from a numpy table, and each term makes a fresh array.
+    Every operator product is formed where it is used, the Kronecker
+    products are numpy's own np.kron, the rates come from a numpy table,
+    and each term makes a fresh array.
     """
     _i4 = np.eye(4, dtype=complex)
-    h = 0.5 * cfg.delta * (kron(SIGMA_Z, I2) + kron(I2, SIGMA_Z))
-    h = h + cfg.drive * (kron(SIGMA_X, I2) + kron(I2, SIGMA_X))
+    h = 0.5 * cfg.delta * (np.kron(SIGMA_Z, I2) + np.kron(I2, SIGMA_Z))
+    h = h + cfg.drive * (np.kron(SIGMA_X, I2) + np.kron(I2, SIGMA_X))
     h = h + c.omega * (SP1 @ SM2 + SM1 @ SP2)
     lops_minus = (SM1, SM2)
     lops_plus = (SP1, SP2)
     rates = 0.5 * np.array([[1.0, c.gamma12], [c.gamma12, 1.0]], dtype=float)
-    lm = -1j * (kron(_i4, h) - kron(h.T, _i4))
+    lm = -1j * (np.kron(_i4, h) - np.kron(h.T, _i4))
     for i in range(2):
         for j in range(2):
             r = rates[i, j]
             a = lops_plus[i] @ lops_minus[j]
             lm = lm + 0.5 * r * (
-                2.0 * kron(lops_plus[j].T, lops_minus[i]) - kron(_i4, a) - kron(a.T, _i4)
+                2.0 * np.kron(lops_plus[j].T, lops_minus[i]) - np.kron(_i4, a) - np.kron(a.T, _i4)
             )
     return lm

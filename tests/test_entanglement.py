@@ -264,6 +264,9 @@ def test_eof_rejects_out_of_range():
         eof_from_concurrence(1.5)
     with pytest.raises(OutOfRange):
         eof_from_concurrence(-0.2)
+    # a numpy scalar is quoted as a float, without numpy's repr
+    with pytest.raises(OutOfRange, match=r"^concurrence 1\.5 outside \[0, 1\]$"):
+        eof_from_concurrence(np.float64(1.5))
 
 
 # ------------------------------------------------------- singlet admixture
@@ -298,6 +301,8 @@ def test_admixture_decreases_concurrence_below_threshold():
 def test_admixture_rejects_bad_weight():
     with pytest.raises(OutOfRange):
         admixture_concurrence(1.2, lamb_dicke_limit_state(5.0))
+    with pytest.raises(OutOfRange, match=r"^weight p = 1\.2 outside \[0, 1\]$"):
+        admixture_concurrence(np.float64(1.2), lamb_dicke_limit_state(5.0))
 
 
 def test_admixture_requires_triplet_basis():

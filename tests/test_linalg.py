@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -56,6 +57,22 @@ def test_kron_associative_bilinear():
         x, y = RNG.normal(), RNG.normal()
         lin = kron(x * a + y * c, b)
         assert np.abs(lin - (x * kron(a, b) + y * kron(c, b))).max() < 1e-12
+
+
+def test_kron_is_np_kron_bit_for_bit():
+    # every pair of shapes with sides 1-4; each factor contiguous or a
+    # transposed view, complex or real
+    def factors(m, n):
+        c = random_complex(m, n)
+        r = RNG.normal(size=(m, n))
+        return c, random_complex(n, m).T, r, RNG.normal(size=(n, m)).T
+
+    for m, n, p, q in itertools.product(range(1, 5), repeat=4):
+        for a, b in itertools.product(factors(m, n), factors(p, q)):
+            got, want = kron(a, b), np.kron(a.astype(complex), b.astype(complex))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+                assert np.array_equal(got.real, np.kron(a, b)) and not got.imag.any()
 
 
 # ---------------------------------------------------------------- hermitian_eig

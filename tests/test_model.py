@@ -469,6 +469,10 @@ def test_config_rejects_non_finite_fields():
                 AtomPairConfig(**{field: bad})
     with pytest.raises(OutOfRange):
         AtomPairConfig(drive=math.nan, k0r=math.nan, delta=math.inf)
+    # numpy scalars are quoted as floats, without numpy's repr
+    with pytest.raises(OutOfRange, match=r"^inputs must be finite, got AtomPairConfig\("
+                       r"delta=0\.0, drive=nan, k0r=2\.0, mu_dot_rhat=0\.5\)$"):
+        AtomPairConfig(drive=np.float64(math.nan), k0r=np.float64(2.0), mu_dot_rhat=0.5)
 
 
 @pytest.mark.parametrize("k0r", [math.nan, math.inf, -math.inf, 0.0, -1.0, -5e-324])

@@ -1,6 +1,7 @@
 """Exact propagation: the Pade exponential and the checks on every state."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,16 @@ from dipolepair import (
 )
 from dipolepair import dynamics
 from dipolepair import tolerances as tol
-from dipolepair.dynamics import _THETA, _below_floor, _density_codes, _errors, _expm
+from dipolepair.dynamics import (
+    _FROM_REAL,
+    _THETA,
+    _TO_REAL,
+    _TO_STACK,
+    _below_floor,
+    _density_codes,
+    _errors,
+    _expm,
+)
 from dipolepair.errors import InvalidState, OutOfRange
 from dipolepair.model import TO_COUPLED
 
@@ -34,9 +44,16 @@ def unvec(v, n):
     return np.asarray(v, dtype=complex).reshape((n, n), order="F")
 
 
+def _real(lm):
+    """R = T L T^-1 of propagate, in real coordinates."""
+    return _TO_REAL @ lm @ _FROM_REAL
+
+
 def _rel_gap(a):
+    # scipy's path for real input is off a 40-digit mpmath value by up to
+    # 4e-11 on the real generators below, its complex path by 2.4e-13
     expm = pytest.importorskip("scipy.linalg").expm
-    ref = expm(a)
+    ref = expm(a.astype(complex))
     return np.abs(_expm(a) - ref).max() / np.abs(ref).max()
 
 
@@ -55,6 +72,9 @@ def test_expm_matches_scipy_on_liouvillians():
     stack = [build_liouvillian(AtomPairConfig(delta=d, drive=e), Couplings(w, g)).matrix
              for d, e, w, g in zip(delta, drive, dipole_coupling(k0r), cross_decay(k0r))]
     worst = max(_rel_gap(lm * h) for lm, h in zip(stack, dt))
+    assert worst <= 1e-11
+    # the real generators that propagate exponentiates
+    worst = max(_rel_gap(_real(lm).real * h) for lm, h in zip(stack, dt))
     assert worst <= 1e-11
 
 
@@ -80,6 +100,9 @@ def test_expm_on_both_sides_of_the_scaling_threshold(norm):
     lm = build_liouvillian(cfg, couplings_from_geometry(cfg)).matrix
     lm = lm * (norm / np.abs(lm).sum(axis=0).max())
     assert _rel_gap(lm) <= 1e-12
+    # the same generator in real coordinates, as propagate passes it
+    r = _real(build_liouvillian(cfg, couplings_from_geometry(cfg)).matrix).real
+    assert _rel_gap(r * (norm / np.abs(r).sum(axis=0).max())) <= 1e-12
 
 
 def test_expm_rejects_non_finite_matrix():
@@ -87,6 +110,57 @@ def test_expm_rejects_non_finite_matrix():
     a[3, 5] = np.nan
     with pytest.raises(OutOfRange, match="^exponential of a non-finite matrix$"):
         _expm(a)
+
+
+# ------------------------------------------------------- real coordinates
+
+
+def test_real_coordinates_round_trip_exactly():
+    # matrix -> (diagonal, Re and Im of the upper triangle) -> matrix, exact
+    # on exactly Hermitian stacks
+    assert np.array_equal(_TO_REAL @ _FROM_REAL, np.eye(16))
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(300, 4, 4)) + 1j * rng.normal(size=(300, 4, 4))
+    m = a + a.conj().swapaxes(1, 2)
+    m[:100] *= 10.0 ** rng.uniform(-300, 300, (100, 1, 1))
+    x = m.swapaxes(1, 2).reshape(300, 16) @ _TO_REAL.T  # vec of each matrix, mapped
+    assert not x.imag.any()
+    rows, cols = np.triu_indices(4, 1)
+    diag = m.real[:, range(4), range(4)]
+    assert np.array_equal(x.real, np.c_[diag, m.real[:, rows, cols], m.imag[:, rows, cols]])
+    back = (x.real @ _TO_STACK).view(complex).reshape(300, 4, 4)
+    assert np.array_equal(back, m)
+
+
+def test_every_build_liouvillian_generator_is_exactly_real_in_real_coordinates():
+    # Im R is exactly 0, not just within rounding: at couplings up to 1e150,
+    # and on gamma12 = -1 and gamma12 = 1
+    rng = np.random.default_rng(31)
+    for n in range(2000):
+        delta, omega = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 150, 2)
+        drive = 10.0 ** rng.uniform(-3, 150)
+        gamma12 = (-1.0, 1.0)[n % 2] if n % 5 == 0 else rng.uniform(-1.0, 1.0)
+        lm = build_liouvillian(AtomPairConfig(delta=delta, drive=drive),
+                               Couplings(omega, gamma12)).matrix
+        assert not _real(lm).imag.any(), (delta, drive, omega, gamma12)
+
+
+def test_a_generator_that_does_not_preserve_hermiticity_raises_invalid_state():
+    rho0 = DensityMatrix(GROUND, BasisTag.COMPUTATIONAL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidState, match="^generator does not preserve Hermiticity$"):
+            propagate(Liouvillian(1j * np.eye(16), BasisTag.COMPUTATIONAL), rho0, 1.0, 0.1)
+        # a generator that is not finite, or whose conversion overflows, is
+        # out of range first
+        for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+            lm = 1j * np.eye(16)
+            lm[3, 5] = bad
+            with pytest.raises(OutOfRange, match="^exponential of a non-finite matrix$"):
+                propagate(Liouvillian(lm, BasisTag.COMPUTATIONAL), rho0, 1.0, 0.1)
+        with pytest.raises(OutOfRange, match="^exponential of a non-finite matrix$"):
+            huge = np.full((16, 16), 1e308) + 1j * np.eye(16)
+            propagate(Liouvillian(huge, BasisTag.COMPUTATIONAL), rho0, 1.0, 0.1)
 
 
 # ------------------------------------------------------- propagation
@@ -132,6 +206,10 @@ def test_drive_2_from_ground_at_coarse_step_succeeds(k0r):
 def test_states_are_hermitian_unit_trace_and_tagged():
     cfg = AtomPairConfig(delta=0.4, drive=1.5, k0r=0.3)
     liouv = to_coupled(build_liouvillian(cfg, couplings_from_geometry(cfg)))
+    # the rotation rounds, so in real coordinates this generator keeps an
+    # imaginary part, far inside the tolerance
+    r = _real(liouv.matrix)
+    assert 0.0 < np.abs(r.imag).max() <= tol.HERMITICITY_RTOL * np.abs(r).max()
     rho0 = DensityMatrix(GROUND, BasisTag.COMPUTATIONAL).to_basis(BasisTag.COUPLED)
     times, states = propagate(liouv, rho0, 1.0, 0.05)
     assert states[0] is rho0

@@ -185,5 +185,6 @@ def test_pure_concurrence_monotone_in_drive():
 
 
 def test_pure_concurrence_rejects_unnormalized():
-    with pytest.raises(NotNormalized):
+    # the norm, a numpy float, is quoted as a Python float
+    with pytest.raises(NotNormalized, match=r"^state norm 1\.4142135623730951$"):
         pure_concurrence(np.array([1.0, 0, 0, 1.0]))
