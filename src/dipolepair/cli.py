@@ -6,7 +6,8 @@ set they cannot honour is a usage error before any solve; fig1 and check
 take only the flags they read.
 
 Exit codes: 0 success, 1 check failure or every grid point failed, 2
-usage error, 141 the reader closed standard output early (quietly). CSV
+usage error, package error or memory run out (one ``error:`` line), 141
+the reader closed standard output early (quietly). CSV
 output uses a single header row, 12-significant-digit floats and the
 literal ``NaN`` for failed points; JSON carries the same rounded values.
 ``--out`` is written in place and then cut to length.
@@ -134,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     files.add_argument("--out", default=None, help="output path (default stdout)")
     files.add_argument("--config", default=None, help="key=value defaults file")
     table = argparse.ArgumentParser(add_help=False, parents=[files])
-    table.add_argument("--format", choices=("text", "csv", "json"), default=None)
+    table.add_argument("--format", choices=_FORMATS, default=None)
     point = argparse.ArgumentParser(add_help=False, parents=[table])
     point.add_argument("--delta", type=float, default=None, help="detuning / gamma")
     point.add_argument("--efield", type=float, default=None, help="drive / gamma")
@@ -201,12 +202,15 @@ def _load_config(path: str) -> dict:
 
 def _config_value(key: str, text: str):
     """A config value: a number for a key whose flag takes one (points an
-    integer), a boolean for a switch, the text otherwise."""
+    integer), a boolean for a switch, one of the --format choices for
+    format, the text otherwise."""
     if key in BOOLEAN_KEYS:
         if text.lower() not in BOOLEAN_WORDS:
             raise UsageError(f"config key {key} expects one of "
                              f"{'/'.join(BOOLEAN_WORDS)}, got {text!r}")
         return BOOLEAN_WORDS[text.lower()]
+    if key == "format" and text not in _FORMATS:
+        raise UsageError(f"config key format expects one of {'/'.join(_FORMATS)}, got {text!r}")
     if key not in NUMERIC_KEYS:
         return text
     try:
@@ -243,6 +247,8 @@ NUMERIC_KEYS = POINT_FLAGS + ("mu_dot_rhat", "q", "nbar_min", "nbar_max", "point
 BOOLEAN_KEYS = ("lamb_dicke",)
 BOOLEAN_WORDS = {"true": True, "false": False, "yes": True, "no": False,
                  "1": True, "0": False}
+# the choices of --format, and of the config key format
+_FORMATS = ("text", "csv", "json")
 
 
 def _mesh(ns, config, axes=(), drive=None, limit=False):
@@ -579,6 +585,9 @@ def main(argv=None) -> int:
         return code
     except (UsageError, DipolePairError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # say, a grid too large for memory
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader left (say, `dipolepair check | head`): stop without a

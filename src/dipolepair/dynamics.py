@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import InvalidRegime, InvalidState, NotPSD, OutOfRange
+from .errors import InvalidRegime, InvalidState, OutOfRange
 from .linalg import BasisTag, hermitian_part, kron
 from .model import (
     SM1,
@@ -137,10 +137,10 @@ def _broadcast(*args) -> list[np.ndarray]:
 # point never stops the others; typed errors are made for failed points only.
 
 (_NON_FINITE_INPUT, _NEGATIVE_DRIVE, _DARK_LINE, _OVERFLOW, _NON_FINITE_ENTRIES,
- _NOT_HERMITIAN, _BAD_TRACE, _NEGATIVE_EIGENVALUE, _BELOW_PSD_FLOOR, _CONCURRENCE) = range(1, 11)
+ _NOT_HERMITIAN, _BAD_TRACE, _NEGATIVE_EIGENVALUE, _CONCURRENCE) = range(1, 10)
 
 # The error type and message of each code; a message may quote the point's
-# value (a trace, an eigenvalue or a concurrence). On the dark line, drive 0
+# value (a trace or a concurrence). On the dark line, drive 0
 # and gamma12 = -1 exactly, the symmetric channel's rate (1 + gamma12) / 2 is
 # 0 and the antisymmetric one annihilates |0>, so |0><0| and |-1><-1| are
 # both steady at every delta; D of steady_state_concurrences is 0 only there.
@@ -153,7 +153,6 @@ _FAILURES = {
     _NOT_HERMITIAN: (InvalidState, "not Hermitian within tolerance"),
     _BAD_TRACE: (InvalidState, "trace {!r} is not 1"),
     _NEGATIVE_EIGENVALUE: (InvalidState, "negative eigenvalue beyond tolerance"),
-    _BELOW_PSD_FLOOR: (NotPSD, "eigenvalue {:.3e} below PSD floor"),
     _CONCURRENCE: (OutOfRange, "concurrence {!r} outside [0, 1]"),
 }
 
@@ -169,25 +168,23 @@ def _errors(codes, quoted) -> list:
     return [_failure(c, v) if c else None for c, v in zip(codes.tolist(), quoted.tolist())]
 
 
-# each floor times the identity
-_FLOOR_EYE = {f: f * np.eye(4) for f in (tol.DENSITY_EVAL_FLOOR, tol.PSD_EVAL_FLOOR)}
-_UNSCREENED = object()  # _density_codes screens the stack itself
+_FLOOR_EYE = tol.PSD_EVAL_FLOOR * np.eye(4)  # the shift of _below_floor's screen
 
 
-def _density_codes(m: np.ndarray, lowest=_UNSCREENED):
+def _density_codes(m: np.ndarray):
     """DensityMatrix's checks, in its order, on an (N, 4, 4) stack.
 
-    Every entry finite, Hermitian to DENSITY_HERM_ATOL, trace 1 to
-    DENSITY_TRACE_ATOL, lowest eigenvalue at least DENSITY_EVAL_FLOOR.
-    The last is screened by _below_floor, or ``lowest`` is its result at
-    a floor at least as strict. The stack is decided by one comparison
-    per check (|m - m^+| by one maximum over the stack): None if every
-    matrix passes (also when the screen fails but eigvalsh clears each),
-    else (codes, traces), the code of each matrix's first failed check
-    (0: none) and the traces that the trace message quotes.
+    Every entry finite, Hermitian to HERMITICITY_ATOL, trace 1 to
+    DENSITY_TRACE_ATOL, lowest eigenvalue at least PSD_EVAL_FLOOR: a
+    state passes the checks of psd_sqrt, so Wootters' square root takes
+    it as it is. The last is screened by _below_floor. The stack is
+    decided by one comparison per check (|m - m^+| by one maximum over
+    the stack): None if every matrix passes (also when the screen fails
+    but eigvalsh clears each), else (codes, traces), the code of each
+    matrix's first failed check (0: none) and the traces that the trace
+    message quotes.
     """
-    if lowest is _UNSCREENED:
-        lowest = _below_floor(m, tol.DENSITY_EVAL_FLOOR)
+    lowest = _below_floor(m)
     # a non-finite entry makes |m - m^+| NaN or inf, which fails the
     # Hermiticity test: a stack that passes it is finite
     with np.errstate(invalid="ignore"):
@@ -195,22 +192,23 @@ def _density_codes(m: np.ndarray, lowest=_UNSCREENED):
         tr = m.trace(axis1=1, axis2=2).real
     # on one matrix, a Python float costs less than numpy calls; an empty stack passes
     off = abs(tr.item() - 1.0) if len(m) == 1 else np.abs(tr - 1.0).max(initial=0.0)
-    if (dev.max(initial=0.0) <= tol.DENSITY_HERM_ATOL and off <= tol.DENSITY_TRACE_ATOL
+    if (dev.max(initial=0.0) <= tol.HERMITICITY_ATOL and off <= tol.DENSITY_TRACE_ATOL
             and lowest is None):
         return None
     codes = np.zeros(len(m), dtype=int)
     for code, fails in ((_NON_FINITE_ENTRIES, ~np.isfinite(m).all(axis=(1, 2))),
-                        (_NOT_HERMITIAN, dev.max(axis=(1, 2)) > tol.DENSITY_HERM_ATOL),
+                        (_NOT_HERMITIAN, dev.max(axis=(1, 2)) > tol.HERMITICITY_ATOL),
                         (_BAD_TRACE, np.abs(tr - 1.0) > tol.DENSITY_TRACE_ATOL),
                         (_NEGATIVE_EIGENVALUE,
-                         lowest is not None and lowest < tol.DENSITY_EVAL_FLOOR)):
+                         lowest is not None and lowest < tol.PSD_EVAL_FLOOR)):
         codes[fails & (codes == 0)] = code
     return (codes, tr) if codes.any() else None
 
 
-def _below_floor(m: np.ndarray, floor: float) -> np.ndarray | None:
+def _below_floor(m: np.ndarray) -> np.ndarray | None:
     """None if every matrix of an (N, 4, 4) stack has its lowest eigenvalue
-    at ``floor`` or above, else each one's lowest eigenvalue (NaN if not finite).
+    at PSD_EVAL_FLOOR or above, else each one's lowest eigenvalue (NaN if
+    not finite).
 
     The lowest eigenvalue is at least the floor exactly when m - floor I
     is PSD, so one batched Cholesky factorisation of that shift that
@@ -219,7 +217,7 @@ def _below_floor(m: np.ndarray, floor: float) -> np.ndarray | None:
     is left to the finiteness check.
     """
     try:
-        np.linalg.cholesky(m - _FLOOR_EYE[floor])
+        np.linalg.cholesky(m - _FLOOR_EYE)
     except np.linalg.LinAlgError:
         lowest = np.full(len(m), np.nan)
         finite = np.isfinite(m).all(axis=(1, 2))
@@ -348,19 +346,15 @@ def _solve_blocks(terms):
     each point's _FAILURES code (0: none) and the value its message quotes.
 
     The states not failed before get the DensityMatrix checks; the others
-    are set to I / 4, which passes them, to keep the fast path. One
-    _below_floor screen at PSD_EVAL_FLOOR, the stricter floor, clears both
-    floors of steady_state_entanglement for a clean stack. A failed state
-    becomes NaN. _steady_concurrence's PSD floor relies on ``quoted`` at a
-    code-0 point: the screen's lowest eigenvalue if it failed, else NaN.
+    are set to I / 4, which passes them, to keep the fast path. A failed
+    state becomes NaN.
     """
     states = _closed_form_states(terms)
     codes = terms[1].copy()
     codes[~np.isfinite(states).all(axis=(1, 2)) & (codes == 0)] = _OVERFLOW
     states[codes > 0] = _I4 / 4.0
-    lowest = _below_floor(states, tol.PSD_EVAL_FLOOR)
-    quoted = np.full(len(codes), np.nan) if lowest is None else lowest
-    failed = _density_codes(states, lowest)
+    quoted = np.full(len(codes), np.nan)
+    failed = _density_codes(states)
     if failed is not None:  # at code-0 points only, as I / 4 passes
         codes += failed[0]
         quoted[codes == _BAD_TRACE] = failed[1][codes == _BAD_TRACE]

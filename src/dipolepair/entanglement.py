@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .dynamics import (_BELOW_PSD_FLOOR, _CONCURRENCE, DensityMatrix, _errors, _scaled_terms,
-                       _solve_blocks)
+from .dynamics import _CONCURRENCE, DensityMatrix, _errors, _scaled_terms, _solve_blocks
 from .errors import InvalidState, NotNormalized, OutOfRange
 from .linalg import BasisTag, psd_sqrt
 from .model import SIGMA_Y, SINGLET_KET
@@ -153,10 +152,9 @@ def steady_state_entanglement(delta, drive, omega, gamma12):
     """Steady states of N parameter points with their concurrence and EoF.
 
     The arguments broadcast to one length N. States and their checks are
-    those of solve_steady_states; each state must also clear the PSD
-    floor of wootters_concurrence (NotPSD), at which the checks screen the
-    stack; NotPSD quotes the lowest eigenvalue (a basis change keeps it). The
-    concurrence is steady_state_concurrences and must lie in [0, 1]
+    those of solve_steady_states, which are also those of the square root
+    in wootters_concurrence. The concurrence is
+    steady_state_concurrences and must lie in [0, 1]
     (OutOfRange); states and concurrence share one evaluation of the
     scaled terms. A point that fails does not stop the others. Returns
     ``(states, concurrence, eof, errors)``, NaN where a point failed and
@@ -168,12 +166,10 @@ def steady_state_entanglement(delta, drive, omega, gamma12):
 
 def _steady_concurrence(delta, drive, omega, gamma12):
     """steady_state_entanglement without the EoF and the error list: (states, conc,
-    codes, quoted) as _solve_blocks marks them, then the PSD floor and C <= 1."""
+    codes, quoted) as _solve_blocks marks them, then C <= 1."""
     terms = _scaled_terms(delta, drive, omega, gamma12)
     states, codes, quoted = _solve_blocks(terms)
     conc = _concurrence_law(terms)
-    # a point without a failure quotes its lowest eigenvalue, NaN if it cleared the screen
-    codes[(quoted < tol.PSD_EVAL_FLOOR) & (codes == 0)] = _BELOW_PSD_FLOOR
     fails = ~(conc <= 1.0 + 1e-12) & (codes == 0)
     codes[fails], quoted[fails] = _CONCURRENCE, conc[fails]
     conc[codes > 0] = np.nan

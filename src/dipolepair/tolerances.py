@@ -2,15 +2,13 @@
 
 # linear algebra kernels
 HERMITICITY_ATOL = 1e-10      # max-abs of m - m^dagger
-PSD_EVAL_FLOOR = -1e-10       # eigenvalues below this fail the PSD check
+PSD_EVAL_FLOOR = -1e-10       # eigenvalues below this fail the PSD check, of any state
 # the SVD kernel of null_vector; the steady-state solvers have no threshold
 NULLSPACE_RTOL = 1e-8         # smallest singular value relative to largest
 KERNEL_FLAG_RTOL = 1e-8       # second-smallest singular value: degeneracy flag
 
-# density matrices
-DENSITY_HERM_ATOL = 1e-10
+# density matrices (Hermiticity and eigenvalues as above)
 DENSITY_TRACE_ATOL = 1e-10
-DENSITY_EVAL_FLOOR = -1e-9
 STATE_NORM_ATOL = 1e-10
 
 # dynamics

@@ -32,6 +32,7 @@ from dipolepair import (
     wootters_concurrence,
 )
 from dipolepair import dynamics
+from dipolepair import tolerances as tol
 from dipolepair.cli import main
 from dipolepair.errors import InvalidRegime, InvalidState, OutOfRange
 from dipolepair.model import TO_COUPLED
@@ -223,7 +224,7 @@ def test_every_domain_point_gives_a_valid_state(k0r, drive, delta, mu):
     m = state.matrix
     assert np.abs(m - m.conj().T).max() <= 1e-10
     assert abs(np.trace(m).real - 1.0) <= 1e-10
-    assert np.linalg.eigvalsh(m).min() >= -1e-9
+    assert np.linalg.eigvalsh(m).min() >= tol.PSD_EVAL_FLOOR
     assert m[3, 3] == m[0, 0].real and not m[3, :3].any()
     assert 0.0 <= wootters_concurrence(state).concurrence <= 1.0
 

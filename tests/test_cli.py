@@ -248,7 +248,7 @@ def test_fig2_failure_warning_names_error_classes(capsys, monkeypatch):
     assert len(rows) == 144 and not any(math.isnan(r[4]) for r in rows)
     # failures at known points: NaN concurrence there, a breakdown by class
     inject_failures(monkeypatch, {3: dynamics._NEGATIVE_EIGENVALUE,
-                                  7: dynamics._BELOW_PSD_FLOOR, 8: dynamics._NOT_HERMITIAN})
+                                  7: dynamics._OVERFLOW, 8: dynamics._NOT_HERMITIAN})
     rc, out, err = run(capsys, *band)
     assert rc == 0
     _, failed_rows = parse_csv(out)
@@ -256,7 +256,7 @@ def test_fig2_failure_warning_names_error_classes(capsys, monkeypatch):
     assert all(a == b for k, (a, b) in enumerate(zip(rows, failed_rows))
                if k not in (3, 7, 8))
     assert err == ("warning: 3 grid point(s) failed, recorded as NaN "
-                   "(InvalidState: 2, NotPSD: 1)\n")
+                   "(InvalidState: 2, OutOfRange: 1)\n")
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
@@ -264,6 +264,22 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     rc, out, err = run(capsys, "fig2", "--points", "3", "--out", str(path))
     assert rc == 2 and out == ""
     assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("message, err", [
+    ("Unable to allocate 74.5 GiB for an array with shape (10000000000,) and data type float64",
+     "error: Unable to allocate 74.5 GiB for an array with shape (10000000000,) and data type "
+     "float64\n"),
+    ("", "error: out of memory\n"),
+], ids=["numpy_message", "no_message"])
+def test_a_grid_too_large_for_memory_is_one_error_line(monkeypatch, capsys, message, err):
+    # fig2 --points 100000 asks _mesh for a 10^10-point mesh, whose
+    # allocation raises MemoryError; raised here without allocating
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_mesh", out_of_memory)
+    assert run(capsys, "fig2", "--points", "100000") == (2, "", err)
 
 
 def test_out_is_rewritten_in_place_without_a_stale_tail(tmp_path, capsys):
@@ -722,7 +738,9 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
 @pytest.mark.parametrize("command, line, message", [
     ("steady", "efield = abc", "config key efield expects a number, got 'abc'"),
     ("fig2", "points = many", "config key points expects an integer, got 'many'"),
-], ids=["steady_efield", "fig2_points"])
+    ("fig2", "format = xml", "config key format expects one of text/csv/json, got 'xml'"),
+    ("steady", "format = xml", "config key format expects one of text/csv/json, got 'xml'"),
+], ids=["steady_efield", "fig2_points", "fig2_format", "steady_format"])
 def test_config_value_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys, command, line,
                                                          message):
     cfgfile = tmp_path / "run.cfg"

@@ -41,7 +41,7 @@ from dipolepair import (
 )
 from dipolepair import cli, dynamics, entanglement
 from dipolepair import tolerances as tol
-from dipolepair.errors import DipolePairError, InvalidState, NotPSD, OutOfRange
+from dipolepair.errors import DipolePairError, InvalidState, OutOfRange
 from dipolepair.model import SIGMA_Y, TO_COUPLED
 
 
@@ -192,17 +192,18 @@ def corrupt(monkeypatch, diagonals):
 def test_grid_checks_fail_only_their_own_point(monkeypatch):
     drive = np.array([0.5, 1.0, 1.5, math.nan, 2.0])
     clean_states, _ = solve_steady_states(0.0, drive, 20.0, 0.3)
-    # diag(0.25, 0.5 - low, low) and p_A = 0.25: trace 1; -5e-10 passes the
-    # density-matrix floor (-1e-9), not the PSD floor (-1e-10)
+    # diag(0.25, 0.5 - low, low) and p_A = 0.25: trace 1; both lowest
+    # eigenvalues lie below the floor (-1e-10)
     corrupt(monkeypatch, {k: (0.25, 0.5 - low, low, 0.25)
                           for k, low in ((1, -5e-10), (2, -2e-9))})
     states, conc, eof, errors = steady_state_entanglement(0.0, drive, 20.0, 0.3)
-    assert type(errors[1]) is NotPSD and "below PSD floor" in str(errors[1])
-    assert type(errors[2]) is InvalidState and "negative eigenvalue" in str(errors[2])
+    for k in (1, 2):
+        assert type(errors[k]) is InvalidState
+        assert str(errors[k]) == "negative eigenvalue beyond tolerance"
     assert type(errors[3]) is OutOfRange and str(errors[3]) == "inputs must be finite"
     assert errors[0] is None and errors[4] is None
     assert np.isnan(conc[1:4]).all() and np.isnan(eof[1:4]).all()
-    assert np.isnan(states[2:4]).all()
+    assert np.isnan(states[1:4]).all()
     assert np.array_equal(states[[0, 4]], clean_states[[0, 4]])
     law = steady_state_concurrences(0.0, drive[[0, 4]], 20.0, 0.3)
     assert np.array_equal(conc[[0, 4]], law) and (law > 0).all()
@@ -229,9 +230,9 @@ def test_cli_report_and_error_list_agree_with_the_one_point_raise_sites(monkeypa
     drive = np.array([0.5, 1.0, -1.0, 0.0, 1.0, 1.0, 1.5, 2.0, 2.5])
     omega = np.array([20.0, math.nan, 20.0, 2.0, 1e308, 20.0, 20.0, 20.0, 20.0])
     gamma12 = np.array([0.3, 0.3, 0.3, -1.0, 1.0, 0.3, 0.3, 0.3, 0.3])
-    # NotPSD (the higher code) before InvalidState: a sort by code would swap them
-    not_psd, invalid = ((0.25, 0.5 - low, low, 0.25) for low in (-5e-10, -2e-9))
-    corrupt(monkeypatch, {5: not_psd, 6: invalid})
+    # InvalidState (the higher codes) before InvalidRegime: a sort by code would swap them
+    below, invalid = ((0.25, 0.5 - low, low, 0.25) for low in (-5e-10, -2e-9))
+    corrupt(monkeypatch, {5: below, 6: invalid})
     above_one = np.zeros(9)
     above_one[7] = 1.0
     law = entanglement._concurrence_law
@@ -241,7 +242,7 @@ def test_cli_report_and_error_list_agree_with_the_one_point_raise_sites(monkeypa
         2: lambda: AtomPairConfig(drive=-1.0),
         3: lambda: solve_steady_state(AtomPairConfig(drive=0.0), Couplings(2.0, -1.0)),
         4: lambda: analytic_steady_state(1e308, 1.0),
-        5: lambda: wootters_concurrence(DensityMatrix(np.diag(not_psd), BasisTag.COUPLED)),
+        5: lambda: wootters_concurrence(DensityMatrix(np.diag(below), BasisTag.COUPLED)),
         6: lambda: DensityMatrix(np.diag(invalid), BasisTag.COUPLED),
         7: lambda: eof_from_concurrence(
             float(steady_state_concurrences(0.0, 2.0, 20.0, 0.3)[0]) + 1.0),
@@ -254,8 +255,7 @@ def test_cli_report_and_error_list_agree_with_the_one_point_raise_sites(monkeypa
         assert type(errors[k]) is type(raised.value) and str(errors[k]) == str(raised.value)
     assert not cli._report_failures(cli._solve_grid(delta, drive, omega, gamma12)[2])
     kinds = Counter(type(e).__name__ for e in errors if e is not None).most_common()
-    assert kinds == [("OutOfRange", 4), ("InvalidRegime", 1), ("NotPSD", 1),
-                     ("InvalidState", 1)]
+    assert kinds == [("OutOfRange", 4), ("InvalidState", 2), ("InvalidRegime", 1)]
     assert capsys.readouterr().err == (
         "warning: 7 grid point(s) failed, recorded as NaN ("
         + ", ".join(f"{name}: {count}" for name, count in kinds) + ")\n")
@@ -313,28 +313,30 @@ def test_grid_commands_screen_each_stack_with_one_cholesky(monkeypatch, capsys, 
     clean = capsys.readouterr().out.splitlines()
     assert len(clean) == sum(stacks) + 1
     assert counts == {"cholesky": len(stacks), "eigvalsh": 0, "eigh": 0, "svd": 0}
-    # one state below the PSD floor in the second stack: eigvalsh for that stack alone
+    # one state below the floor in the second stack: eigvalsh for that stack alone
     counts.update(dict.fromkeys(counts, 0))
     inject_once(monkeypatch, 1, 3, coupled_state(-5e-10))
     assert cli.main(list(argv)) == 0
     captured = capsys.readouterr()
-    assert "(NotPSD: 1)" in captured.err
+    assert captured.err == "warning: 1 grid point(s) failed, recorded as NaN (InvalidState: 1)\n"
     assert counts == {"cholesky": len(stacks), "eigvalsh": stacks[1], "eigh": 0, "svd": 0}
     failed = captured.out.splitlines()
     assert failed[1 + 23].endswith(",NaN") and "NaN" not in clean[1 + 23]
     assert failed[:24] + failed[25:] == clean[:24] + clean[25:]
 
 
+# one floor, PSD_EVAL_FLOOR = -1e-10; the "density_floor" cases sit at -1e-9,
+# ten times further down, and fail as every state below the floor does
 FLOOR_CASES = [
-    (-5e-10, 0.0, (NotPSD, "below PSD floor")),
+    (-5e-10, 0.0, (InvalidState, "negative eigenvalue beyond tolerance")),
     (-2e-9, 0.0, (InvalidState, "negative eigenvalue beyond tolerance")),
     (0.0, 2e-10, (InvalidState, "not Hermitian within tolerance")),
     (-2e-9, 2e-10, (InvalidState, "not Hermitian within tolerance")),
     (tol.PSD_EVAL_FLOOR * (1.0 - 1e-6), 0.0, None),
-    (tol.PSD_EVAL_FLOOR * (1.0 + 1e-6), 0.0, (NotPSD, "below PSD floor")),
-    (tol.DENSITY_EVAL_FLOOR * (1.0 - 1e-6), 0.0, (NotPSD, "below PSD floor")),
-    (tol.DENSITY_EVAL_FLOOR * (1.0 + 1e-6), 0.0,
+    (tol.PSD_EVAL_FLOOR * (1.0 + 1e-6), 0.0,
      (InvalidState, "negative eigenvalue beyond tolerance")),
+    (-1e-9 * (1.0 - 1e-6), 0.0, (InvalidState, "negative eigenvalue beyond tolerance")),
+    (-1e-9 * (1.0 + 1e-6), 0.0, (InvalidState, "negative eigenvalue beyond tolerance")),
 ]
 
 
@@ -366,21 +368,16 @@ def test_grid_checks_floors_and_error_precedence(monkeypatch, lowest, herm_dev, 
             assert conc[k] == clean[1][k] and eof[k] == clean[2][k]
             continue
         kind, message = expected
-        assert type(errors[k]) is kind and message in str(errors[k])
-        if kind is NotPSD:  # the state passed its checks; the message quotes the eigenvalue
-            assert str(errors[k]) == f"eigenvalue {lowest:.3e} below PSD floor"
-            assert np.array_equal(states[k], coupled_state(lowest, herm_dev))
-        else:
-            assert np.isnan(states[k]).all()
-        assert np.isnan(conc[k]) and np.isnan(eof[k])
+        assert type(errors[k]) is kind and str(errors[k]) == message
+        assert np.isnan(states[k]).all() and np.isnan(conc[k]) and np.isnan(eof[k])
 
 
-@pytest.mark.parametrize("lowest", [tol.PSD_EVAL_FLOOR * (1.0 - 1e-6),
-                                    tol.DENSITY_EVAL_FLOOR * (1.0 - 1e-6)],
+@pytest.mark.parametrize("lowest", [tol.PSD_EVAL_FLOOR * (1.0 - 1e-6), -1e-9 * (1.0 - 1e-6)],
                          ids=["psd_floor", "density_floor"])
 def test_grid_fallback_decides_a_state_just_above_the_floor(monkeypatch, lowest):
     # a stack that fails the screen on one state (lowest -2e-9) decides the
-    # others by eigvalsh, with the outcome the screen gives them on their own
+    # others by eigvalsh, with the outcome the screen gives them on their own:
+    # just above the floor passes, -1e-9 (the "density_floor" case) fails
     drive = np.linspace(0.5, 3.0, 6)
     clean = steady_state_entanglement(0.0, drive, 20.0, 0.3)
     build = dynamics._closed_form_states
@@ -397,9 +394,11 @@ def test_grid_fallback_decides_a_state_just_above_the_floor(monkeypatch, lowest)
     assert type(errors[4]) is InvalidState
     if lowest > tol.PSD_EVAL_FLOOR:
         assert errors[1] is None and conc[1] == clean[1][1]
+        assert np.array_equal(states[1], coupled_state(lowest))
     else:
-        assert type(errors[1]) is NotPSD and np.isnan(conc[1])
-    assert np.array_equal(states[1], coupled_state(lowest))
+        assert str(errors[1]) == "negative eigenvalue beyond tolerance"
+        assert type(errors[1]) is InvalidState
+        assert np.isnan(states[1]).all() and np.isnan(conc[1])
     others = [0, 2, 3, 5]
     assert all(errors[i] is None for i in others)
     for got, want in zip((states, conc, eof), clean[:3]):

@@ -17,8 +17,11 @@ from dipolepair import (
     BasisTag,
     Couplings,
     DensityMatrix,
+    build_liouvillian,
+    couplings_from_geometry,
     cross_decay,
     dipole_coupling,
+    propagate,
     psd_sqrt,
     solve_steady_state,
     solve_steady_states,
@@ -323,10 +326,10 @@ def test_wootters_concurrences_records_each_failure_and_keeps_the_rest():
     good = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
     not_herm = good.copy()
     not_herm[0, 1] = 1e-3
-    # -5e-10 passes the density-matrix floor (-1e-9), not psd_sqrt's (-1e-10)
+    # -5e-10 lies below the one floor (-1e-10) of DensityMatrix and psd_sqrt
     slightly_negative = np.diag([0.5 + 5e-10, 0.25, 0.25, -5e-10]).astype(complex)
     for m, kind in ((not_herm, InvalidState), (2.0 * good, InvalidState),
-                    (slightly_negative, NotPSD)):
+                    (slightly_negative, InvalidState)):
         with pytest.raises(DipolePairError) as failure:
             wootters_concurrence(TO_COUPLED.conj().T @ m @ TO_COUPLED)
         assert type(failure.value) is kind
@@ -336,13 +339,14 @@ def test_wootters_concurrences_records_each_failure_and_keeps_the_rest():
 
 
 @pytest.mark.parametrize("lowest, herm_dev, expected", [
-    (-5e-10, 0.0, (NotPSD, "below PSD floor")),
+    (-5e-10, 0.0, (InvalidState, "negative eigenvalue beyond tolerance")),
     (-2e-9, 0.0, (InvalidState, "negative eigenvalue beyond tolerance")),
     (0.0, 2e-10, (InvalidState, "not Hermitian within tolerance")),
     (-2e-9, 2e-10, (InvalidState, "not Hermitian within tolerance")),
 ], ids=["psd_floor_only", "density_floor_first", "hermiticity", "hermiticity_first"])
 def test_wootters_concurrences_error_precedence_at_the_floors(lowest, herm_dev, expected):
-    # one point: the DensityMatrix checks come first, then psd_sqrt's.
+    # one point: the DensityMatrix checks, Hermiticity before the floor; a
+    # state that passes them passes psd_sqrt's, which are the same.
     # Coupled basis; (|+1>, |-1>) is (|ee>, |gg>), so the deviation is not spread
     m = np.diag([0.5 - lowest, 0.25, 0.25, lowest]).astype(complex)
     m[0, 2] = herm_dev
@@ -354,7 +358,7 @@ def test_wootters_concurrences_error_precedence_at_the_floors(lowest, herm_dev, 
 
 
 def test_psd_sqrt_checks_hermiticity_before_the_floor():
-    # past the DensityMatrix checks, psd_sqrt raises NotHermitian before NotPSD
+    # on a raw matrix, psd_sqrt raises NotHermitian before NotPSD
     m = np.diag([0.5 + 5e-10, 0.25, 0.25, -5e-10]).astype(complex)
     m[0, 3] = 2e-10
     with pytest.raises(NotHermitian, match="deviation from Hermiticity"):
@@ -362,3 +366,42 @@ def test_psd_sqrt_checks_hermiticity_before_the_floor():
     m[0, 3] = 0.0
     with pytest.raises(NotPSD, match="below PSD floor"):
         psd_sqrt(m)
+
+
+def test_states_of_every_path_keep_the_floor_with_headroom():
+    # every path builds exact states (closed form, a 9x9 solve, exact
+    # propagation), so each lowest eigenvalue sits at rounding level, far
+    # above the one floor PSD_EVAL_FLOOR = -1e-10: 1000 times inside it here
+    rng = np.random.default_rng(28)
+    headroom = 1e-3 * tol.PSD_EVAL_FLOOR
+
+    def geometry(n):
+        k0r = np.exp(rng.uniform(math.log(1e-3), math.log(10.0), n))
+        mu = rng.random(n)
+        return k0r, mu, dipole_coupling(k0r, mu), cross_decay(k0r)
+
+    # the grid: a third of the points on the resonance delta = -omega
+    _, _, omega, gamma12 = geometry(2400)
+    delta = 5.0 * rng.standard_normal(2400)
+    delta[::3] = -omega[::3]
+    drive = 10.0 * rng.random(2400)
+    states, errors = solve_steady_states(delta, drive, omega, gamma12)
+    assert errors == [None] * 2400
+    assert np.linalg.eigvalsh(states)[:, 0].min() >= headroom
+    # the scalar solve
+    lowest = []
+    for k, (k0r, mu, omega, _) in enumerate(zip(*geometry(240))):
+        delta = -omega if k % 3 == 0 else 5.0 * rng.standard_normal()
+        cfg = AtomPairConfig(delta=delta, drive=10.0 * rng.random(), k0r=k0r, mu_dot_rhat=mu)
+        state = solve_steady_state(cfg, couplings_from_geometry(cfg))
+        lowest.append(np.linalg.eigvalsh(state.matrix)[0])
+    assert min(lowest) >= headroom
+    # propagation from |gg>
+    ground = DensityMatrix(np.diag([0.0, 0.0, 0.0, 1.0]), BasisTag.COMPUTATIONAL)
+    for k0r, mu, _, _ in zip(*geometry(12)):
+        cfg = AtomPairConfig(delta=rng.standard_normal(), drive=5.0 * rng.random(), k0r=k0r,
+                             mu_dot_rhat=mu)
+        _, out = propagate(build_liouvillian(cfg, couplings_from_geometry(cfg)), ground,
+                           20.0, 0.05)
+        stack = np.array([state.matrix for state in out])
+        assert np.linalg.eigvalsh(stack)[:, 0].min() >= headroom

@@ -197,7 +197,7 @@ def test_drive_2_from_ground_at_coarse_step_succeeds(k0r):
     times, states = propagate(liouv, rho0, 2.0, 0.01)
     assert len(times) == len(states) == 201
     lowest = min(np.linalg.eigvalsh(st.matrix)[0] for st in states)
-    assert lowest >= -1e-9
+    assert lowest >= tol.PSD_EVAL_FLOOR
     for k in (1, 50, 200):
         exact = unvec(expm(liouv.matrix * times[k]) @ vec(GROUND), 4)
         assert np.abs(states[k].matrix - exact).max() < 1e-10
@@ -282,7 +282,7 @@ def test_density_checks_at_the_eigenvalue_floor(basis):
     rotate = TO_COUPLED if basis is BasisTag.COUPLED else np.eye(4)
     passing, failing = (
         rotate @ np.diag([0.5 - lowest, 0.3, 0.2, lowest]).astype(complex) @ rotate.conj().T
-        for lowest in tol.DENSITY_EVAL_FLOOR * np.array([1.0 - 1e-6, 1.0 + 1e-6]))
+        for lowest in tol.PSD_EVAL_FLOOR * np.array([1.0 - 1e-6, 1.0 + 1e-6]))
     rho0 = DensityMatrix(passing, basis)
     _, out = propagate(zero, rho0, 0.02, 0.01)
     assert len(out) == 3
@@ -297,8 +297,8 @@ def test_density_checks_at_the_eigenvalue_floor(basis):
     assert [str(e) if e else None for e in errors] == [
         None, "negative eigenvalue beyond tolerance", None]
     # exactly at the floor the Cholesky screen fails, and eigvalsh clears every matrix
-    at_floor = np.diag([1.0 - tol.DENSITY_EVAL_FLOOR, 0.0, 0.0, tol.DENSITY_EVAL_FLOOR])
-    assert _below_floor(at_floor[None], tol.DENSITY_EVAL_FLOOR) is not None
+    at_floor = np.diag([1.0 - tol.PSD_EVAL_FLOOR, 0.0, 0.0, tol.PSD_EVAL_FLOOR])
+    assert _below_floor(at_floor[None]) is not None
     assert _density_codes(np.array([passing, at_floor])) is None
     _, out = propagate(zero, DensityMatrix(at_floor, basis), 0.02, 0.01)
     assert len(out) == 3
