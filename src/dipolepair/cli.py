@@ -182,6 +182,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _config_keys() -> frozenset:
+    """The keys a config file may hold: the options of every command but --config,
+    so that one file can serve several commands."""
+    (commands,) = (action for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    options = {a.dest for command in commands.choices.values() for a in command._actions}
+    return frozenset(options - {"help", "config"})
+
+
 def _load_config(path: str) -> dict:
     values = {}
     try:
@@ -194,6 +204,8 @@ def _load_config(path: str) -> dict:
                     raise UsageError(f"bad config line: {raw.strip()!r}")
                 key, text = (part.strip() for part in line.split("=", 1))
                 key = key.replace("-", "_")
+                if key not in _config_keys():
+                    raise UsageError(f"unknown config key {key!r}")
                 values[key] = _config_value(key, text)
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc

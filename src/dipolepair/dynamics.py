@@ -169,6 +169,15 @@ def _errors(codes, quoted) -> list:
 
 
 _FLOOR_EYE = tol.PSD_EVAL_FLOOR * np.eye(4)  # the shift of _below_floor's screen
+# _clears, the Python screen of one matrix, clears a matrix whose squared deviations
+# |m_ij - conj m_ji|^2 sum to at most half the squared tolerance (safe however numpy
+# rounds |.|) and whose m - floor I, scaled to a unit diagonal H, has det H above
+# _DET_CLEAR: the lowest eigenvalue of H is then at least 27/64 det H (the other three
+# sum to at most 4), far above the about 2e-15 at which a Cholesky factorisation in
+# double precision can fail (Demmel; Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., Thm 10.7)
+_DEV2_CLEAR = 0.5 * tol.HERMITICITY_ATOL**2
+_DET_CLEAR = 1e-12
 
 
 def _density_codes(m: np.ndarray):
@@ -177,53 +186,101 @@ def _density_codes(m: np.ndarray):
     Every entry finite, Hermitian to HERMITICITY_ATOL, trace 1 to
     DENSITY_TRACE_ATOL, lowest eigenvalue at least PSD_EVAL_FLOOR: a
     state passes the checks of psd_sqrt, so Wootters' square root takes
-    it as it is. The last is screened by _below_floor. The stack is
-    decided by one comparison per check (|m - m^+| by one maximum over
-    the stack): None if every matrix passes (also when the screen fails
-    but eigvalsh clears each), else (codes, traces), the code of each
-    matrix's first failed check (0: none) and the traces that the trace
-    message quotes.
+    it as it is. One matrix goes through the Python screen _clears
+    first (about 4 us, against 14 us of numpy calls on a stack of one).
+    A stack, and a matrix that the screen does not clear, is decided by
+    one comparison per check (|m - m^+| by one maximum over the stack),
+    the last by one batched Cholesky factorisation (_below_floor). Both
+    screens read the lower triangle, and eigvalsh decides what they do
+    not clear. Returns None if every matrix passes, else (codes, traces),
+    the code of each matrix's first failed check (0: none) and the
+    traces that the trace message quotes.
     """
+    if len(m) == 1 and _clears(m[0]):
+        return None
     lowest = _below_floor(m)
     # a non-finite entry makes |m - m^+| NaN or inf, which fails the
     # Hermiticity test: a stack that passes it is finite
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         dev = np.abs(m - m.conj().swapaxes(1, 2))  # made after the screen: less peak memory
         tr = m.trace(axis1=1, axis2=2).real
-    # on one matrix, a Python float costs less than numpy calls; an empty stack passes
-    off = abs(tr.item() - 1.0) if len(m) == 1 else np.abs(tr - 1.0).max(initial=0.0)
-    if (dev.max(initial=0.0) <= tol.HERMITICITY_ATOL and off <= tol.DENSITY_TRACE_ATOL
-            and lowest is None):
+    if (dev.max(initial=0.0) <= tol.HERMITICITY_ATOL  # an empty stack passes
+            and np.abs(tr - 1.0).max(initial=0.0) <= tol.DENSITY_TRACE_ATOL and lowest is None):
         return None
     codes = np.zeros(len(m), dtype=int)
     for code, fails in ((_NON_FINITE_ENTRIES, ~np.isfinite(m).all(axis=(1, 2))),
                         (_NOT_HERMITIAN, dev.max(axis=(1, 2)) > tol.HERMITICITY_ATOL),
                         (_BAD_TRACE, np.abs(tr - 1.0) > tol.DENSITY_TRACE_ATOL),
-                        (_NEGATIVE_EIGENVALUE,
-                         lowest is not None and lowest < tol.PSD_EVAL_FLOOR)):
+                        (_NEGATIVE_EIGENVALUE,  # NaN too: eigvalsh overflowed
+                         lowest is not None and ~(lowest >= tol.PSD_EVAL_FLOOR))):
         codes[fails & (codes == 0)] = code
     return (codes, tr) if codes.any() else None
 
 
+def _clears(m: np.ndarray) -> bool:
+    """True only if the 4x4 ``m`` passes every check of _density_codes, decided on
+    Python complex numbers; False if it fails one or comes too close to a bound.
+
+    The deviations from Hermiticity sum within _DEV2_CLEAR, which a non-finite
+    off-diagonal entry or diagonal imaginary part fails; the trace, summed in
+    numpy's order, is within DENSITY_TRACE_ATOL, which a non-finite diagonal real
+    part fails; and the lower triangle of m - floor I has an LDL^H factorisation
+    with pivots > 0 and det H above _DET_CLEAR, so the Cholesky factorisation of
+    _below_floor succeeds too. Python's * and / give inf on overflow, where abs()
+    and ** would raise, and NaN fails every comparison.
+    """
+    (a00, a01, a02, a03, a10, a11, a12, a13,
+     a20, a21, a22, a23, a30, a31, a32, a33) = m.ravel().tolist()
+    off = (a01 - a10.conjugate(), a02 - a20.conjugate(), a03 - a30.conjugate(),
+           a12 - a21.conjugate(), a13 - a31.conjugate(), a23 - a32.conjugate())
+    dev = sum([(z * z.conjugate()).real for z in off]) + 4.0 * (
+        a00.imag * a00.imag + a11.imag * a11.imag + a22.imag * a22.imag + a33.imag * a33.imag)
+    tr = (a00.real + a11.real) + (a22.real + a33.real)
+    if not (dev <= _DEV2_CLEAR and abs(tr - 1.0) <= tol.DENSITY_TRACE_ATOL):
+        return False
+    # the diagonal of m - floor I, then the pivots p, eliminating column by column
+    f = tol.PSD_EVAL_FLOOR
+    d0, d1, d2, d3 = a00.real - f, a11.real - f, a22.real - f, a33.real - f
+    if not d0 > 0:
+        return False
+    c10, c20, c30 = a10.conjugate() / d0, a20.conjugate() / d0, a30.conjugate() / d0
+    p1 = d1 - (a10 * c10).real
+    if not p1 > 0:
+        return False
+    b21, b31, b32 = a21 - a20 * c10, a31 - a30 * c10, a32 - a30 * c20
+    c21, c31 = b21.conjugate() / p1, b31.conjugate() / p1
+    p2 = d2 - (a20 * c20).real - (b21 * c21).real
+    if not p2 > 0:
+        return False
+    b32 -= b31 * c21
+    p3 = d3 - (a30 * c30).real - (b31 * c31).real - (b32 * b32.conjugate()).real / p2
+    return p3 > 0 and p1 / d1 * (p2 / d2) * (p3 / d3) > _DET_CLEAR
+
+
 def _below_floor(m: np.ndarray) -> np.ndarray | None:
     """None if every matrix of an (N, 4, 4) stack has its lowest eigenvalue
-    at PSD_EVAL_FLOOR or above, else each one's lowest eigenvalue (NaN if
-    not finite).
+    at PSD_EVAL_FLOOR or above, else each one's lowest eigenvalue (NaN for
+    a non-finite matrix, or where eigvalsh overflows).
 
     The lowest eigenvalue is at least the floor exactly when m - floor I
     is PSD, so one batched Cholesky factorisation of that shift that
-    succeeds clears the whole stack. When it fails, eigvalsh decides for
-    each finite matrix; both read the lower triangle. A non-finite matrix
-    is left to the finiteness check.
+    succeeds clears the whole stack (the stack path of _density_codes;
+    one matrix is screened by _clears first). When it fails, eigvalsh
+    decides for each finite matrix; both read the lower triangle. A
+    non-finite matrix is left to the finiteness check. Near the largest
+    double, LAPACK can return a NaN factor instead of failing (a pivot
+    that overflows makes every later pivot NaN, the last one included),
+    and eigvalsh NaN eigenvalues.
     """
     try:
-        np.linalg.cholesky(m - _FLOOR_EYE)
+        if np.isfinite(np.linalg.cholesky(m - _FLOOR_EYE)[:, -1, -1]).all():
+            return None
     except np.linalg.LinAlgError:
-        lowest = np.full(len(m), np.nan)
-        finite = np.isfinite(m).all(axis=(1, 2))
-        lowest[finite] = np.linalg.eigvalsh(m[finite])[:, 0]
-        return lowest
-    return None
+        pass
+    lowest = np.full(len(m), np.nan)
+    finite = np.isfinite(m).all(axis=(1, 2))
+    lowest[finite] = np.linalg.eigvalsh(m[finite])[:, 0]
+    return lowest
 
 
 # The coupled basis without its 1/sqrt(2) factors, |0'> = |eg> + |ge> and

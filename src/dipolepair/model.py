@@ -154,15 +154,19 @@ def cross_decay(k0r):
     powers of x that overflow enter as 1/inf = 0, the limit of their terms.
     """
     x = _distance(k0r)
+    small = x < tol.SMALL_X
     with np.errstate(all="ignore"):
-        out = -3.0 * (np.cos(x) / (x * x) - np.sin(x) / np.power(x, 3))
-        small = x < tol.SMALL_X
         if _any(small):
             x2 = x * x
             series = _CROSS_SERIES[0]
             for c in _CROSS_SERIES[1:]:  # Horner, from the highest power
                 series = series * x2 + c
-            out = np.where(small, series, out) if x.ndim else series  # a 0-d x is small
+        if x.ndim == 0 and small:  # a scalar below SMALL_X needs the series alone
+            out = series
+        else:
+            out = -3.0 * (np.cos(x) / (x * x) - np.sin(x) / np.power(x, 3))
+            if _any(small):
+                out = np.where(small, series, out)
     out = np.minimum(out, _BELOW_ONE)
     return float(out) if np.isscalar(k0r) else out
 

@@ -740,7 +740,11 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     ("fig2", "points = many", "config key points expects an integer, got 'many'"),
     ("fig2", "format = xml", "config key format expects one of text/csv/json, got 'xml'"),
     ("steady", "format = xml", "config key format expects one of text/csv/json, got 'xml'"),
-], ids=["steady_efield", "fig2_points", "fig2_format", "steady_format"])
+    ("fig2", "fromat = json", "unknown config key 'fromat'"),
+    ("check", "fromat = json", "unknown config key 'fromat'"),
+    ("steady", "config = other.cfg", "unknown config key 'config'"),
+], ids=["steady_efield", "fig2_points", "fig2_format", "steady_format", "fig2_typo", "check_typo",
+        "steady_config"])
 def test_config_value_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys, command, line,
                                                          message):
     cfgfile = tmp_path / "run.cfg"
@@ -748,6 +752,19 @@ def test_config_value_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys, comma
     rc, out, err = run(capsys, command, "--config", str(cfgfile))
     assert rc == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_config_keys_of_other_commands_are_accepted(tmp_path, capsys):
+    # one file for several commands: each reads its keys and leaves the others
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("k0r = 0.3\nefield = 1\npoints = 2\nq = 1e6\nnbar-max = 10\n"
+                       "axis = delta=-1:1:2\nk0r_range = 0.1:1\nformat = json\n")
+    rc, out, err = run(capsys, "steady", "--config", str(cfgfile))
+    assert (rc, err) == (0, "") and json.loads(out)
+    rc, out, err = run(capsys, "fig1", "--config", str(cfgfile))
+    assert (rc, err) == (0, "") and len(json.loads(out)) == 2
+    rc, out, err = run(capsys, "check", "--config", str(cfgfile))
+    assert (rc, err) == (0, "")
 
 
 @pytest.mark.parametrize("tau, omega", [("1e-200", "1e+200"), ("0", "0")])

@@ -31,7 +31,7 @@ from dipolepair import (
 )
 from dipolepair import cli
 from dipolepair import tolerances as tol
-from dipolepair.dynamics import _FAILURES, _density_codes, _errors
+from dipolepair.dynamics import _FAILURES, _clears, _density_codes, _errors
 from dipolepair.entanglement import _eofs
 from dipolepair.errors import (
     DipolePairError,
@@ -318,6 +318,102 @@ def test_density_checks_reject_non_finite_entries_first():
         errors = _errors(*_density_codes(stack))
     assert errors[0] is None
     assert [str(e) for e in errors[1:]] == ["entries are not finite"] * 4
+
+
+@pytest.mark.parametrize("size", [1e154, 1e300, 1e308, float(np.finfo(float).max)])
+def test_density_checks_reject_a_huge_indefinite_matrix(size):
+    # Hermitian with trace one, but with an off-diagonal pair near the largest
+    # double: LAPACK's Cholesky can return a NaN factor, and eigvalsh NaN
+    # eigenvalues, without an error; neither may clear the matrix
+    m = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    m[0, 1], m[1, 0] = size * (1 + 1j), size * (1 - 1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for basis in BasisTag:
+            with pytest.raises(InvalidState, match="^negative eigenvalue beyond tolerance$"):
+                DensityMatrix(m, basis)
+        errors = _errors(*_density_codes(np.array([m, np.eye(4) / 4.0])))
+    assert [str(e) if e else None for e in errors] == [
+        "negative eigenvalue beyond tolerance", None]
+
+
+def one_matrix_cases(rng):
+    """About 3800 single 4x4 matrices around every bound of the density checks."""
+
+    def unitary():
+        q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    def state(eigs):
+        u = unitary()
+        m = (u * eigs) @ u.conj().T
+        return (m + m.conj().T) / 2.0  # exactly Hermitian
+
+    def both_bases(ms):
+        return ms + [TO_COUPLED @ m @ TO_COUPLED.conj().T for m in ms]
+
+    floor, atol = tol.PSD_EVAL_FLOOR, tol.HERMITICITY_ATOL
+    cases = []
+    # random states of every rank
+    for rank in (1, 2, 3, 4):
+        for _ in range(150):
+            eigs = np.zeros(4)
+            eigs[:rank] = rng.random(rank)
+            cases += both_bases([state(eigs / eigs.sum())])
+    # lowest eigenvalue just inside, just outside and exactly at the floor
+    for lowest in floor * np.array([1.0 - 1e-6, 1.0 + 1e-6, 1.0]):
+        for _ in range(100):
+            rest = rng.random(3)
+            eigs = np.append((1.0 - lowest) * rest / rest.sum(), lowest)
+            cases += both_bases([state(eigs), np.diag(eigs).astype(complex)])
+    # Hermiticity deviation and trace error at their tolerances (1 -+ 1e-6)
+    for scale in (1.0 - 1e-6, 1.0 + 1e-6):
+        for _ in range(150):
+            m = state(rng.random(4) / 4.0)
+            m /= np.trace(m).real
+            i, j = rng.choice(4, 2, replace=False)
+            off = m.copy()
+            off[i, j] += scale * atol * np.exp(2j * math.pi * rng.random())
+            diag = m.copy()
+            diag[i, i] += 0.5j * scale * atol
+            trace = m.copy()
+            trace[i, i] += rng.choice([-1.0, 1.0]) * scale * tol.DENSITY_TRACE_ATOL
+            cases += both_bases([off, diag, trace])
+    # NaN and infinite entries, and finite parts near the largest double
+    for value in (math.nan, math.inf, -math.inf, 1.7e308, -1.7e308):
+        for _ in range(60):
+            m = state(rng.random(4) / 4.0)
+            for _ in range(rng.integers(1, 4)):
+                i, j = rng.integers(0, 4, 2)
+                (m.real, m.imag)[rng.integers(2)][i, j] = value
+            cases.append(m)
+    return cases
+
+
+def test_one_matrix_takes_the_python_screen_with_the_stack_decisions():
+    # the Python screen of a one-matrix stack clears only what the stack path
+    # clears, and anything else gets the stack path's code and quoted trace
+    cases = one_matrix_cases(np.random.default_rng(29))
+    assert len(cases) >= 3000
+    quarter = np.eye(4, dtype=complex) / 4.0
+    cleared = codes = 0
+    screened = sum(map(_clears, cases))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in cases:
+            one = _density_codes(m[None])
+            two = _density_codes(np.array([m, quarter]))
+            if two is None:
+                assert one is None
+                cleared += 1
+                continue
+            (code,), (quoted,) = one
+            assert code == two[0][0] != 0 and two[0][1] == 0
+            assert (math.isnan(quoted) and math.isnan(two[1][0])
+                    or np.float64(quoted).tobytes() == two[1][:1].tobytes())
+            codes += 1
+    # every outcome is exercised: the screen clears, falls back, and each code is made
+    assert cleared - screened > 1000 and screened > 800 and codes > 1000
 
 
 def test_wootters_concurrences_records_each_failure_and_keeps_the_rest():

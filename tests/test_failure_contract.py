@@ -34,8 +34,9 @@ from dipolepair import (
     solve_steady_states,
     steady_state_entanglement,
 )
+from dipolepair import tolerances as tol
 from dipolepair.cli import main
-from dipolepair.errors import DipolePairError, OutOfRange
+from dipolepair.errors import DipolePairError, InvalidState, OutOfRange
 
 BIG = [1.0, 2.0, 1e154, 1e300, 1e308, float(np.finfo(float).max), math.inf]
 SMALL = [0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-160]
@@ -106,6 +107,25 @@ def test_every_failure_is_a_dipole_pair_error(delta, drive, omega, gamma12, reso
                      ["steady", f"--tau={omega!r}"],
                      ["steady", f"--tau={omega!r}", f"--efield={drive!r}"]):
             check_cli(argv)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(parts=st.lists(ANY, min_size=32, max_size=32), hermitian=st.booleans(),
+       basis=st.sampled_from(BasisTag))
+def test_density_matrix_of_any_entries_is_a_state_or_invalid_state(parts, hermitian, basis):
+    # extreme entries, also Hermitian ones that reach the trace and eigenvalue checks;
+    # a state that is built is one
+    m = np.array(parts).view(complex).reshape(4, 4)
+    if hermitian:
+        m = np.triu(m, 1) + np.triu(m, 1).conj().T + np.diag(m.diagonal().real)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            state = DensityMatrix(m, basis)
+        except InvalidState:
+            return
+    assert np.isfinite(state.matrix).all()
+    assert np.linalg.eigvalsh(state.matrix)[0] >= 2.0 * tol.PSD_EVAL_FLOOR
 
 
 @pytest.mark.parametrize("delta, drive", [(1e308, 3.0), (0.0, 1e308)])
