@@ -7,10 +7,10 @@ take only the flags they read.
 
 Exit codes: 0 success, 1 check failure or every grid point failed, 2
 usage error, package error or memory run out (one ``error:`` line), 141
-the reader closed standard output early (quietly). CSV
-output uses a single header row, 12-significant-digit floats and the
-literal ``NaN`` for failed points; JSON carries the same rounded values.
-``--out`` is written in place and then cut to length.
+the reader closed standard output early (quietly). CSV output uses a
+single header row, 12-significant-digit floats and the literal ``NaN``
+for failed points; JSON carries the same rounded values, ``null`` for
+NaN. ``--out`` is written in place and then cut to length.
 """
 
 from __future__ import annotations
@@ -70,23 +70,35 @@ def _round12(x: float) -> float:
     return float(_fmt(x))
 
 
+def _json(obj, exact=None) -> str:
+    """JSON text of ``obj``, dicts and lists of floats and text, each float
+    rounded by _round12 and a non-finite one written as null (RFC 8259 has
+    no NaN or Infinity); the items of a dict ``exact`` go first, unrounded."""
+    def plain(v):
+        if isinstance(v, float):
+            return _round12(v) if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {key: plain(x) for key, x in v.items()}
+        return [plain(x) for x in v] if isinstance(v, list) else v
+
+    payload = {**exact, **plain(obj)} if exact else plain(obj)
+    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
+
+
 def _write_rows(columns, rows, fmt: str, out) -> None:
+    rows = np.asarray(rows, dtype=float)
     if fmt == "json":
-        payload = [dict(zip(columns, (_round12(float(v)) for v in row)))
-                   for row in rows]
-        out.write(json.dumps(payload, indent=1))
-        out.write("\n")
+        out.write(_json([dict(zip(columns, row)) for row in rows.tolist()]))
     else:
         # one %-format, the digits of _fmt and _round12; "%g" gives "nan" for NaN
-        rows = np.asarray(rows, dtype=float)
         template = ",".join(["%.12g"] * rows.shape[1]) + "\n"
         out.write(",".join(columns) + "\n")
         out.write(((template * len(rows)) % tuple(rows.ravel().tolist())).replace("nan", "NaN"))
 
 
-def _output(ns, config):
+def _output(ns):
     """Context manager of the output: the --out file, written on exit, or stdout."""
-    path = _resolve(ns, config, "out", None)
+    path = getattr(ns, "out", None)
     if path is None:
         return contextlib.nullcontext(sys.stdout)
     try:
@@ -131,26 +143,23 @@ def _print_matrix(m: np.ndarray, labels, out) -> None:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it unchanged)."""
-    files = argparse.ArgumentParser(add_help=False)
-    files.add_argument("--out", default=None, help="output path (default stdout)")
-    files.add_argument("--config", default=None, help="key=value defaults file")
-    table = argparse.ArgumentParser(add_help=False, parents=[files])
-    table.add_argument("--format", choices=_FORMATS, default=None)
-    point = argparse.ArgumentParser(add_help=False, parents=[table])
-    point.add_argument("--delta", type=float, default=None, help="detuning / gamma")
-    point.add_argument("--efield", type=float, default=None, help="drive / gamma")
-    point.add_argument("--omega", type=float, default=None, help="dipole coupling / gamma")
-    point.add_argument("--gamma12", type=float, default=None, help="cross decay / gamma")
-    point.add_argument("--k0r", type=float, default=None, help="dimensionless distance")
-    point.add_argument(
-        "--mu-dot-rhat", type=float, default=None, dest="mu_dot_rhat",
-        help="dipole projection on the axis, in [0, 1]",
-    )
-    point.add_argument("--tau", type=float, default=None, help="omega / efield^2")
-    point.add_argument(
-        "--lamb-dicke", action="store_const", const=True, default=None,
-        dest="lamb_dicke", help="force gamma12 = gamma and delta = 0",
-    )
+    unset = {"argument_default": argparse.SUPPRESS}  # an option not given stays absent
+    files = argparse.ArgumentParser(add_help=False, **unset)
+    files.add_argument("--out", help="output path (default stdout)")
+    files.add_argument("--config", help="key=value defaults file")
+    table = argparse.ArgumentParser(add_help=False, parents=[files], **unset)
+    table.add_argument("--format", choices=_FORMATS)
+    point = argparse.ArgumentParser(add_help=False, parents=[table], **unset)
+    point.add_argument("--delta", type=float, help="detuning / gamma")
+    point.add_argument("--efield", type=float, help="drive / gamma")
+    point.add_argument("--omega", type=float, help="dipole coupling / gamma")
+    point.add_argument("--gamma12", type=float, help="cross decay / gamma")
+    point.add_argument("--k0r", type=float, help="dimensionless distance")
+    point.add_argument("--mu-dot-rhat", type=float,
+                       help="dipole projection on the axis, in [0, 1]")
+    point.add_argument("--tau", type=float, help="omega / efield^2")
+    point.add_argument("--lamb-dicke", action="store_const", const=True,
+                       help="force gamma12 = gamma and delta = 0")
 
     parser = argparse.ArgumentParser(
         prog="dipolepair",
@@ -161,38 +170,39 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="steady state at one parameter point")
     sub.add_parser("spectrum", parents=[point],
                    help="eigenvalues of the Hamiltonian and its damped counterpart")
-    fig1 = sub.add_parser("fig1", parents=[table],
+    fig1 = sub.add_parser("fig1", parents=[table], **unset,
                           help="distance giving maximal entanglement vs photon number")
-    fig1.add_argument("--tau", type=float, default=None, help="omega / efield^2")
-    fig1.add_argument("--q", type=float, default=None, help="atomic quality factor")
-    fig1.add_argument("--nbar-min", type=float, default=None, dest="nbar_min")
-    fig1.add_argument("--nbar-max", type=float, default=None, dest="nbar_max")
-    fig1.add_argument("--points", type=int, default=None)
-    fig2 = sub.add_parser("fig2", parents=[point],
+    fig1.add_argument("--tau", type=float, help="omega / efield^2")
+    fig1.add_argument("--q", type=float, help="atomic quality factor")
+    fig1.add_argument("--nbar-min", type=float)
+    fig1.add_argument("--nbar-max", type=float)
+    fig1.add_argument("--points", type=int)
+    fig2 = sub.add_parser("fig2", parents=[point], **unset,
                           help="concurrence over a distance x drive grid")
-    fig2.add_argument("--k0r-range", default=None, dest="k0r_range", help="START:STOP")
-    fig2.add_argument("--efield-range", default=None, dest="efield_range",
-                      help="START:STOP")
-    fig2.add_argument("--points", type=int, default=None, help="points per axis")
-    sweep = sub.add_parser("sweep", parents=[point],
+    fig2.add_argument("--k0r-range", help="START:STOP")
+    fig2.add_argument("--efield-range", help="START:STOP")
+    fig2.add_argument("--points", type=int, help="points per axis")
+    sweep = sub.add_parser("sweep", parents=[point], **unset,
                            help="general one- or two-axis parameter sweep")
-    sweep.add_argument("--axis", action="append", default=None,
+    sweep.add_argument("--axis", action="append",
                        help="NAME=START:STOP:COUNT (repeat for a second axis)")
     sub.add_parser("check", parents=[files], help="run the numeric self checks")
     return parser
 
 
 @functools.cache
-def _config_keys() -> frozenset:
-    """The keys a config file may hold: the options of every command but --config,
-    so that one file can serve several commands."""
+def _config_actions() -> dict:
+    """The parser action of each key a config file may hold: the options of
+    every command but --config, so that one file can serve several commands."""
     (commands,) = (action for action in _build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))
-    options = {a.dest for command in commands.choices.values() for a in command._actions}
-    return frozenset(options - {"help", "config"})
+    return {a.dest: a for command in commands.choices.values() for a in command._actions
+            if a.dest not in ("help", "config")}
 
 
 def _load_config(path: str) -> dict:
+    """The values of a config file by key; the lines of an append option
+    (axis) in a list, any other key at most once."""
     values = {}
     try:
         with open(path) as fh:
@@ -204,48 +214,50 @@ def _load_config(path: str) -> dict:
                     raise UsageError(f"bad config line: {raw.strip()!r}")
                 key, text = (part.strip() for part in line.split("=", 1))
                 key = key.replace("-", "_")
-                if key not in _config_keys():
+                action = _config_actions().get(key)
+                if action is None:
                     raise UsageError(f"unknown config key {key!r}")
-                values[key] = _config_value(key, text)
+                value = _config_value(action, text)
+                if isinstance(action, argparse._AppendAction):
+                    values.setdefault(key, []).append(value)
+                elif key in values:
+                    raise UsageError(f"config key {key} given twice")
+                else:
+                    values[key] = value
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return values
 
 
-def _config_value(key: str, text: str):
-    """A config value: a number for a key whose flag takes one (points an
-    integer), a boolean for a switch, one of the --format choices for
-    format, the text otherwise."""
-    if key in BOOLEAN_KEYS:
+def _config_value(action, text: str):
+    """The value of ``text`` as the flag of ``action`` takes it: a number
+    (type float; an integer for type int), a boolean for a switch, one of
+    the choices where the flag has them, the text otherwise."""
+    key = action.dest
+    if action.nargs == 0:
         if text.lower() not in BOOLEAN_WORDS:
             raise UsageError(f"config key {key} expects one of "
                              f"{'/'.join(BOOLEAN_WORDS)}, got {text!r}")
         return BOOLEAN_WORDS[text.lower()]
-    if key == "format" and text not in _FORMATS:
-        raise UsageError(f"config key format expects one of {'/'.join(_FORMATS)}, got {text!r}")
-    if key not in NUMERIC_KEYS:
+    if action.choices is not None and text not in action.choices:
+        raise UsageError(f"config key {key} expects one of {'/'.join(action.choices)}, "
+                         f"got {text!r}")
+    if action.type not in (float, int):
         return text
     try:
         value = float(text)
     except ValueError:
         value = None
-    if value is None or key == "points" and not value.is_integer():
-        kind = "an integer" if key == "points" else "a number"
+    if value is None or action.type is int and not value.is_integer():
+        kind = "an integer" if action.type is int else "a number"
         raise UsageError(f"config key {key} expects {kind}, got {text!r}")
-    return value
-
-
-def _resolve(ns, config: dict, key: str, fallback):
-    value = getattr(ns, key, None)
-    if value is None:
-        value = config.get(key, fallback)
-    return value
+    return action.type(value)
 
 
 def _require_finite(**values) -> None:
-    """Reject the first non-finite option (None means unset) as a usage error."""
+    """Reject the first non-finite option as a usage error."""
     for key, value in values.items():
-        if value is not None and not math.isfinite(float(value)):
+        if not math.isfinite(value):
             raise UsageError(f"--{key.replace('_', '-')} must be finite, got {value!r}")
 
 
@@ -253,22 +265,20 @@ def _require_finite(**values) -> None:
 
 
 POINT_FLAGS = ("delta", "efield", "omega", "gamma12", "k0r", "tau")
-# config keys whose flags take a number
-NUMERIC_KEYS = POINT_FLAGS + ("mu_dot_rhat", "q", "nbar_min", "nbar_max", "points")
-# config keys of switches, and the words they take
-BOOLEAN_KEYS = ("lamb_dicke",)
+# the words a config switch takes
 BOOLEAN_WORDS = {"true": True, "false": False, "yes": True, "no": False,
                  "1": True, "0": False}
 # the choices of --format, and of the config key format
 _FORMATS = ("text", "csv", "json")
 
 
-def _mesh(ns, config, axes=(), drive=None, limit=False):
+def _mesh(ns, axes=(), drive=None, limit=False):
     """Parameter columns of the row-major mesh over ``axes``: the one reader
     of the point flags, for steady and spectrum (no axes: one point), fig2
     and sweep.
 
-    Each of POINT_FLAGS (flag over config) fixes one value on every point.
+    ``ns`` holds the options given, flags over the config file (main
+    merges the two). Each of POINT_FLAGS fixes one value on every point.
     A distance k0r gives omega = dipole_coupling(k0r, mu) and gamma12 =
     cross_decay(k0r); --omega takes --gamma12, default 0; tau with a drive
     gives omega = tau efield^2 (tau efield times efield where efield^2
@@ -282,11 +292,10 @@ def _mesh(ns, config, axes=(), drive=None, limit=False):
     then k0r or tau when given, and the names fixed on every point.
     """
     names = [name for name, _ in axes]
-    fixed = {key: float(value) for key in POINT_FLAGS
-             if (value := _resolve(ns, config, key, None)) is not None}
-    mu = _resolve(ns, config, "mu_dot_rhat", None)
+    fixed = {key: getattr(ns, key) for key in POINT_FLAGS if key in ns}
+    mu = getattr(ns, "mu_dot_rhat", None)
     given = fixed.keys() | set(names)
-    if _resolve(ns, config, "lamb_dicke", False):
+    if getattr(ns, "lamb_dicke", False):
         fixed.update(delta=0.0, gamma12=1.0)
     for name in names:
         if name in fixed:
@@ -357,10 +366,10 @@ def _axis(name: str, bounds: str, count: int, flag: str):
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_steady(ns, config) -> int:
-    columns, _ = _mesh(ns, config, limit=True)
+def _cmd_steady(ns) -> int:
+    columns, _ = _mesh(ns, limit=True)
     inputs = {key: float(column[0]) for key, column in columns.items()}
-    fmt = _resolve(ns, config, "format", "text")
+    fmt = getattr(ns, "format", "text")
     if "efield" in inputs:
         # the grid engine on one point, so steady and sweep print the same numbers
         states, (conc,), (eof,), (err,) = steady_state_entanglement(
@@ -374,20 +383,12 @@ def _cmd_steady(ns, config) -> int:
         conc, eof = report.concurrence, report.eof
     evals, _ = hermitian_eig(coupled.matrix)
     pops = coupled.matrix.diagonal().real
-    with _output(ns, config) as out:
+    with _output(ns) as out:
         if fmt == "json":
-            payload = dict(inputs)
-            payload.update(
-                {
-                    "populations": [_round12(p) for p in pops],
-                    "eigenvalues": [_round12(v) for v in evals],
-                    "concurrence": _round12(conc),
-                    "eof": _round12(eof),
-                    "matrix_re": [[_round12(v.real) for v in row] for row in coupled.matrix],
-                    "matrix_im": [[_round12(v.imag) for v in row] for row in coupled.matrix],
-                }
-            )
-            out.write(json.dumps(payload, indent=1) + "\n")
+            out.write(_json({"populations": pops.tolist(), "eigenvalues": evals.tolist(),
+                             "concurrence": conc, "eof": eof,
+                             "matrix_re": coupled.matrix.real.tolist(),
+                             "matrix_im": coupled.matrix.imag.tolist()}, exact=inputs))
         elif fmt == "csv":
             cols = list(inputs) + ["pop_plus1", "pop_zero", "pop_minus1",
                                    "singlet_weight", "concurrence", "eof"]
@@ -410,8 +411,8 @@ def _cmd_steady(ns, config) -> int:
     return 0
 
 
-def _cmd_spectrum(ns, config) -> int:
-    columns, _ = _mesh(ns, config, drive=0.0)
+def _cmd_spectrum(ns) -> int:
+    columns, _ = _mesh(ns, drive=0.0)
     p = {key: float(column[0]) for key, column in columns.items()}
     cfg = AtomPairConfig(delta=p["delta"], drive=p["efield"], k0r=p.get("k0r", 1.0))
     couplings = Couplings(p["omega"], p["gamma12"])
@@ -420,17 +421,13 @@ def _cmd_spectrum(ns, config) -> int:
     heff_evals = general_eig(heff)
     # the singlet line, exact: -omega and 1 - gamma12 (+ 0.0 turns a zero decay's -0 into 0)
     singlet = float(heff[3, 3].real), -2.0 * float(heff[3, 3].imag) + 0.0
-    fmt = _resolve(ns, config, "format", "text")
-    with _output(ns, config) as out:
+    fmt = getattr(ns, "format", "text")
+    with _output(ns) as out:
         rows = [("triplet", float(r), float("nan")) for r in roots]
         rows.append(("singlet", *singlet))
         rows += [("damped", v.real, -2.0 * v.imag) for v in heff_evals]
         if fmt == "json":
-            payload = [
-                {"branch": b, "energy": _round12(e), "decay": _round12(d)}
-                for b, e, d in rows
-            ]
-            out.write(json.dumps(payload, indent=1) + "\n")
+            out.write(_json([{"branch": b, "energy": e, "decay": d} for b, e, d in rows]))
         elif fmt == "csv":
             out.write("branch,energy,decay\n")
             for b, e, d in rows:
@@ -444,12 +441,12 @@ def _cmd_spectrum(ns, config) -> int:
     return 0
 
 
-def _cmd_fig1(ns, config) -> int:
-    q = float(_resolve(ns, config, "q", 1e6))
-    tau = float(_resolve(ns, config, "tau", TAU_PEAK))
-    nbar_min = float(_resolve(ns, config, "nbar_min", 1.0))
-    nbar_max = float(_resolve(ns, config, "nbar_max", 1e4))
-    points = int(_resolve(ns, config, "points", 50))
+def _cmd_fig1(ns) -> int:
+    q = getattr(ns, "q", 1e6)
+    tau = getattr(ns, "tau", TAU_PEAK)
+    nbar_min = getattr(ns, "nbar_min", 1.0)
+    nbar_max = getattr(ns, "nbar_max", 1e4)
+    points = getattr(ns, "points", 50)
     _require_finite(q=q, tau=tau, nbar_min=nbar_min, nbar_max=nbar_max)
     k0r_for_tau(tau, q, nbar_min)  # raises when one is <= 0, before log10
     if points < 2:
@@ -458,8 +455,8 @@ def _cmd_fig1(ns, config) -> int:
         raise UsageError("--nbar-min must be below --nbar-max")
     grid = np.logspace(math.log10(nbar_min), math.log10(nbar_max), points)
     rows = [(nv, k0r_for_tau(tau, q, nv)) for nv in grid]
-    fmt = _resolve(ns, config, "format", "csv")
-    with _output(ns, config) as out:
+    fmt = getattr(ns, "format", "csv")
+    with _output(ns) as out:
         _write_rows(("nbar_v", "k0r"), rows, fmt, out)
     return 0
 
@@ -514,58 +511,54 @@ def _parse_axis(text: str):
     return _axis(name, bounds, count, f"--axis {name}")
 
 
-def _write_grid(ns, config, columns, rows, codes) -> int:
+def _write_grid(ns, columns, rows, codes) -> int:
     """Report failed points, then write the rows; exit 1 if every point failed."""
     if _report_failures(codes):
         return 1
-    with _output(ns, config) as out:
-        _write_rows(columns, rows, _resolve(ns, config, "format", "csv"), out)
+    with _output(ns) as out:
+        _write_rows(columns, rows, getattr(ns, "format", "csv"), out)
     return 0
 
 
-def _cmd_fig2(ns, config) -> int:
-    points = int(_resolve(ns, config, "points", 20))
+def _cmd_fig2(ns) -> int:
+    points = getattr(ns, "points", 20)
     if points < 2:
         raise UsageError("--points must be >= 2")
     # the sweep over a distance axis and a drive axis
-    axes = [_axis("k0r", str(_resolve(ns, config, "k0r_range", "0.05:2.0")), points,
-                  "--k0r-range"),
-            _axis("efield", str(_resolve(ns, config, "efield_range", "0.0:10.0")), points,
-                  "--efield-range")]
-    p, _ = _mesh(ns, config, axes)
+    axes = [_axis("k0r", getattr(ns, "k0r_range", "0.05:2.0"), points, "--k0r-range"),
+            _axis("efield", getattr(ns, "efield_range", "0.0:10.0"), points, "--efield-range")]
+    p, _ = _mesh(ns, axes)
     _, conc, codes = _solve_grid(p["delta"], p["efield"], p["omega"], p["gamma12"])
     columns = ("k0r", "efield", "omega", "gamma12")
     rows = np.column_stack([p[k] for k in columns] + [conc])
-    return _write_grid(ns, config, columns + ("concurrence",), rows, codes)
+    return _write_grid(ns, columns + ("concurrence",), rows, codes)
 
 
-def _cmd_sweep(ns, config) -> int:
-    axis_specs = ns.axis or config.get("axis") or []
-    if isinstance(axis_specs, str):
-        axis_specs = [axis_specs]
+def _cmd_sweep(ns) -> int:
+    axis_specs = getattr(ns, "axis", [])
     if not 1 <= len(axis_specs) <= 2:
         raise UsageError("supply one or two --axis options")
     axes = [_parse_axis(a) for a in axis_specs]
     names = [name for name, _ in axes]
     if len(set(names)) != len(names):
         raise UsageError("axis names must be distinct")
-    p, fixed = _mesh(ns, config, axes)
+    p, fixed = _mesh(ns, axes)
     input_cols = names + [k for k in ("k0r", "delta", "efield", "omega", "gamma12", "tau")
                           if k in fixed]
     pops, conc, codes = _solve_grid(p["delta"], p["efield"], p["omega"], p["gamma12"])
     rows = np.column_stack([p[k] for k in input_cols] + [pops, conc, _eofs(conc)])
     out_cols = ("pop_plus1", "pop_zero", "pop_minus1", "singlet_weight",
                 "concurrence", "eof")
-    return _write_grid(ns, config, tuple(input_cols) + out_cols, rows, codes)
+    return _write_grid(ns, tuple(input_cols) + out_cols, rows, codes)
 
 
 # ---------------------------------------------------------------- self check
 
 
-def _cmd_check(ns, config) -> int:
+def _cmd_check(ns) -> int:
     from . import checks  # loaded here: no other command needs the criteria
     failures = 0
-    with _output(ns, config) as out:
+    with _output(ns) as out:
         for line in checks.all_lines():
             failures += not line.ok
             out.write(f"{line}\n")
@@ -588,11 +581,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     try:
-        config = _load_config(ns.config) if ns.config else {}
-        code = _COMMANDS[ns.command](ns, config)
+        if getattr(ns, "config", None):
+            # the one merge of the file: a flag given keeps its value
+            for key, value in _load_config(ns.config).items():
+                vars(ns).setdefault(key, value)
+        code = _COMMANDS[ns.command](ns)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except (UsageError, DipolePairError) as exc:

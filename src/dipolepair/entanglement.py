@@ -184,12 +184,15 @@ C_PEAK = 2.0 / (math.sqrt(13.0) + 1.0)
 def closed_form_concurrence(tau: float) -> float:
     """Steady-state concurrence law in the strong-drive limit.
 
-    C(tau) = (8 tau - 16) / (tau^2 + 48) for tau >= 2, zero below; its
-    maximum is C_PEAK at TAU_PEAK.
+    C(tau) = (8 tau - 16) / (tau^2 + 48) for tau >= 2, zero below, evaluated
+    as 8 ((tau - 2)/tau) / (tau + 48/tau), which no finite tau overflows; its
+    maximum is C_PEAK at TAU_PEAK. A NaN or infinite tau raises OutOfRange.
     """
+    if not math.isfinite(tau):
+        raise OutOfRange(f"tau must be finite, got {float(tau)!r}")
     if tau <= 2.0:
         return 0.0
-    return (8.0 * tau - 16.0) / (tau**2 + 48.0)
+    return 8.0 * ((tau - 2.0) / tau) / (tau + 48.0 / tau)
 
 
 def admixture_concurrence(p: float, rho_s: DensityMatrix) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -367,7 +368,7 @@ def test_sweep_two_axes_row_major(capsys):
             omega = ("omega", np.linspace(1.0, 2.3, m))
             efield = ("efield", np.linspace(0.1, 0.7, k))
             for ns, axes in ((one, [efield]), (two, [omega, efield]), (two, [efield, omega])):
-                columns, _ = cli._mesh(ns, {}, axes)
+                columns, _ = cli._mesh(ns, axes)
                 grids = np.meshgrid(*(values for _, values in axes), indexing="ij")
                 for (name, _), grid in zip(axes, grids):
                     assert columns[name].tobytes() == grid.ravel().tobytes()
@@ -767,6 +768,88 @@ def test_config_keys_of_other_commands_are_accepted(tmp_path, capsys):
     assert (rc, err) == (0, "")
 
 
+def test_config_axis_lines_are_the_axis_flags(tmp_path, capsys):
+    # repeated axis lines collect, as repeated --axis flags do
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("axis = k0r=0.1:1:3\naxis = efield=1:2:2\n")
+    flags = run(capsys, "sweep", "--axis", "k0r=0.1:1:3", "--axis", "efield=1:2:2")
+    assert flags[0] == 0 and len(flags[1].splitlines()) == 7
+    assert run(capsys, "sweep", "--config", str(cfgfile)) == flags
+    # flags given replace the file's axes
+    one = run(capsys, "sweep", "--axis", "efield=1:2:2", "--omega", "1")
+    assert run(capsys, "sweep", "--axis", "efield=1:2:2", "--omega", "1",
+               "--config", str(cfgfile)) == one
+
+
+def test_config_key_given_twice_is_a_usage_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("efield = 1\nomega = 1\nefield = 2\n")
+    assert run(capsys, "steady", "--config", str(cfgfile)) == (
+        2, "", "error: config key efield given twice\n")
+
+
+def _command_actions():
+    (commands,) = (a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    return [(name, action) for name, parser in commands.choices.items()
+            for action in parser._actions if action.dest not in ("help", "config")]
+
+
+@pytest.mark.parametrize("command, action", _command_actions(),
+                         ids=lambda v: v if isinstance(v, str) else v.dest)
+def test_config_value_kind_is_the_flags(tmp_path, command, action):
+    # switch, choice, number, integer or text: a config line reads as its flag
+    flag, key = action.option_strings[0], action.dest
+
+    def config(text):
+        (tmp_path / "run.cfg").write_text(f"{key} = {text}\n")
+        return cli._load_config(str(tmp_path / "run.cfg"))[key]
+
+    def flagged(text=None):
+        option = flag if text is None else f"{flag}={text}"
+        return getattr(cli._build_parser().parse_args([command, option]), key)
+
+    shared = cli._config_actions()[key]  # the action a config line is read by
+    assert (shared.nargs, shared.choices, shared.type) == (action.nargs, action.choices,
+                                                           action.type)
+    if action.nargs == 0:
+        good, bad = [("yes", flagged())], ["maybe"]
+        assert config("no") is False
+    elif action.choices:
+        good, bad = [(c, flagged(c)) for c in action.choices], ["xml"]
+    elif action.type is float:
+        good, bad = [("2.5", flagged("2.5")), ("-1e3", flagged("-1e3"))], ["abc"]
+    elif action.type is int:
+        good, bad = [("3", flagged("3"))], ["2.5", "many"]
+    else:
+        good, bad = [("5", flagged("5")), ("a:b", flagged("a:b"))], []
+    for text, value in good:
+        got = config(text)
+        assert (got, type(got)) == (value, type(value)), text
+    for text in bad:
+        with pytest.raises(cli.UsageError, match=f"^config key {key} expects "):
+            config(text)
+
+
+def test_json_output_is_strict_json_with_null_for_non_finite_values(capsys):
+    def strict(text):
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+        return json.loads(text, parse_constant=reject)
+
+    rc, out, _ = run(capsys, "spectrum", "--delta", "0.5", "--omega", "2", "--efield", "1",
+                     "--format", "json")
+    rows = strict(out)
+    assert rc == 0 and [r["decay"] for r in rows if r["branch"] == "triplet"] == [None] * 3
+    # the dark line: the drive-0 point fails and its outputs are null
+    rc, out, err = run(capsys, "sweep", "--axis", "efield=0:2:3", "--omega", "2",
+                       "--gamma12", "-1", "--delta", "-3", "--format", "json")
+    rows = strict(out)
+    assert rc == 0 and err.startswith("warning: 1 grid point(s) failed")
+    assert [r["concurrence"] is None for r in rows] == [True, False, False]
+    assert rows[0]["efield"] == 0.0 and rows[0]["eof"] is None
+
+
 @pytest.mark.parametrize("tau, omega", [("1e-200", "1e+200"), ("0", "0")])
 def test_steady_takes_a_representable_tau_e2_where_e2_overflows(capsys, tau, omega):
     # omega = (tau E) E where E^2 alone is beyond the doubles
@@ -783,7 +866,7 @@ def test_sweep_keeps_tau_e2_bits_and_takes_the_drives_whose_square_overflows(cap
         warnings.simplefilter("always")
         rc, out, err = run(capsys, *argv)
     assert (rc, err, caught) == (0, "", []) and "NaN" not in out
-    columns, _ = cli._mesh(cli._build_parser().parse_args(argv), {},
+    columns, _ = cli._mesh(cli._build_parser().parse_args(argv),
                            [cli._parse_axis(argv[2])])
     tau, efield = 1e-200, columns["efield"]
     assert columns["omega"][0] == (tau * efield[:1] ** 2)[0]  # E^2 finite: the bits of tau E^2

@@ -226,6 +226,29 @@ def test_closed_form_decays_at_large_tau():
     assert closed_form_concurrence(1e6) < 1e-5
 
 
+@pytest.mark.filterwarnings("error")
+def test_closed_form_is_within_two_ulp_of_60_digits_for_every_finite_tau():
+    mp = pytest.importorskip("mpmath").mp
+    rng = np.random.default_rng(5)
+    taus = [2.0 * (1.0 + 2.0**-k) for k in range(1, 53)]  # next to the threshold
+    taus += list(np.exp(rng.uniform(math.log(2.0), math.log(1.7e308), 2000)))
+    taus += [9.21, 1e154, 1e200, 1.7e308]  # tau^2 overflows from about 1.3e154
+    with mp.workdps(60):
+        for tau in map(float, taus):
+            exact = (8 * mp.mpf(tau) - 16) / (mp.mpf(tau) ** 2 + 48)
+            for arg in (tau, np.float64(tau)):
+                got = closed_form_concurrence(arg)
+                assert abs(mp.mpf(float(got)) - exact) <= 2 * math.ulp(float(exact)), tau
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf,
+                                 np.float64("nan"), np.float64("inf")])
+def test_closed_form_rejects_a_non_finite_tau(tau):
+    with pytest.raises(OutOfRange, match="tau must be finite"):
+        closed_form_concurrence(tau)
+
+
 def test_closed_form_matches_wootters_on_limit_states():
     for tau in (2.0, 3.0, 5.0, 9.21, 20.0, 50.0):
         got = wootters_concurrence(lamb_dicke_limit_state(tau)).concurrence
