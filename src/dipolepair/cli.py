@@ -70,10 +70,10 @@ def _round12(x: float) -> float:
     return float(_fmt(x))
 
 
-def _json(obj, exact=None) -> str:
+def _json(obj) -> str:
     """JSON text of ``obj``, dicts and lists of floats and text, each float
     rounded by _round12 and a non-finite one written as null (RFC 8259 has
-    no NaN or Infinity); the items of a dict ``exact`` go first, unrounded."""
+    no NaN or Infinity)."""
     def plain(v):
         if isinstance(v, float):
             return _round12(v) if math.isfinite(v) else None
@@ -81,8 +81,7 @@ def _json(obj, exact=None) -> str:
             return {key: plain(x) for key, x in v.items()}
         return [plain(x) for x in v] if isinstance(v, list) else v
 
-    payload = {**exact, **plain(obj)} if exact else plain(obj)
-    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
+    return json.dumps(plain(obj), indent=1, allow_nan=False) + "\n"
 
 
 def _write_rows(columns, rows, fmt: str, out) -> None:
@@ -230,9 +229,9 @@ def _load_config(path: str) -> dict:
 
 
 def _config_value(action, text: str):
-    """The value of ``text`` as the flag of ``action`` takes it: a number
-    (type float; an integer for type int), a boolean for a switch, one of
-    the choices where the flag has them, the text otherwise."""
+    """The value of ``text`` as the flag of ``action`` takes it: a boolean
+    for a switch, one of the choices where the flag has them, the text read
+    by the flag's own type (float or int) where it has one, the text otherwise."""
     key = action.dest
     if action.nargs == 0:
         if text.lower() not in BOOLEAN_WORDS:
@@ -242,16 +241,13 @@ def _config_value(action, text: str):
     if action.choices is not None and text not in action.choices:
         raise UsageError(f"config key {key} expects one of {'/'.join(action.choices)}, "
                          f"got {text!r}")
-    if action.type not in (float, int):
+    if action.type is None:
         return text
     try:
-        value = float(text)
+        return action.type(text)
     except ValueError:
-        value = None
-    if value is None or action.type is int and not value.is_integer():
         kind = "an integer" if action.type is int else "a number"
-        raise UsageError(f"config key {key} expects {kind}, got {text!r}")
-    return action.type(value)
+        raise UsageError(f"config key {key} expects {kind}, got {text!r}") from None
 
 
 def _require_finite(**values) -> None:
@@ -385,10 +381,10 @@ def _cmd_steady(ns) -> int:
     pops = coupled.matrix.diagonal().real
     with _output(ns) as out:
         if fmt == "json":
-            out.write(_json({"populations": pops.tolist(), "eigenvalues": evals.tolist(),
-                             "concurrence": conc, "eof": eof,
+            out.write(_json({**inputs, "populations": pops.tolist(),
+                             "eigenvalues": evals.tolist(), "concurrence": conc, "eof": eof,
                              "matrix_re": coupled.matrix.real.tolist(),
-                             "matrix_im": coupled.matrix.imag.tolist()}, exact=inputs))
+                             "matrix_im": coupled.matrix.imag.tolist()}))
         elif fmt == "csv":
             cols = list(inputs) + ["pop_plus1", "pop_zero", "pop_minus1",
                                    "singlet_weight", "concurrence", "eof"]

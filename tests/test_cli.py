@@ -105,12 +105,18 @@ def test_steady_at_a_non_unique_steady_state_names_it(capsys):
 
 
 def test_steady_json_format(capsys):
-    rc, out, _ = run(capsys, "steady", "--efield", "1", "--k0r", "0.5",
-                     "--format", "json")
+    point = ("steady", "--efield", "1", "--k0r", "0.5")
+    rc, out, _ = run(capsys, *point, "--format", "json")
     assert rc == 0
     payload = json.loads(out)
     assert abs(sum(payload["populations"]) - 1.0) < 1e-8
     assert 0.0 <= payload["concurrence"] <= 1.0
+    # the echoed inputs and the results carry the CSV's 12 digits
+    rc, out, _ = run(capsys, *point, "--format", "csv")
+    header, (row,) = parse_csv(out)
+    shared = [key for key in header if key in payload]
+    assert shared == ["delta", "efield", "omega", "gamma12", "k0r", "concurrence", "eof"]
+    assert [payload[key] for key in shared] == [row[header.index(key)] for key in shared]
 
 
 # ------------------------------------------------------- spectrum
@@ -630,6 +636,39 @@ def test_steady_at_a_huge_distance_runs_without_warning(capsys):
     assert "omega = -2.78528196807e-105" in out and "concurrence = 0" in out
 
 
+@pytest.mark.parametrize("argv, err, shown", [
+    ("sweep --axis k0r=0.0005:0.002:50 --efield 1", "", None),
+    ("sweep --axis delta=-30:-20:3 --k0r 0.3 --efield 2.54", "", None),
+    ("sweep --axis efield=1e150:1e160:3 --k0r 0.5", "", None),
+    ("steady --efield 2 --k0r 1e-8", "", None),
+    ("spectrum --efield 1 --tau 3", "", None),
+    # on each side of k0r = 1e-3 and of cross_decay's series switch SMALL_X = 1.4
+    ("steady --efield 1 --k0r 5e-4 --mu-dot-rhat 0.5", "", None),
+    ("steady --efield 1 --k0r 2e-3 --mu-dot-rhat 0.5", "", None),
+    ("steady --efield 1 --k0r 1.3 --mu-dot-rhat 0.5", "", None),
+    ("steady --efield 1 --k0r 1.5 --mu-dot-rhat 0.5", "", None),
+    # the one formula for Omega, down to its overflow edge
+    ("sweep --axis k0r=1e-102:1e-3:40 --efield 1", "", None),
+    # the singlet decay 1 - Gamma12 from the series, where the closed form cancels
+    ("spectrum --k0r 1.001e-3 --efield 0", "", "(decay 1.00200096"),
+    # the dark line (no drive, gamma12 = -1) fails one point; the others are solved
+    ("sweep --axis efield=0:2:3 --omega 2 --gamma12 -1 --delta -3",
+     "warning: 1 grid point(s) failed, recorded as NaN (InvalidRegime: 1)\n", None),
+    # two failure kinds in one grid: the dark line at drive 0, an overflow at omega = 1e308
+    ("sweep --axis efield=0:1:2 --axis omega=1:1e308:2 --gamma12 -1",
+     "warning: 3 grid point(s) failed, recorded as NaN (InvalidRegime: 2, OutOfRange: 1)\n",
+     None),
+], ids=["sweep_short_distances", "sweep_delta", "sweep_huge_drives", "steady_1e-8",
+        "spectrum_tau", "steady_5e-4", "steady_2e-3", "steady_1.3", "steady_1.5",
+        "sweep_omega_overflow_edge", "spectrum_singlet_decay", "sweep_dark_line",
+        "sweep_two_failure_kinds"])
+def test_grids_and_points_exit_0_without_warning(capsys, argv, err, shown):
+    # pyproject.toml makes any warning, numpy's floating-point ones included, an error
+    rc, out, got = run(capsys, *argv.split())
+    assert (rc, got) == (0, err)
+    assert shown is None or shown in out
+
+
 def test_sweep_records_failed_point_as_nan_row(capsys, monkeypatch):
     # at k0r = 0.01, efield = 2 SVD kernel thresholds reject the state;
     # the block solve takes it, with p_A = rho_{+1,+1}
@@ -739,13 +778,14 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
 @pytest.mark.parametrize("command, line, message", [
     ("steady", "efield = abc", "config key efield expects a number, got 'abc'"),
     ("fig2", "points = many", "config key points expects an integer, got 'many'"),
+    ("fig2", "points = 3.0", "config key points expects an integer, got '3.0'"),
     ("fig2", "format = xml", "config key format expects one of text/csv/json, got 'xml'"),
     ("steady", "format = xml", "config key format expects one of text/csv/json, got 'xml'"),
     ("fig2", "fromat = json", "unknown config key 'fromat'"),
     ("check", "fromat = json", "unknown config key 'fromat'"),
     ("steady", "config = other.cfg", "unknown config key 'config'"),
-], ids=["steady_efield", "fig2_points", "fig2_format", "steady_format", "fig2_typo", "check_typo",
-        "steady_config"])
+], ids=["steady_efield", "fig2_points", "fig2_points_float", "fig2_format", "steady_format",
+        "fig2_typo", "check_typo", "steady_config"])
 def test_config_value_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys, command, line,
                                                          message):
     cfgfile = tmp_path / "run.cfg"
@@ -829,6 +869,17 @@ def test_config_value_kind_is_the_flags(tmp_path, command, action):
     for text in bad:
         with pytest.raises(cli.UsageError, match=f"^config key {key} expects "):
             config(text)
+    if action.type in (float, int):
+        # a number written as a float: the flag's type reads both, so both
+        # take it (float) or both reject it (int)
+        for text in ("3.0", "1e1"):
+            try:
+                value = flagged(text)
+            except SystemExit:
+                with pytest.raises(cli.UsageError, match=f"^config key {key} expects an integer"):
+                    config(text)
+            else:
+                assert (config(text), type(value)) == (value, float)
 
 
 def test_json_output_is_strict_json_with_null_for_non_finite_values(capsys):

@@ -141,6 +141,15 @@ def test_huge_finite_inputs_raise_out_of_range_without_a_warning(delta, drive):
                 build_liouvillian(cfg, Couplings(0.0, 0.0))
 
 
+def test_a_matrix_whose_deviation_from_hermiticity_overflows_is_not_hermitian():
+    # finite parts near the largest double, whose difference m - m^H does not fit
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1] = 1.7e308 + 1.7e308j
+    m[1, 0] = -1.7e308 + 1.7e308j
+    with pytest.raises(InvalidState, match="^not Hermitian within tolerance$"):
+        DensityMatrix(m, BasisTag.COMPUTATIONAL)
+
+
 @pytest.mark.parametrize("call", [
     lambda: analytic_steady_state(1e200, 1.0),  # W^2 raises OverflowError on Python floats
     lambda: analytic_steady_state(1.0, 1e80),  # E^4 too

@@ -212,7 +212,7 @@ def test_states_are_hermitian_unit_trace_and_tagged():
     assert 0.0 < np.abs(r.imag).max() <= tol.HERMITICITY_RTOL * np.abs(r).max()
     rho0 = DensityMatrix(GROUND, BasisTag.COMPUTATIONAL).to_basis(BasisTag.COUPLED)
     times, states = propagate(liouv, rho0, 1.0, 0.05)
-    assert states[0] is rho0
+    assert len(times) == len(states) == 21 and states[0] is rho0
     assert np.allclose(times, 0.05 * np.arange(21), rtol=0, atol=1e-15)
     for st in states[1:]:
         assert st.basis is BasisTag.COUPLED
