@@ -28,7 +28,7 @@ from collections import Counter
 
 import numpy as np
 
-from .dynamics import _FAILURES, DensityMatrix, _broadcast, lamb_dicke_limit_state
+from .dynamics import _FAILURES, DensityMatrix, lamb_dicke_limit_state
 from .entanglement import (TAU_PEAK, _eofs, _steady_concurrence, steady_state_entanglement,
                            wootters_concurrence)
 from .errors import DipolePairError
@@ -36,9 +36,8 @@ from .linalg import BasisTag, general_eig, hermitian_eig
 from .model import (
     AtomPairConfig,
     Couplings,
+    _geometry,
     build_effective_hamiltonian,
-    cross_decay,
-    dipole_coupling,
     k0r_for_tau,
     triplet_block,
 )
@@ -335,12 +334,10 @@ def _mesh(ns, axes=(), drive=None, limit=False):
             tau, e2 = params["tau"], efield**2  # (tau E) E where only E^2 overflows
             params["omega"] = np.where(np.isinf(e2), tau * efield * efield, tau * e2)
     elif "k0r" in params:
-        k0r = params["k0r"]
-        # one call per mesh, which rejects a k0r that is not finite and > 0;
-        # the array formulas equal the scalar ones bit for bit
-        params["omega"] = dipole_coupling(k0r, mu)
-        if "gamma12" not in params:
-            params["gamma12"] = cross_decay(k0r)
+        # one evaluation of both factors per mesh, which rejects a k0r that is not
+        # finite and > 0; the array formulas equal the scalar ones bit for bit
+        params["omega"], gamma12 = _geometry(params["k0r"], mu)
+        params.setdefault("gamma12", gamma12)
     params.setdefault("gamma12", np.zeros(n))
     order = ("delta", "efield", "omega", "gamma12", "k0r", "tau")
     return {key: params[key] for key in order if key in params}, fixed.keys()
@@ -415,7 +412,7 @@ def _cmd_spectrum(ns) -> int:
     roots, _ = hermitian_eig(triplet_block(cfg.delta, couplings.omega, cfg.drive))
     heff = build_effective_hamiltonian(cfg, couplings)
     heff_evals = general_eig(heff)
-    # the singlet line, exact: -omega and 1 - gamma12 (+ 0.0 turns a zero decay's -0 into 0)
+    # the singlet line, exact given gamma12 (+ 0.0 turns a zero decay's -0 into 0)
     singlet = float(heff[3, 3].real), -2.0 * float(heff[3, 3].imag) + 0.0
     fmt = getattr(ns, "format", "text")
     with _output(ns) as out:
@@ -460,15 +457,15 @@ def _cmd_fig1(ns) -> int:
 def _solve_grid(delta, drive, omega, gamma12):
     """Steady states and concurrence of every point of a parameter mesh.
 
-    The arguments broadcast to one length N. Points go through
-    steady_state_entanglement without its EoF and error list
+    The arguments are columns of one length N, as _mesh gives them. Points
+    go through steady_state_entanglement without its EoF and error list
     (_steady_concurrence), in stacks of GRID_CHUNK to bound the work arrays.
     Returns (coupled-basis populations (N, 4), concurrence, codes), NaN and
     a dynamics._FAILURES code (0: none) where a point failed; a command
     that prints the EoF takes entanglement._eofs of the concurrence.
     """
-    args = _broadcast(delta, drive, omega, gamma12)
-    n = len(args[0])
+    args = delta, drive, omega, gamma12
+    n = len(delta)
     pops = np.empty((n, 4))
     conc = np.empty(n)
     codes = np.empty(n, dtype=int)
@@ -481,11 +478,12 @@ def _solve_grid(delta, drive, omega, gamma12):
 
 def _report_failures(codes) -> bool:
     """Warn on stderr about failed points by error class, first seen first; True if all failed."""
+    if not np.count_nonzero(codes):
+        return False
     failed = Counter(_FAILURES[code][0].__name__ for code in codes[codes > 0].tolist())
-    if failed:
-        kinds = ", ".join(f"{name}: {k}" for name, k in failed.most_common())
-        print(f"warning: {failed.total()} grid point(s) failed, recorded as NaN ({kinds})",
-              file=sys.stderr)
+    kinds = ", ".join(f"{name}: {k}" for name, k in failed.most_common())
+    print(f"warning: {failed.total()} grid point(s) failed, recorded as NaN ({kinds})",
+          file=sys.stderr)
     return failed.total() == len(codes)
 
 

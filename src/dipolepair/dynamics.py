@@ -321,7 +321,8 @@ def _scaled_terms(delta, drive, omega, gamma12):
     k, sqrt s E and q E over k^2, and A = 256 E^4 and D over k^4.
     """
     d, drive, w, g = _broadcast(delta, drive, omega, gamma12)
-    outside = _outside(np.isfinite((d, drive, w, g)).all(axis=0), drive, g)
+    outside = _outside(np.isfinite(d) & np.isfinite(drive) & np.isfinite(w) & np.isfinite(g),
+                       drive, g)
     coupled = g != 1.0
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         r = np.hypot(4.0 * d, 1.0)  # sqrt s
@@ -384,12 +385,13 @@ def _closed_form_states(terms) -> np.ndarray:
         z = x * y / k
         c = 16.0 * e**2
         bb = b.real**2 + b.imag**2 + a  # |b|^2 + c^2, as c^2 == a
+        cb, zc = c * b.conj(), z.conj()
         rho = np.zeros((n, 4, 4), dtype=complex)
         rho[:, 0, 0] = a
-        rho[:, 0, 1] = c * b.conj()
-        rho[:, 0, 2] = c * z.conj()
+        rho[:, 0, 1] = cb
+        rho[:, 0, 2] = c * zc
         rho[:, 1, 1] = bb
-        rho[:, 1, 2] = b * z.conj() + c * b.conj()
+        rho[:, 1, 2] = b * zc + cb
         rho[:, 2, 2] = z.real**2 + z.imag**2 + bb
         rho[:, 1, 0], rho[:, 2, 0], rho[:, 2, 1] = (
             rho[:, 0, 1].conj(), rho[:, 0, 2].conj(), rho[:, 1, 2].conj())
@@ -404,18 +406,23 @@ def _solve_blocks(terms):
 
     The states not failed before get the DensityMatrix checks; the others
     are set to I / 4, which passes them, to keep the fast path. A failed
-    state becomes NaN.
+    state becomes NaN. Each mark runs only where its mask holds a point, so
+    a clean stack, every point finite and valid, makes no marks.
     """
     states = _closed_form_states(terms)
     codes = terms[1].copy()
-    codes[~np.isfinite(states).all(axis=(1, 2)) & (codes == 0)] = _OVERFLOW
-    states[codes > 0] = _I4 / 4.0
+    overflow = ~np.isfinite(states).all(axis=(1, 2))
+    if np.count_nonzero(overflow):  # about 0.3 us on a stack of 36, against 1 us for .any()
+        codes[overflow & (codes == 0)] = _OVERFLOW
+    if np.count_nonzero(codes):
+        states[codes > 0] = _I4 / 4.0
     quoted = np.full(len(codes), np.nan)
     failed = _density_codes(states)
     if failed is not None:  # at code-0 points only, as I / 4 passes
         codes += failed[0]
         quoted[codes == _BAD_TRACE] = failed[1][codes == _BAD_TRACE]
-    states[codes > 0] = np.nan
+    if np.count_nonzero(codes):
+        states[codes > 0] = np.nan
     return states, codes, quoted
 
 

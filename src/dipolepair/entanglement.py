@@ -136,7 +136,8 @@ def _concurrence_law(terms) -> np.ndarray:
     _, outside, coupled, _, _, re, qe, a, den = terms
     with np.errstate(invalid="ignore"):
         conc = np.maximum(32.0 * re * qe - (1.0 + coupled) * a, 0.0) / den
-    conc[outside > 0] = np.nan
+    if np.count_nonzero(outside):
+        conc[outside > 0] = np.nan
     return conc
 
 
@@ -166,13 +167,16 @@ def steady_state_entanglement(delta, drive, omega, gamma12):
 
 def _steady_concurrence(delta, drive, omega, gamma12):
     """steady_state_entanglement without the EoF and the error list: (states, conc,
-    codes, quoted) as _solve_blocks marks them, then C <= 1."""
+    codes, quoted) as _solve_blocks marks them, then C <= 1; a clean stack gets no marks."""
     terms = _scaled_terms(delta, drive, omega, gamma12)
     states, codes, quoted = _solve_blocks(terms)
     conc = _concurrence_law(terms)
-    fails = ~(conc <= 1.0 + 1e-12) & (codes == 0)
-    codes[fails], quoted[fails] = _CONCURRENCE, conc[fails]
-    conc[codes > 0] = np.nan
+    above = ~(conc <= 1.0 + 1e-12)
+    if np.count_nonzero(above):
+        fails = above & (codes == 0)
+        codes[fails], quoted[fails] = _CONCURRENCE, conc[fails]
+    if np.count_nonzero(codes):
+        conc[codes > 0] = np.nan
     return states, conc, codes, quoted
 
 

@@ -128,17 +128,7 @@ def dipole_coupling(k0r, mu_dot_rhat: float = 0.0):
     values; a k0r that is not finite and > 0, or so small that Omega
     overflows (below about 2e-103), raises InvalidGeometry for the call.
     """
-    x = _distance(k0r)
-    a = 1.0 - mu_dot_rhat**2
-    b = 1.0 - 3.0 * mu_dot_rhat**2
-    with np.errstate(all="ignore"):
-        # 3 (T / 4) for (3/4) T: the quarter, exact, comes first, where T alone
-        # overflows at an Omega that does not
-        cos, sin = 0.25 * np.cos(x), 0.25 * np.sin(x)
-        out = 3.0 * (-a * cos / x + b * (sin / (x * x) + cos / np.power(x, 3)))
-    if _any(~np.isfinite(out)):
-        raise InvalidGeometry("k0r below about 2e-103: the dipole coupling overflows")
-    return float(out) if np.isscalar(k0r) else out
+    return _geometry(k0r, mu_dot_rhat)[0]
 
 
 def cross_decay(k0r):
@@ -153,26 +143,45 @@ def cross_decay(k0r):
     that is not finite and > 0 raises InvalidGeometry. At large x the
     powers of x that overflow enter as 1/inf = 0, the limit of their terms.
     """
-    x = _distance(k0r)
-    small = x < tol.SMALL_X
-    with np.errstate(all="ignore"):
-        if _any(small):
-            x2 = x * x
-            series = _CROSS_SERIES[0]
-            for c in _CROSS_SERIES[1:]:  # Horner, from the highest power
-                series = series * x2 + c
-        if x.ndim == 0 and small:  # a scalar below SMALL_X needs the series alone
-            out = series
-        else:
-            out = -3.0 * (np.cos(x) / (x * x) - np.sin(x) / np.power(x, 3))
-            if _any(small):
-                out = np.where(small, series, out)
-    out = np.minimum(out, _BELOW_ONE)
-    return float(out) if np.isscalar(k0r) else out
+    return _geometry(k0r, None)[1]
 
 
 def couplings_from_geometry(cfg: AtomPairConfig) -> Couplings:
-    return Couplings(dipole_coupling(cfg.k0r, cfg.mu_dot_rhat), cross_decay(cfg.k0r))
+    """dipole_coupling and cross_decay at cfg's k0r, bit for bit, from one _geometry."""
+    return Couplings(*_geometry(cfg.k0r, cfg.mu_dot_rhat))
+
+
+def _geometry(k0r, mu_dot_rhat):
+    """(Omega, Gamma12) of dipole_coupling and cross_decay at x = k0r: the two
+    factors share one check of k0r and one evaluation of cos x, sin x, x^2 and
+    x^3. For mu_dot_rhat None, Omega is None, so it cannot overflow."""
+    x = _distance(k0r)
+    small = x < tol.SMALL_X
+    omega = None
+    with np.errstate(all="ignore"):
+        x2, x3, cos, sin = x * x, np.power(x, 3), np.cos(x), np.sin(x)
+        if _any(small):
+            series = _CROSS_SERIES[0]
+            for c in _CROSS_SERIES[1:]:  # Horner, from the highest power
+                series = series * x2 + c
+        if mu_dot_rhat is not None:
+            a, b = 1.0 - mu_dot_rhat**2, 1.0 - 3.0 * mu_dot_rhat**2
+            # 3 (T / 4) for (3/4) T: the quarter, exact, comes first, where T alone
+            # overflows at an Omega that does not
+            qcos, qsin = 0.25 * cos, 0.25 * sin
+            omega = 3.0 * (-a * qcos / x + b * (qsin / x2 + qcos / x3))
+            if _any(~np.isfinite(omega)):
+                raise InvalidGeometry("k0r below about 2e-103: the dipole coupling overflows")
+        if x.ndim == 0 and small:  # a scalar below SMALL_X needs the series alone
+            gamma12 = series
+        else:
+            gamma12 = -3.0 * (cos / x2 - sin / x3)
+            if _any(small):
+                gamma12 = np.where(small, series, gamma12)
+    gamma12 = np.minimum(gamma12, _BELOW_ONE)
+    if np.isscalar(k0r):
+        return None if omega is None else float(omega), float(gamma12)
+    return omega, gamma12
 
 
 def build_hamiltonian(cfg: AtomPairConfig, omega: float) -> np.ndarray:

@@ -41,7 +41,7 @@ from dipolepair import (
 )
 from dipolepair import cli, dynamics, entanglement
 from dipolepair import tolerances as tol
-from dipolepair.errors import DipolePairError, InvalidState, OutOfRange
+from dipolepair.errors import DipolePairError, InvalidRegime, InvalidState, OutOfRange
 from dipolepair.model import SIGMA_Y, TO_COUPLED
 
 
@@ -282,6 +282,68 @@ def coupled_state(lowest, herm_dev=0.0):
     m = np.diag([0.25, 0.5 - lowest, lowest, 0.25]).astype(complex)
     m[0, 2] = herm_dev
     return m
+
+
+# a 36-point distance x drive grid, clean, and the point that fails in each case below
+ONE_K0R = np.linspace(0.1, 1.5, 6).repeat(6)
+ONE_GRID = (np.zeros(36), np.tile(np.linspace(0.5, 8.0, 6), 6),
+            dipole_coupling(ONE_K0R), cross_decay(ONE_K0R))
+ONE_POINT = 4
+
+
+@pytest.mark.parametrize("inputs, injected, excess, code, quoted, error", [
+    ({0: math.nan}, None, 0.0, dynamics._NON_FINITE_INPUT, math.nan,
+     (OutOfRange, "inputs must be finite")),
+    ({1: -1.0}, None, 0.0, dynamics._NEGATIVE_DRIVE, math.nan,
+     (OutOfRange, "drive must be >= 0")),
+    ({1: 0.0, 3: -1.0}, None, 0.0, dynamics._DARK_LINE, math.nan,
+     (InvalidRegime, "steady state not unique: |0> is dark at drive 0, gamma12 = -1")),
+    ({2: 1e308}, None, 0.0, dynamics._OVERFLOW, math.nan,
+     (OutOfRange, "non-finite steady state")),
+    # a non-finite state is the engine's overflow before it reaches the density checks
+    ({}, np.full((4, 4), math.nan), 0.0, dynamics._OVERFLOW, math.nan,
+     (OutOfRange, "non-finite steady state")),
+    ({}, coupled_state(0.0, 2e-10), 0.0, dynamics._NOT_HERMITIAN, math.nan,
+     (InvalidState, "not Hermitian within tolerance")),
+    ({}, np.diag([0.5, 0.5, 0.5, 0.5]), 0.0, dynamics._BAD_TRACE, 2.0,
+     (InvalidState, "trace 2.0 is not 1")),
+    ({}, coupled_state(-2e-9), 0.0, dynamics._NEGATIVE_EIGENVALUE, math.nan,
+     (InvalidState, "negative eigenvalue beyond tolerance")),
+    ({}, None, 1.0, dynamics._CONCURRENCE, None,
+     (OutOfRange, "concurrence {!r} outside [0, 1]")),
+], ids=["non_finite_input", "negative_drive", "dark_line", "overflow", "non_finite_state",
+        "not_hermitian", "bad_trace", "negative_eigenvalue", "concurrence_above_1"])
+def test_one_failure_leaves_the_rest_of_a_clean_grid_as_it_was(
+        monkeypatch, inputs, injected, excess, code, quoted, error):
+    # one kind at a time: a mark that runs only when another kind is present
+    # passes test_cli_report_and_error_list_agree_with_the_one_point_raise_sites,
+    # whose batch holds every kind, and fails here
+    clean = entanglement._steady_concurrence(*ONE_GRID)
+    assert not clean[2].any() and clean[1][ONE_POINT] > 0
+    columns = [np.array(column) for column in ONE_GRID]
+    for which, value in inputs.items():
+        columns[which][ONE_POINT] = value
+    if injected is not None:
+        inject_once(monkeypatch, 0, ONE_POINT, injected)
+    law = entanglement._concurrence_law
+    bump = np.zeros(36)
+    bump[ONE_POINT] = excess
+    monkeypatch.setattr(entanglement, "_concurrence_law", lambda terms: law(terms) + bump)
+    states, conc, codes, quoted_values = entanglement._steady_concurrence(*columns)
+    others = np.arange(36) != ONE_POINT
+    for got, want in zip((states, conc, codes), clean[:3]):
+        assert got[others].tobytes() == want[others].tobytes()
+    assert np.isnan(quoted_values[others]).all()
+    assert codes[ONE_POINT] == code and np.isnan(conc[ONE_POINT])
+    if quoted is None:  # the concurrence that failed, quoted; its state is kept
+        quoted = clean[1][ONE_POINT] + excess
+        assert states[ONE_POINT].tobytes() == clean[0][ONE_POINT].tobytes()
+    else:
+        assert np.isnan(states[ONE_POINT]).all()
+    assert np.float64(quoted_values[ONE_POINT]).tobytes() == np.float64(quoted).tobytes()
+    kind, message = error
+    (failure,) = (e for e in dynamics._errors(codes, quoted_values) if e is not None)
+    assert type(failure) is kind and str(failure) == message.format(float(quoted))
 
 
 def count_decompositions(monkeypatch):

@@ -16,6 +16,7 @@ from dipolepair import (
     k0r_for_tau,
     tau_of_geometry,
 )
+from dipolepair import cli
 from dipolepair.errors import InvalidGeometry, OutOfRange
 from dipolepair.model import TO_COUPLED
 from dipolepair.tolerances import SMALL_X
@@ -42,13 +43,18 @@ def test_dipole_coupling_magic_angle_leaves_first_term():
         assert abs(dipole_coupling(x, mu) - expected) < 1e-12
 
 
+# from where the dipole coupling just fits in a double to where x^3 overflows,
+# and the neighbours of the series switch SMALL_X
+BITWISE_K0R = np.concatenate([np.geomspace(1e-102, 1e300, 4001),
+                              SMALL_X * np.array([0.5, 0.999, 1.0, 1.001, 2.0])])
+
+
 @pytest.mark.parametrize("factor", [dipole_coupling, cross_decay])
 def test_scalar_and_one_element_array_calls_agree_bitwise(factor):
     # a scalar k0r runs on numpy floats, where x**3 rounds unlike the array
     # power for about 5% of k0r: the factors must still give the array values
     rng = np.random.default_rng(53)
-    k0r = np.concatenate([np.geomspace(1e-102, 1e300, 4001),
-                          SMALL_X * np.array([0.5, 0.999, 1.0, 1.001, 2.0])])
+    k0r = BITWISE_K0R
     mu = rng.uniform(0.0, 1.0, len(k0r))
     below = 0
     for x, m in zip(k0r.tolist(), mu.tolist()):
@@ -59,6 +65,26 @@ def test_scalar_and_one_element_array_calls_agree_bitwise(factor):
         assert np.float64(scalar).tobytes() == array.tobytes(), (x, m)
         below += x < SMALL_X
     assert min(below, len(k0r) - below) > 900  # both sides of SMALL_X
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.5773502691896258, 0.9, 1.0])
+def test_shared_geometry_gives_the_public_factors_bit_for_bit(mu):
+    # couplings_from_geometry and the mesh of the grid commands evaluate both
+    # factors at once; each must give dipole_coupling and cross_decay bit for bit
+    def bits(*values):
+        return np.array(values, dtype=float).tobytes()
+
+    omega, gamma12 = dipole_coupling(BITWISE_K0R, mu), cross_decay(BITWISE_K0R)
+    for k, x in enumerate(BITWISE_K0R.tolist()):
+        c = couplings_from_geometry(AtomPairConfig(k0r=x, mu_dot_rhat=mu))
+        assert type(c.omega) is float and type(c.gamma12) is float
+        public = (dipole_coupling(x, mu), cross_decay(x))
+        assert bits(c.omega, c.gamma12) == bits(*public) == bits(omega[k], gamma12[k]), x
+    ns = cli._build_parser().parse_args(["sweep", "--efield", "1", "--mu-dot-rhat", str(mu)])
+    columns, _ = cli._mesh(ns, [("k0r", BITWISE_K0R)])
+    assert columns["k0r"].tobytes() == BITWISE_K0R.tobytes()
+    assert columns["omega"].tobytes() == omega.tobytes()
+    assert columns["gamma12"].tobytes() == gamma12.tobytes()
 
 
 def test_dipole_coupling_rejects_bad_distance():
@@ -97,13 +123,15 @@ def test_geometry_factors_at_large_distance_raise_no_warning(k0r):
 
 @pytest.mark.parametrize("k0r", [5e-324, 1e-120])
 def test_dipole_coupling_rejects_a_distance_where_it_overflows(k0r):
-    # |Omega| ~ 0.75 / k0r^3 exceeds the largest double below about 2e-103;
-    # the cross decay stays finite, at its cap below 1
+    # |Omega| ~ 0.75 / k0r^3 exceeds the largest double below about 2e-103, so the
+    # pair of factors fails too; the cross decay alone stays finite, at its cap below 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for arg in (k0r, np.array([0.5, k0r, 1e-4])):
             with pytest.raises(InvalidGeometry, match="^k0r below about 2e-103: .* overflows$"):
                 dipole_coupling(arg, 0.2)
+        with pytest.raises(InvalidGeometry, match="^k0r below about 2e-103: .* overflows$"):
+            couplings_from_geometry(AtomPairConfig(k0r=k0r))
         assert cross_decay(k0r) == np.nextafter(1.0, 0.0)
     assert math.isfinite(dipole_coupling(2.3e-103))
     assert math.isfinite(dipole_coupling(2.3e-103, 1.0))
