@@ -28,7 +28,6 @@ from .entanglement import (
     C_PEAK,
     TAU_PEAK,
     admixture_concurrence,
-    argmax_concurrence,
     closed_form_concurrence,
     eof_from_concurrence,
     pure_concurrence,
@@ -129,8 +128,13 @@ def concurrence_law() -> list[Line]:
 
 
 def peak_numbers() -> list[Line]:
-    """3. The maximum of C(tau): tau* = 9.21, C_max = 0.434, EoF 0.285 ebit."""
-    tau_star, c_star = argmax_concurrence(2.0, 50.0, tol=1e-8)
+    """3. The maximum of C(tau): tau* = 9.21, C_max = 0.434, EoF 0.285 ebit.
+    tau* is read off the law, as the vertex of the parabola through C at
+    TAU_PEAK and TAU_PEAK +- 1e-3, so a law whose maximum moved fails."""
+    h = 1e-3
+    lo, mid, hi = (closed_form_concurrence(TAU_PEAK + d) for d in (-h, 0.0, h))
+    tau_star = TAU_PEAK - h * (hi - lo) / (2.0 * (hi - 2.0 * mid + lo))
+    c_star = closed_form_concurrence(tau_star)
     return [Line("tau_at_max", tau_star, TAU_PEAK, 1e-6),
             Line("C_max", c_star, C_PEAK, 1e-6),
             Line("E_max", eof_from_concurrence(c_star), 0.2846, 1e-3)]

@@ -353,6 +353,8 @@ def _axis(name: str, bounds: str, count: int, flag: str):
         raise UsageError(f"{flag} must be finite, got {bounds!r}")
     if not start < stop:
         raise UsageError(f"{flag}: start must be below stop")
+    if not math.isfinite(stop - start):
+        raise UsageError(f"{flag}: stop - start must be finite, got {bounds!r}")
     return name, np.linspace(start, stop, count)
 
 

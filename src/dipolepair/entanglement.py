@@ -167,14 +167,15 @@ def steady_state_entanglement(delta, drive, omega, gamma12):
 
 def _steady_concurrence(delta, drive, omega, gamma12):
     """steady_state_entanglement without the EoF and the error list: (states, conc,
-    codes, quoted) as _solve_blocks marks them, then C <= 1; a clean stack gets no marks."""
+    codes, quoted) as _solve_blocks marks them, then C <= 1, which also NaNs the state
+    of a point above; a clean stack gets no marks."""
     terms = _scaled_terms(delta, drive, omega, gamma12)
     states, codes, quoted = _solve_blocks(terms)
     conc = _concurrence_law(terms)
     above = ~(conc <= 1.0 + 1e-12)
     if np.count_nonzero(above):
         fails = above & (codes == 0)
-        codes[fails], quoted[fails] = _CONCURRENCE, conc[fails]
+        codes[fails], quoted[fails], states[fails] = _CONCURRENCE, conc[fails], np.nan
     if np.count_nonzero(codes):
         conc[codes > 0] = np.nan
     return states, conc, codes, quoted
@@ -222,28 +223,3 @@ def admixture_concurrence(p: float, rho_s: DensityMatrix) -> float:
 def singlet_projector() -> np.ndarray:
     """|A><A| in the computational basis."""
     return np.outer(SINGLET_KET, SINGLET_KET.conj())
-
-
-def argmax_concurrence(
-    lo: float = 2.0, hi: float = 50.0, tol: float = 1e-8
-) -> tuple[float, float]:
-    """Golden-section maximizer of closed_form_concurrence on [lo, hi].
-
-    Returns (tau_star, c_star). The law is unimodal on this interval.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = closed_form_concurrence(c), closed_form_concurrence(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = closed_form_concurrence(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = closed_form_concurrence(d)
-    tau_star = 0.5 * (a + b)
-    return tau_star, closed_form_concurrence(tau_star)

@@ -22,7 +22,8 @@ from dipolepair import (
     solve_steady_state,
     wootters_concurrence,
 )
-from dipolepair.checks import CRITERIA
+from dipolepair import checks
+from dipolepair.checks import CRITERIA, peak_numbers
 from dipolepair.entanglement import TAU_PEAK
 
 
@@ -51,6 +52,21 @@ def test_criterion_02_closed_form_concurrence():
 
 def test_criterion_03_headline_numbers():
     run_criterion(3)
+
+
+def test_criterion_03_fails_a_law_whose_maximum_moved(monkeypatch):
+    # the lines dipolepair check prints, then the same law with its peak
+    # moved by 1e-3 in tau either way: tau_at_max fails, the height still passes
+    assert list(map(str, peak_numbers())) == [
+        "tau_at_max: computed 9.211 expected 9.211 tol 1e-06 PASS",
+        "C_max: computed 0.4343 expected 0.4343 tol 1e-06 PASS",
+        "E_max: computed 0.2847 expected 0.2846 tol 1e-03 PASS"]
+    law = checks.closed_form_concurrence
+    for shift in (1e-3, -1e-3):
+        monkeypatch.setattr(checks, "closed_form_concurrence", lambda t, s=shift: law(t - s))
+        tau_at_max, c_max, e_max = peak_numbers()
+        assert not tau_at_max.ok and c_max.ok and e_max.ok
+        assert abs(tau_at_max.computed - (TAU_PEAK + shift)) < 1e-6
 
 
 def test_criterion_04_strong_drive_convergence():

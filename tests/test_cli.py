@@ -708,13 +708,16 @@ def test_sweep_exits_1_only_when_every_point_failed(capsys):
     ("fig1", "--tau", "nan", "--points", "3"),
     ("fig2", "--k0r-range", "0.1:inf", "--points", "3"),
     ("sweep", "--axis", "efield=1:inf:2", "--omega", "1"),
+    # finite bounds whose span stop - start overflows
+    ("fig2", "--k0r-range=-1e308:1e308"),
+    ("sweep", "--axis", "delta=-1e308:1e308:5", "--efield", "1", "--omega", "2"),
     ("spectrum", "--omega", "inf", "--efield", "1"),
     ("spectrum", "--omega", "nan", "--efield", "1"),
     # finite options, but sqrt 2 E overflows in the triplet block
     ("spectrum", "--omega", "1", "--efield", "1.5e308"),
 ], ids=["steady_lamb_dicke_efield", "steady_lamb_dicke_tau", "fig1_tau",
-        "fig2_range", "sweep_axis", "spectrum_omega_inf", "spectrum_omega_nan",
-        "spectrum_efield_overflow"])
+        "fig2_range", "sweep_axis", "fig2_span", "sweep_span", "spectrum_omega_inf",
+        "spectrum_omega_nan", "spectrum_efield_overflow"])
 def test_non_finite_option_is_a_usage_error(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

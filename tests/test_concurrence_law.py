@@ -335,11 +335,9 @@ def test_one_failure_leaves_the_rest_of_a_clean_grid_as_it_was(
         assert got[others].tobytes() == want[others].tobytes()
     assert np.isnan(quoted_values[others]).all()
     assert codes[ONE_POINT] == code and np.isnan(conc[ONE_POINT])
-    if quoted is None:  # the concurrence that failed, quoted; its state is kept
+    assert np.isnan(states[ONE_POINT]).all()
+    if quoted is None:  # the concurrence that failed, quoted
         quoted = clean[1][ONE_POINT] + excess
-        assert states[ONE_POINT].tobytes() == clean[0][ONE_POINT].tobytes()
-    else:
-        assert np.isnan(states[ONE_POINT]).all()
     assert np.float64(quoted_values[ONE_POINT]).tobytes() == np.float64(quoted).tobytes()
     kind, message = error
     (failure,) = (e for e in dynamics._errors(codes, quoted_values) if e is not None)

@@ -8,7 +8,6 @@ from dipolepair import (
     BasisTag,
     DensityMatrix,
     admixture_concurrence,
-    argmax_concurrence,
     binary_entropy,
     closed_form_concurrence,
     couplings_from_geometry,
@@ -253,12 +252,6 @@ def test_closed_form_matches_wootters_on_limit_states():
     for tau in (2.0, 3.0, 5.0, 9.21, 20.0, 50.0):
         got = wootters_concurrence(lamb_dicke_limit_state(tau)).concurrence
         assert abs(got - closed_form_concurrence(tau)) < 1e-9
-
-
-def test_argmax_concurrence():
-    tau_star, c_star = argmax_concurrence(2.0, 50.0, tol=1e-8)
-    assert abs(tau_star - TAU_PEAK) < 1e-6
-    assert abs(c_star - C_PEAK) < 1e-12
 
 
 # ------------------------------------------------------- formation entropy
