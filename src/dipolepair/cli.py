@@ -353,9 +353,11 @@ def _axis(name: str, bounds: str, count: int, flag: str):
         raise UsageError(f"{flag} must be finite, got {bounds!r}")
     if not start < stop:
         raise UsageError(f"{flag}: start must be below stop")
-    if not math.isfinite(stop - start):
-        raise UsageError(f"{flag}: stop - start must be finite, got {bounds!r}")
-    return name, np.linspace(start, stop, count)
+    try:  # the span, or a multiple of the step, can overflow near the largest double
+        with np.errstate(over="raise", invalid="raise"):
+            return name, np.linspace(start, stop, count)
+    except FloatingPointError:
+        raise UsageError(f"{flag}: stop - start must be finite, got {bounds!r}") from None
 
 
 # ---------------------------------------------------------------- commands
@@ -414,13 +416,15 @@ def _cmd_spectrum(ns) -> int:
     roots, _ = hermitian_eig(triplet_block(cfg.delta, couplings.omega, cfg.drive))
     heff = build_effective_hamiltonian(cfg, couplings)
     heff_evals = general_eig(heff)
-    # the singlet line, exact given gamma12 (+ 0.0 turns a zero decay's -0 into 0)
+    # + 0.0 turns a zero's -0 into 0; the singlet line is exact given gamma12
+    triplet = [float(r) + 0.0 for r in roots]
     singlet = float(heff[3, 3].real), -2.0 * float(heff[3, 3].imag) + 0.0
+    damped = [(v.real + 0.0, -2.0 * v.imag + 0.0) for v in heff_evals]
     fmt = getattr(ns, "format", "text")
     with _output(ns) as out:
-        rows = [("triplet", float(r), float("nan")) for r in roots]
+        rows = [("triplet", e, float("nan")) for e in triplet]
         rows.append(("singlet", *singlet))
-        rows += [("damped", v.real, -2.0 * v.imag) for v in heff_evals]
+        rows += [("damped", *d) for d in damped]
         if fmt == "json":
             out.write(_json([{"branch": b, "energy": e, "decay": d} for b, e, d in rows]))
         elif fmt == "csv":
@@ -428,11 +432,11 @@ def _cmd_spectrum(ns) -> int:
             for b, e, d in rows:
                 out.write(f"{b},{_fmt(e)},{_fmt(d)}\n")
         else:
-            out.write(f"triplet eigenvalues: {'  '.join(_fmt(float(r)) for r in roots)}\n")
+            out.write(f"triplet eigenvalues: {'  '.join(map(_fmt, triplet))}\n")
             out.write(f"singlet eigenvalue:  {_fmt(singlet[0])}  (decay {_fmt(singlet[1])})\n")
             out.write("damped spectrum (energy, decay rate):\n")
-            for v in heff_evals:
-                out.write(f"  {_fmt(v.real):>18}  {_fmt(-2.0 * v.imag):>18}\n")
+            for e, d in damped:
+                out.write(f"  {_fmt(e):>18}  {_fmt(d):>18}\n")
     return 0
 
 

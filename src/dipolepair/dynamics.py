@@ -525,52 +525,43 @@ def lamb_dicke_limit_state(tau: float) -> DensityMatrix:
     return _coupled_state(m / (tau2 + 48.0))
 
 
-# Pade(m) coefficients b_k = (2m - k)! / (k! (m - k)!), up to a common
-# factor, and the 1-norm theta_m up to which the unscaled degree-m
-# approximant keeps its backward error below the double-precision unit
-# roundoff (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3)
-_PADE = {m: [math.factorial(2 * m - k) // (math.factorial(k) * math.factorial(m - k))
-             for k in range(m + 1)] for m in (3, 5, 7, 9, 13)}
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
-          9: 2.097847961257068, 13: 5.371920351148152}
+# Pade(13) coefficients b_k = (26 - k)! / (k! (13 - k)!), up to a common factor,
+# in Higham's grouping over (a^2, a^4, a^6): u/a = a^6 (row 0) + row 1 + b_1 I and
+# v = a^6 (row 2) + row 3 + b_0 I. _THETA13 is the 1-norm up to which the unscaled
+# approximant keeps its backward error below the double-precision unit roundoff
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005), Table 2.3).
+_B13 = [math.factorial(26 - k) / (math.factorial(k) * math.factorial(13 - k)) for k in range(14)]
+_PADE13 = np.array([_B13[9::2], _B13[3:9:2], _B13[8::2], _B13[2:8:2]])
+_B1_B0 = np.array([[_B13[1]], [_B13[0]]])
+_THETA13 = 5.371920351148152
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a square matrix by Higham's scaling and squaring of Pade(m).
+    """exp(a) of a square matrix by Higham's scaling and squaring of Pade(13).
 
-    The lowest degree m in (3, 5, 7, 9) with ||a||_1 <= theta_m, unscaled;
-    above theta_9 degree 13, scaled by 2^-s so that the norm is at most
-    theta_13, then squared s times. A non-finite entry, or a result that
-    overflows, raises OutOfRange.
+    Above theta_13, a is scaled by 2^-s so that its 1-norm is at most theta_13,
+    and the approximant is squared s times. The approximant is
+    r = I + 2 (v - u)^-1 u for the odd part u and even part v, which is
+    (v - u)^-1 (v + u) but exactly I at a = 0. A non-finite entry, or a result
+    that overflows, raises OutOfRange.
     """
     norm = float(np.abs(a).sum(axis=0).max())
     if not math.isfinite(norm):
         raise OutOfRange("exponential of a non-finite matrix")
-    m = next((m for m in (3, 5, 7, 9) if norm <= _THETA[m]), 13)
-    s = math.ceil(math.log2(norm / _THETA[13])) if norm > _THETA[13] else 0
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     if s:
         a = a / 2.0**s
-    b = _PADE[m]
-    # u and v without their b_1 I and b_0 I terms: r = (v - u)^-1 (v + u)
-    # for the odd part u = a (b_1 + b_3 a^2 + ...), even part v = b_0 + b_2 a^2 + ...
-    a2 = a @ a
-    if m == 13:
-        a4 = a2 @ a2
-        a6 = a4 @ a2
-        u = (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2)
-    else:
-        power, u, v = a2, b[3] * a2, b[2] * a2
-        for k in range(4, m, 2):
-            power = power @ a2
-            u += b[k + 1] * power
-            v += b[k] * power
-    u.reshape(-1)[:: len(a) + 1] += b[1]  # the diagonals of fresh arrays
-    v.reshape(-1)[:: len(a) + 1] += b[0]
-    u = a @ u
-    r = np.linalg.solve(v - u, v + u)
+    n = len(a)
+    p = np.empty((3, n, n), dtype=a.dtype)  # a^2, a^4, a^6
+    np.matmul(a, a, out=p[0])
+    np.matmul(p[0], p[0], out=p[1])
+    np.matmul(p[1], p[0], out=p[2])
+    w = (_PADE13 @ p.reshape(3, -1)).reshape(4, n, n)
+    uv = p[2] @ w[::2] + w[1::2]  # u/a and v, less b_1 I and b_0 I
+    uv.reshape(2, -1)[:, :: n + 1] += _B1_B0
+    u = a @ uv[0]
+    r = 2.0 * np.linalg.solve(uv[1] - u, u)
+    r.reshape(-1)[:: n + 1] += 1.0
     if s:  # the squarings of a huge generator's step can overflow
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(s):
@@ -611,7 +602,8 @@ def propagate(
     including t = 0. A state's trace may drift from one by at most
     TRACE_DRIFT_MAX (only a generator that does not preserve trace does
     that); normalized, it must pass the DensityMatrix checks. The first
-    failing state raises InvalidState naming its step, and a generator whose
+    failing state raises InvalidState naming its step (also where the products
+    overflow, without a numpy warning), and a generator whose
     imaginary part in real coordinates exceeds HERMITICITY_RTOL of its
     largest entry (it does not preserve Hermiticity) InvalidState; dt,
     t_final, over MAX_STEPS steps or a generator out of range OutOfRange.
@@ -641,17 +633,18 @@ def propagate(
     v = np.empty((nsteps + 1, 16))
     v[0] = (_TO_REAL @ vec(rho0.matrix)).real
     done = 1  # states known: steps 0 ... done - 1
-    while done <= nsteps:
-        k = min(done, nsteps + 1 - done)
-        v[done:done + k] = v[:k] @ power
-        done += k
-        if done <= nsteps:
-            power = power @ power
-    tr = v[1:, :4].sum(axis=1)
-    drift = np.abs(tr - 1.0)
-    over = np.flatnonzero(~(drift <= tol.TRACE_DRIFT_MAX))  # NaN drift fails too
-    end = over[0] if len(over) else nsteps
-    rho = ((v[1:end + 1] / tr[:end, None]) @ _TO_STACK).view(complex).reshape(end, 4, 4)
+    with np.errstate(over="ignore", invalid="ignore"):  # an unstable step's products overflow
+        while done <= nsteps:
+            k = min(done, nsteps + 1 - done)
+            v[done:done + k] = v[:k] @ power
+            done += k
+            if done <= nsteps:
+                power = power @ power
+        tr = v[1:, :4].sum(axis=1)
+        drift = np.abs(tr - 1.0)
+        over = np.flatnonzero(~(drift <= tol.TRACE_DRIFT_MAX))  # NaN drift fails too
+        end = over[0] if len(over) else nsteps
+        rho = ((v[1:end + 1] / tr[:end, None]) @ _TO_STACK).view(complex).reshape(end, 4, 4)
     failed = _density_codes(rho)
     if failed is not None:
         k = np.flatnonzero(failed[0])[0]

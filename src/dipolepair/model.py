@@ -216,7 +216,9 @@ def build_effective_hamiltonian(cfg: AtomPairConfig, c: Couplings) -> np.ndarray
     """Non-Hermitian no-jump Hamiltonian, coupled basis (|+1>,|0>,|-1>,|A>).
 
     triplet_block plus the singlet energy -omega, less i/2 times the decay
-    rates (2, 1 + gamma12, 0, 1 - gamma12) on the diagonal. The singlet row
+    rates (2, 1 + gamma12, 0, 1 - gamma12) on the diagonal: the full rates,
+    twice those at which build_liouvillian, whose dissipator halves the
+    decay constants, empties each coupled population. The singlet row
     and column are zero off the diagonal for every parameter value; its
     decay rate vanishes when gamma12 = 1. The rates enter the imaginary
     parts in real arithmetic: a complex product would turn an infinite

@@ -12,8 +12,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from svd_reference import to_coupled
 
-from dipolepair import BasisTag, DensityMatrix, checks, cli, dynamics, entanglement
+from dipolepair import (
+    AtomPairConfig,
+    BasisTag,
+    Couplings,
+    DensityMatrix,
+    build_liouvillian,
+    checks,
+    cli,
+    dynamics,
+    entanglement,
+)
 from dipolepair.cli import main
 
 
@@ -151,6 +162,20 @@ def test_spectrum_triplet_energies_are_the_cubics_roots(capsys, point):
     assert abs(r[0] * r[1] + r[0] * r[2] + r[1] * r[2]
                + delta**2 + 4 * drive**2) <= 1e-12 * scale**2
     assert abs(r[0] * r[1] * r[2] + delta**2 * omega) <= 1e-12 * scale**3
+
+
+@pytest.mark.parametrize("gamma12", ["-1", "0.3", "1"])
+def test_spectrum_damped_decay_is_twice_the_master_equation_rate(capsys, gamma12):
+    # the damped column is -2 Im of the no-jump Hamiltonian's eigenvalues, the
+    # rates (2, 1 + gamma12, 0, 1 - gamma12); the dissipator takes half of each,
+    # so at drive 0 each coupled population leaves at half the printed rate
+    rc, out, _ = run(capsys, "spectrum", "--omega", "0", "--gamma12", gamma12,
+                     "--format", "json")
+    assert rc == 0
+    damped = sorted(r["decay"] for r in json.loads(out) if r["branch"] == "damped")
+    liouv = build_liouvillian(AtomPairConfig(), Couplings(0.0, float(gamma12)))
+    rates = -to_coupled(liouv).matrix.diagonal()[::5].real  # out of |k><k|, k = +1, 0, -1, A
+    assert np.allclose(damped, sorted(2.0 * rates), rtol=0.0, atol=1e-12)
 
 
 def test_spectrum_singlet_decay_vanishes_in_lamb_dicke(capsys):
@@ -380,6 +405,12 @@ def test_sweep_two_axes_row_major(capsys):
                     assert columns[name].tobytes() == grid.ravel().tobytes()
 
 
+def test_drive_axis_is_the_efield_axis(capsys):
+    drive = run(capsys, "sweep", "--axis", "drive=0:1:3", "--k0r", "0.5")
+    efield = run(capsys, "sweep", "--axis", "efield=0:1:3", "--k0r", "0.5")
+    assert drive[0] == 0 and drive == efield
+
+
 def test_sweep_tau_axis_matches_closed_form(capsys):
     from dipolepair import closed_form_concurrence
 
@@ -492,13 +523,21 @@ def test_fig2_lamb_dicke_fixes_unit_cross_decay_and_zero_detuning(capsys):
      "--mu-dot-rhat conflicts with --omega/tau"),
     (("steady", "--tau", "9.21", "--mu-dot-rhat", "0.7"),
      "--mu-dot-rhat conflicts with --omega/tau"),
+    (("fig1", "--points", "1"), "--points must be >= 2"),
+    (("fig1", "--nbar-min", "10", "--nbar-max", "5"), "--nbar-min must be below --nbar-max"),
+    (("fig2", "--points", "1"), "--points must be >= 2"),
+    (("sweep", "--axis", "k0r=0.1:1:3", "--axis", "k0r=1:2:2", "--efield", "1"),
+     "axis names must be distinct"),
+    (("sweep", "--axis", "efield=0:1:x", "--k0r", "1"),
+     "--axis expects NAME=START:STOP:COUNT, got 'efield=0:1:x'"),
 ], ids=["fig2_omega", "fig2_gamma12", "sweep_gamma12", "sweep_gamma12_lamb_dicke",
         "sweep_omega_geometric", "sweep_tau_k0r", "sweep_k0r_omega", "steady_k0r_omega",
         "fig2_efield_tau", "fig2_k0r", "fig2_tau", "sweep_delta_axis_lamb_dicke",
         "steady_tau_omega", "steady_tau_omega_lamb_dicke", "spectrum_tau_omega",
         "steady_tau_delta", "spectrum_tau_without_drive", "steady_omega_without_drive",
         "steady_no_coupling",
-        "steady_mu", "spectrum_mu", "fig2_k0r_range", "steady_mu_omega", "steady_mu_tau"])
+        "steady_mu", "spectrum_mu", "fig2_k0r_range", "steady_mu_omega", "steady_mu_tau",
+        "fig1_points", "fig1_nbar", "fig2_points", "sweep_two_k0r_axes", "sweep_axis_count"])
 def test_grid_commands_reject_couplings_fixed_next_to_a_distance(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
@@ -651,6 +690,9 @@ def test_steady_at_a_huge_distance_runs_without_warning(capsys):
     ("sweep --axis k0r=1e-102:1e-3:40 --efield 1", "", None),
     # the singlet decay 1 - Gamma12 from the series, where the closed form cancels
     ("spectrum --k0r 1.001e-3 --efield 0", "", "(decay 1.00200096"),
+    # CSV, at the drive 0 taken when none is given; a zero energy prints as 0, not -0
+    ("spectrum --omega 2 --format csv", "",
+     "branch,energy,decay\ntriplet,2,NaN\ntriplet,0,NaN\ntriplet,0,NaN\nsinglet,-2,1\n"),
     # the dark line (no drive, gamma12 = -1) fails one point; the others are solved
     ("sweep --axis efield=0:2:3 --omega 2 --gamma12 -1 --delta -3",
      "warning: 1 grid point(s) failed, recorded as NaN (InvalidRegime: 1)\n", None),
@@ -660,7 +702,8 @@ def test_steady_at_a_huge_distance_runs_without_warning(capsys):
      None),
 ], ids=["sweep_short_distances", "sweep_delta", "sweep_huge_drives", "steady_1e-8",
         "spectrum_tau", "steady_5e-4", "steady_2e-3", "steady_1.3", "steady_1.5",
-        "sweep_omega_overflow_edge", "spectrum_singlet_decay", "sweep_dark_line",
+        "sweep_omega_overflow_edge", "spectrum_singlet_decay", "spectrum_csv",
+        "sweep_dark_line",
         "sweep_two_failure_kinds"])
 def test_grids_and_points_exit_0_without_warning(capsys, argv, err, shown):
     # pyproject.toml makes any warning, numpy's floating-point ones included, an error
@@ -711,12 +754,16 @@ def test_sweep_exits_1_only_when_every_point_failed(capsys):
     # finite bounds whose span stop - start overflows
     ("fig2", "--k0r-range=-1e308:1e308"),
     ("sweep", "--axis", "delta=-1e308:1e308:5", "--efield", "1", "--omega", "2"),
+    # a finite span, but (count - 1) steps overflow inside np.linspace
+    ("sweep", "--axis", "delta=-8.988465674311579e307:8.988465674311579e307:4", "--efield", "1",
+     "--omega", "2"),
     ("spectrum", "--omega", "inf", "--efield", "1"),
     ("spectrum", "--omega", "nan", "--efield", "1"),
     # finite options, but sqrt 2 E overflows in the triplet block
     ("spectrum", "--omega", "1", "--efield", "1.5e308"),
 ], ids=["steady_lamb_dicke_efield", "steady_lamb_dicke_tau", "fig1_tau",
-        "fig2_range", "sweep_axis", "fig2_span", "sweep_span", "spectrum_omega_inf",
+        "fig2_range", "sweep_axis", "fig2_span", "sweep_span", "sweep_steps",
+        "spectrum_omega_inf",
         "spectrum_omega_nan", "spectrum_efield_overflow"])
 def test_non_finite_option_is_a_usage_error(capsys, argv):
     with warnings.catch_warnings(record=True) as caught:
@@ -787,8 +834,9 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     ("fig2", "fromat = json", "unknown config key 'fromat'"),
     ("check", "fromat = json", "unknown config key 'fromat'"),
     ("steady", "config = other.cfg", "unknown config key 'config'"),
+    ("steady", "efield 1", "bad config line: 'efield 1'"),
 ], ids=["steady_efield", "fig2_points", "fig2_points_float", "fig2_format", "steady_format",
-        "fig2_typo", "check_typo", "steady_config"])
+        "fig2_typo", "check_typo", "steady_config", "steady_no_equals"])
 def test_config_value_of_the_wrong_kind_is_a_usage_error(tmp_path, capsys, command, line,
                                                          message):
     cfgfile = tmp_path / "run.cfg"

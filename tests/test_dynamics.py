@@ -414,6 +414,9 @@ def test_density_matrix_basis_round_trip():
     assert np.abs(coupled.matrix - back.matrix).max() < 1e-12
     assert coupled.matrix[3, 3] == 0.0
     assert state.singlet_weight() == 0.0
+    # the tag itself, not its value
+    with pytest.raises(InvalidState, match="^cannot convert BasisTag.COUPLED to coupled$"):
+        state.to_basis("coupled")
 
 
 def test_solve_steady_state_falls_back_near_degenerate_geometry():

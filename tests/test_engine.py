@@ -387,6 +387,11 @@ def one_matrix_cases(rng):
                 i, j = rng.integers(0, 4, 2)
                 (m.real, m.imag)[rng.integers(2)][i, j] = value
             cases.append(m)
+    # a first diagonal entry below the floor: the screen's first pivot fails
+    for _ in range(20):
+        rest = rng.random(3)
+        cases.append(np.diag(np.append(2.0 * floor, (1.0 - 2.0 * floor) * rest / rest.sum()))
+                     .astype(complex))
     return cases
 
 

@@ -160,6 +160,8 @@ def test_wootters_matches_pure_concurrence():
         psi = random_pure()
         report = wootters_concurrence(np.outer(psi, psi.conj()))
         assert abs(report.concurrence - pure_concurrence(psi)) < 1e-9
+    with pytest.raises(ValueError, match="^expected a 4-component state vector$"):
+        pure_concurrence(np.array([1.0, 0.0, 0.0]))
 
 
 def test_wootters_separable_mixture():

@@ -24,7 +24,7 @@ from dipolepair import dynamics
 from dipolepair import tolerances as tol
 from dipolepair.dynamics import (
     _FROM_REAL,
-    _THETA,
+    _THETA13,
     _TO_REAL,
     _TO_STACK,
     _below_floor,
@@ -79,16 +79,21 @@ def test_expm_matches_scipy_on_liouvillians():
 
 
 def test_expm_zero_generator_is_identity():
-    gap = _expm(np.zeros((16, 16), dtype=complex)) - np.eye(16)
-    assert np.abs(gap).max() <= 2 * np.finfo(float).eps
+    # exactly, for real and complex input
+    for dtype in (float, complex):
+        assert np.array_equal(_expm(np.zeros((16, 16), dtype=dtype)), np.eye(16))
 
 
-@pytest.mark.parametrize("norm", [0.5 * _THETA[13], 0.999 * _THETA[13],
-                                  1.001 * _THETA[13], 3.0 * _THETA[13], 1e3 * _THETA[13]]
-                         + [f * _THETA[m] for m in (3, 5, 7, 9) for f in (0.999, 1.001)])
+# theta_m of the unscaled Pade degrees m = 3, 5, 7, 9 (Higham, Table 2.3),
+# where a degree ladder would switch
+_LADDER = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+           2.097847961257068)
+
+
+@pytest.mark.parametrize("norm", [f * _THETA13 for f in (0.5, 0.999, 1.001, 3.0, 1e3)]
+                         + [f * theta for theta in _LADDER for f in (0.999, 1.001)])
 def test_expm_on_both_sides_of_the_scaling_threshold(norm):
-    # up to theta_m of degree m = 3, 5, 7, 9 that degree is used unscaled,
-    # above theta9 degree 13, and above theta13 it is scaled by 2^-s and
+    # up to theta13 Pade(13) is used unscaled, above it scaled by 2^-s and
     # squared s times; an anti-Hermitian matrix keeps exp(a) unitary at
     # any norm
     rng = np.random.default_rng(int(norm * 1000))
@@ -272,6 +277,34 @@ def test_long_trajectory_matches_scipy_at_every_doubling():
     for k in [1] + [2**j for j in range(1, 13)] + [5000]:
         exact = unvec(expm(liouv.matrix * times[k]) @ vec(GROUND), 4)
         assert np.abs(states[k].matrix - exact).max() <= 1e-10, k
+
+
+@pytest.mark.parametrize("k0r, t_final", [(1e-3, 0.5), (1e-4, 0.5), (1e-5, 0.5), (1e-3, 50.0)])
+def test_stiff_short_distance_trajectory_matches_scipy(k0r, t_final):
+    # Omega ~ 1/k0r^3 makes the step stiff: r = (v - u)^-1 (v + u) lost the
+    # trace in rounding here (InvalidState "step 2: trace drift 1.907e-06"
+    # at k0r = 1e-4), r = I + 2 (v - u)^-1 u keeps it
+    expm = pytest.importorskip("scipy.linalg").expm
+    cfg = AtomPairConfig(drive=1.0, k0r=k0r)
+    liouv = build_liouvillian(cfg, couplings_from_geometry(cfg))
+    times, states = propagate(liouv, DensityMatrix(GROUND, BasisTag.COMPUTATIONAL), t_final, 0.01)
+    assert len(times) == len(states) == round(t_final / 0.01) + 1
+    exact = unvec(expm(liouv.matrix * times[-1]) @ vec(GROUND), 4)
+    assert np.abs(states[-1].matrix - exact).max() <= 1e-12
+
+
+@pytest.mark.parametrize("cfg, couplings, rho0, t_final, dt", [
+    (AtomPairConfig(drive=1.0, k0r=1e-6), None, GROUND, 50.0, 0.01),
+    (AtomPairConfig(delta=1.0), Couplings(1e20, -1.0), np.diag([0.0, 1.0, 0.0, 0.0]), 0.5, 0.1),
+], ids=["k0r_1e-6", "omega_1e20"])
+def test_a_trajectory_whose_products_overflow_fails_typed_without_a_warning(
+        cfg, couplings, rho0, t_final, dt):
+    # the doubling products overflowed with a numpy RuntimeWarning before the
+    # InvalidState, which under warnings-as-errors the caller got instead
+    liouv = build_liouvillian(cfg, couplings or couplings_from_geometry(cfg))
+    rho0 = DensityMatrix(rho0.astype(complex), BasisTag.COMPUTATIONAL)
+    with pytest.raises(InvalidState, match=r"^step \d+: "):
+        propagate(liouv, rho0, t_final, dt)
 
 
 @pytest.mark.parametrize("basis", [BasisTag.COMPUTATIONAL, BasisTag.COUPLED])
